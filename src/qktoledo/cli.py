@@ -179,6 +179,8 @@ def _cmd_period_triple(args, parser) -> int:
         components = [parse_field_elem(part) for part in args.vector.split(",")]
     except ValueError as exc:
         parser.error(f"cannot parse --vector: {exc}")
+    if len(components) != 3:
+        parser.error(f"--vector needs 3 components, got {len(components)}")
     try:
         triple = period_triple(components)
     except ValueError as exc:
@@ -221,10 +223,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verb == "pullback":
+        if args.n < 2:
+            parser.error("--n must be at least 2")
         if args.embedding == "sym-square" and args.n != 2:
             parser.error("sym-square is defined for --n 2 only")
         return _cmd_pullback(args)
     if args.verb == "lift-check":
+        if args.samples < 1:
+            parser.error("--samples must be at least 1")
         return _cmd_lift_check(args)
     if args.verb == "classify":
         return _cmd_classify(args)

@@ -20,7 +20,10 @@ For the symmetric square, W = Sym^2(C^{2,1}) carries the orthonormal basis
 Lie algebra homomorphism into su(4,2).  The bounded-domain chart identifies
 the base negative plane through the unnormalized vectors e3.e1, e3.e2, which
 rescales the off-diagonal blocks by 1/sqrt2; ``sym_square_p_block`` performs
-that extraction, and its closed form is ``sym_square_tangent_diff``.
+that extraction, and its closed form is ``sym_square_tangent_diff``.  The
+library computes with the closed forms (this one and
+``lifting.iota_star_bplus``); the Leibniz differential is the reference the
+tests compare them against.
 """
 
 from __future__ import annotations
@@ -128,12 +131,6 @@ def sym_square_p_block(lie_matrix: Matrix) -> Matrix:
                    for r in range(4)])
 
 
-def sym_square_v_block(lie_matrix: Matrix) -> Matrix:
-    """Lower-left 2 x 4 block in the same chart normalization."""
-    return Matrix([[lie_matrix[4 + r, c] * HALF_SQRT2 for c in range(4)]
-                   for r in range(2)])
-
-
 def sym_square_tangent_diff(a) -> TangentVec:
     """Closed form of the symmetric-square differential on the ball tangent.
 
@@ -237,9 +234,6 @@ def sym_square_embedding() -> EmbeddingDiff:
         return sym_square_tangent_diff(x).a.entries
 
     return _tabulate("sym_square", 2, rows)
-
-
-EMBEDDING_NAMES = ("rho", "totally_real", "phi", "sym_square")
 
 
 def make_embedding(name: str, n=2) -> EmbeddingDiff:

@@ -23,15 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import JetScalar, ZERO, I, as_scalar
+from .scalars import JetScalar, ZERO, I, HALF_SQRT2, as_scalar
 from .linalg import Matrix, Subspace, herm_form
-from .embeddings import (BALL_SIG, W_SIG, EmbeddingDiff, su21_p_matrix,
-                         sym_square_lie, sym_square_p_block, sym_square_v_block,
-                         sym_product, sym_to_e_coords)
+from .embeddings import (BALL_SIG, W_SIG, EmbeddingDiff, sym_product,
+                         sym_to_e_coords)
 
 TWISTOR_H = (0, 0, 0, 0, 1, -1)
 PERIOD_FLAG_H = (1, 1, -3, 1, 0, 0)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -67,45 +65,38 @@ def p_positions(size=6, split=4):
                  if (r <= split) != (c <= split))
 
 
-@dataclass(frozen=True)
-class BPlusVector:
-    """Holomorphic ball tangent vector (1,0)-part of the pair element for a.
-
-    The 3 x 3 matrix has (a1, a2) in the top-right column and zeros
-    elsewhere; it equals (X_a - i * X_{ia}) / 2.
-    """
-
-    a: tuple
-
-    @property
-    def matrix(self) -> Matrix:
-        a1, a2 = (as_scalar(x) for x in self.a)
-        return Matrix([[ZERO, ZERO, a1], [ZERO, ZERO, a2], [ZERO, ZERO, ZERO]])
-
-    def p_split(self):
-        """The two real pair elements X_a and X_{ia} recombining to this."""
-        a1, a2 = (as_scalar(x) for x in self.a)
-        return su21_p_matrix(a1, a2), su21_p_matrix(a1 * I, a2 * I)
-
-
 def iota_star_bplus(a) -> Matrix:
     """Symmetric-square image of the holomorphic tangent vector for a.
 
-    Complex-linear extension (L(X_a) - i * L(X_{ia})) / 2 of the Leibniz
-    differential, with the off-diagonal blocks in the bounded-domain chart
-    normalization, so the entries match the closed tangent form directly.
+    Closed form of the complex-linear extension (L(X_a) - i * L(X_{ia})) / 2
+    of the Leibniz differential, with the off-diagonal blocks in the
+    bounded-domain chart normalization: the diagonal blocks vanish, the
+    top-right 4 x 2 block has rows (a1, 0), (0, a2), (0, 0),
+    (a2/sqrt2, a1/sqrt2), and the bottom-left 2 x 4 block has rows
+    (0, 0, a1, 0), (0, 0, a2, 0).
     """
-    xa, xia = BPlusVector(tuple(a)).p_split()
-    la, lia = sym_square_lie(xa), sym_square_lie(xia)
-    full = (la - lia * I) * _HALF
-    u = sym_square_p_block(full)
-    v = sym_square_v_block(full)
-    rows = []
-    for r in range(4):
-        rows.append([full[r, c] for c in range(4)] + list(u.row(r)))
-    for r in range(2):
-        rows.append(list(v.row(r)) + [full[4 + r, 4 + c] for c in range(2)])
-    return Matrix(rows)
+    a1, a2 = (as_scalar(x) for x in a)
+    z = ZERO
+    return Matrix([
+        [z, z, z, z, a1, z],
+        [z, z, z, z, z, a2],
+        [z, z, z, z, z, z],
+        [z, z, z, z, a2 * HALF_SQRT2, a1 * HALF_SQRT2],
+        [z, z, a1, z, z, z],
+        [z, z, a2, z, z, z],
+    ])
+
+
+def _pattern_violations(a, h) -> tuple:
+    """Nonzero entries of the image for a that the grading h does not allow.
+
+    1-based (row, col, value) triples in row-major order.
+    """
+    allow = grading_mask(h).allow
+    return tuple((r + 1, c + 1, value)
+                 for r, row in enumerate(iota_star_bplus(a).entries)
+                 for c, value in enumerate(row)
+                 if value and not allow[r][c])
 
 
 @dataclass(frozen=True)
@@ -125,29 +116,16 @@ class TwistorVerdict:
 def twistor_nonlift_check(a) -> TwistorVerdict:
     """Does the symmetric-square image stay in the twistor holomorphic pattern?
 
-    Membership is tested on the off-diagonal blocks against the pattern the
-    twistor grading allows; for every a != 0 the answer is no, and the
-    violations name the offending entries.
+    For every a != 0 the answer is no, and the violations name the offending
+    entries; they all lie in the off-diagonal blocks.
     """
-    mask = grading_mask(TWISTOR_H)
-    image = iota_star_bplus(a)
-    violations = []
-    for r, c in p_positions():
-        value = image[r - 1, c - 1]
-        if value and not mask.allowed(r, c):
-            violations.append((r, c, value))
-    return TwistorVerdict(member=not violations, violations=tuple(violations))
+    violations = _pattern_violations(a, TWISTOR_H)
+    return TwistorVerdict(member=not violations, violations=violations)
 
 
 def holomorphy_check_u3u1u2(a) -> bool:
     """True iff the symmetric-square image respects the flag grading."""
-    mask = grading_mask(PERIOD_FLAG_H)
-    image = iota_star_bplus(a)
-    for r in range(1, 7):
-        for c in range(1, 7):
-            if image[r - 1, c - 1] and not mask.allowed(r, c):
-                return False
-    return True
+    return not _pattern_violations(a, PERIOD_FLAG_H)
 
 
 # -- linearity classification -------------------------------------------------
@@ -284,6 +262,19 @@ def _first_order_flag_curves(v0, w):
     }
 
 
+_FIBER_PARTS = ("L2", "S2Lperp")
+
+
+def _flag_motion(v0, w, names):
+    """For each named flag component: its span at time zero and the
+    derivatives of its spanning vectors along the line curve."""
+    curves = _first_order_flag_curves(v0, w)
+    return {name: (Subspace.span(6, [tuple(j.val for j in vec)
+                                     for vec in curves[name]]),
+                   [tuple(j.deriv for j in vec) for vec in curves[name]])
+            for name in names}
+
+
 def horizontality_residues(v0, w):
     """First-order residues of the square-of-line and Sym^2 components.
 
@@ -292,14 +283,9 @@ def horizontality_residues(v0, w):
     base motion of the flag and carries no fiber component, so it does not
     appear here.
     """
-    curves = _first_order_flag_curves(v0, w)
-    residues = {}
-    for name in ("L2", "S2Lperp"):
-        at_zero = Subspace.span(6, [tuple(j.val for j in vec)
-                                    for vec in curves[name]])
-        residues[name] = [at_zero.residue(tuple(j.deriv for j in vec))
-                          for vec in curves[name]]
-    return residues
+    motion = _flag_motion(v0, w, _FIBER_PARTS)
+    return {name: [at_zero.residue(d) for d in derivs]
+            for name, (at_zero, derivs) in motion.items()}
 
 
 def horizontality_check(v0, w) -> bool:
@@ -308,14 +294,12 @@ def horizontality_check(v0, w) -> bool:
     The derivative residues of the square of the line and of Sym^2 of the
     orthocomplement must lie in (mixed plane + component at time zero).
     """
-    curves = _first_order_flag_curves(v0, w)
-    mixed0 = Subspace.span(6, [tuple(j.val for j in vec)
-                               for vec in curves["LoLperp"]])
-    for name in ("L2", "S2Lperp"):
-        at_zero = Subspace.span(6, [tuple(j.val for j in vec)
-                                    for vec in curves[name]])
+    motion = _flag_motion(v0, w, _FIBER_PARTS + ("LoLperp",))
+    mixed0 = motion["LoLperp"][0]
+    for name in _FIBER_PARTS:
+        at_zero, derivs = motion[name]
         target = at_zero + mixed0
-        for vec in curves[name]:
-            if not target.contains(tuple(j.deriv for j in vec)):
+        for d in derivs:
+            if not target.contains(d):
                 return False
     return True

@@ -14,11 +14,9 @@ with zero terms omitted, "0" for zero, and "-" joining negative terms
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
-
-# The spec's Rational is exactly the stdlib Fraction: reduced, denominator > 0.
-Rational = Fraction
 
 _SUFFIXES = ("", "*i", "*sqrt2", "*i*sqrt2")
 
@@ -272,6 +270,21 @@ I_SQRT2 = FieldElem(0, 0, 0, 1)
 HALF_SQRT2 = FieldElem(0, 0, Fraction(1, 2), 0)   # 1/sqrt2
 
 
+_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(factor: str, text: str) -> Fraction:
+    """A numeric factor, "digits" or "digits/digits" only, so no decimal or
+    exponent notation can ask for an unbounded coefficient."""
+    match = _RATIONAL.fullmatch(factor)
+    if match is None:
+        raise ValueError(f"malformed term in {text!r}")
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
+
+
 def parse_field_elem(text: str) -> FieldElem:
     """Parse the canonical textual format back into a FieldElem.
 
@@ -308,10 +321,8 @@ def parse_field_elem(text: str) -> FieldElem:
                 if has_sqrt2:
                     raise ValueError(f"repeated sqrt2 in {text!r}")
                 has_sqrt2 = True
-            elif factor:
-                coef *= Fraction(factor)
             else:
-                raise ValueError(f"malformed term in {text!r}")
+                coef *= _parse_rational(factor, text)
         coords = [0, 0, 0, 0]
         coords[(1 if has_i else 0) + (2 if has_sqrt2 else 0)] = coef
         result = result + FieldElem(*coords)
@@ -412,7 +423,6 @@ def _as_quat(value):
     return Quat(scalar, ZERO)
 
 
-QUAT_ONE = Quat(ONE)
 QUAT_I = Quat(I)
 QUAT_J = Quat(ZERO, ONE)
 QUAT_K = Quat(ZERO, I)

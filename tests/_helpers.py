@@ -1,10 +1,12 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and reference computations shared across the
+test modules."""
 
 import random
 from fractions import Fraction
 
-from qktoledo import (FieldElem, Matrix, Quat, TangentVec, ZERO, ONE,
-                      su21_p_matrix)
+from qktoledo import (FieldElem, Matrix, Quat, TangentVec, ZERO, ONE, I,
+                      HALF_SQRT2, su21_p_matrix, sym_square_lie,
+                      sym_square_p_block)
 
 
 def rng(seed):
@@ -78,3 +80,17 @@ def rand_negative_vector(r):
         norm = sum(((x * x.conj()) for x in v[:2]), start=ZERO) - v[2] * v[2].conj()
         if norm.real_sign() < 0:
             return v
+
+
+def leibniz_bplus_image(a):
+    """Reference for ``iota_star_bplus``: (L(X_a) - i * L(X_{ia})) / 2 from
+    the Leibniz differential L, with both off-diagonal blocks rescaled by
+    1/sqrt2 to the bounded-domain chart normalization."""
+    a1, a2 = a
+    full = (sym_square_lie(su21_p_matrix(a1, a2))
+            - sym_square_lie(su21_p_matrix(a1 * I, a2 * I)) * I) * Fraction(1, 2)
+    u = sym_square_p_block(full)
+    rows = [[full[r, c] for c in range(4)] + list(u.row(r)) for r in range(4)]
+    rows += [[full[4 + r, c] * HALF_SQRT2 for c in range(4)]
+             + [full[4 + r, 4 + c] for c in range(2)] for r in range(2)]
+    return Matrix(rows)

@@ -132,6 +132,27 @@ def test_period_triple_parse_error_exits_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lift-check", "--domain", "twistor", "--samples", "0"),
+     "--samples must be at least 1"),
+    (("lift-check", "--domain", "u3u1u2", "--samples", "-5"),
+     "--samples must be at least 1"),
+    (("pullback", "--embedding", "rho", "--n", "0"), "--n must be at least 2"),
+    (("pullback", "--embedding", "rho", "--n", "1"), "--n must be at least 2"),
+    (("pullback", "--embedding", "phi", "--n", "-3"), "--n must be at least 2"),
+    (("period-triple", "--vector", "0,1"), "--vector needs 3 components, got 2"),
+    (("period-triple", "--vector", "0,0,1,0"),
+     "--vector needs 3 components, got 4"),
+    (("period-triple", "--vector", "1/0,0,1"),
+     "cannot parse --vector: zero denominator in '1/0'"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_period_triple_positive_vector_fails(capsys):
     code, out, err = run_cli(capsys, "period-triple", "--vector", "1,0,0")
     assert code == 1

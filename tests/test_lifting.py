@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qktoledo import (BALL_SIG, BPlusVector, EmbeddingDiff, FieldElem,
+from qktoledo import (BALL_SIG, EmbeddingDiff, FieldElem,
                       JetScalar, Matrix, Subspace, TangentVec,
                       ZERO, ONE, I, HALF_SQRT2, PERIOD_FLAG_H, TWISTOR_H,
                       classify_column, classify_linearity, grading_mask,
@@ -14,7 +14,8 @@ from qktoledo import (BALL_SIG, BPlusVector, EmbeddingDiff, FieldElem,
                       sym_to_e_coords, twistor_lift_condition,
                       twistor_nonlift_check)
 
-from _helpers import (rng, rand_fraction, rand_gauss, rand_nonzero_pair,
+from _helpers import (leibniz_bplus_image, rng, rand_field_elem, rand_fraction,
+                      rand_gauss, rand_nonzero_field_elem, rand_nonzero_pair,
                       rand_negative_vector)
 
 
@@ -69,14 +70,19 @@ def test_mask_against_bracket_oracle():
 
 # -- the holomorphic tangent image ---------------------------------------------
 
-def test_bplus_vector_recombination():
+def test_iota_star_matches_leibniz_oracle():
     r = rng(602)
-    for _ in range(50):
-        a = rand_nonzero_pair(r)
-        s = BPlusVector(a)
-        xa, xia = s.p_split()
-        assert (xa - xia * I) * Fraction(1, 2) == s.matrix
-        assert xa == su21_p_matrix(*a)
+    inputs = [(ZERO, ZERO)]
+    for _ in range(10):
+        x = rand_nonzero_field_elem(r)
+        inputs += [(x, ZERO), (ZERO, x)]
+    inputs += [(rand_field_elem(r), rand_field_elem(r)) for _ in range(300)]
+    for a1, a2 in inputs:
+        # the (1,0)-part of X_a is the 3 x 3 matrix with (a1, a2) top right
+        xa, xia = su21_p_matrix(a1, a2), su21_p_matrix(a1 * I, a2 * I)
+        assert (xa - xia * I) * Fraction(1, 2) == Matrix(
+            [[ZERO, ZERO, a1], [ZERO, ZERO, a2], [ZERO, ZERO, ZERO]])
+        assert iota_star_bplus((a1, a2)) == leibniz_bplus_image((a1, a2))
 
 
 def test_iota_star_block_structure():

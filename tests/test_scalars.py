@@ -150,6 +150,7 @@ def test_parse_round_trip():
     assert parse_field_elem("sqrt2") == SQRT2
     assert parse_field_elem("-i*sqrt2") == -I_SQRT2
     assert parse_field_elem("2i".replace("2i", "2*i")) == FieldElem(0, 2)
-    for bad in ("", "1+", "i*i", "sqrt2*sqrt2*1", "x"):
+    for bad in ("", "1+", "i*i", "sqrt2*sqrt2*1", "x",
+                "1/0", "1e5", "1.5", "1_0"):
         with pytest.raises(ValueError):
             parse_field_elem(bad)
