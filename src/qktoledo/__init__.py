@@ -9,16 +9,15 @@ from .scalars import (FieldElem, JetScalar, Quat, parse_field_elem,
                       ZERO, ONE, I, SQRT2, I_SQRT2, HALF_SQRT2,
                       QUAT_I, QUAT_J, QUAT_K, QUAT_UNITS)
 from .linalg import HermSig, Matrix, Subspace, herm_form
-from .geometry import (QuatCoords, TangentVec, SU2_GENERATORS,
-                       complex_structure_j, kahler_form, metric_g0, omega4,
-                       omega_unit, su2_action_check, to_quat, wedge_square_eval)
+from .geometry import (TangentVec, complex_structure_j, kahler_form,
+                       metric_g0, omega4, omega_unit, su2_action_check,
+                       to_quat, wedge_square_eval)
 from .embeddings import (EmbeddingDiff, BALL_SIG, W_SIG, E_BASIS_TENSORS,
                          ball_tangent, e_coords_to_sym, make_embedding,
-                         phi_embedding, rho_embedding, standard_quadruple,
-                         su21_p_matrix, sym_product, sym_square_embedding,
+                         standard_quadruple, su21_p_matrix, sym_product,
                          sym_square_lie, sym_square_p_block,
                          sym_square_tangent_diff, sym_to_e_coords,
-                         totally_real_embedding, w_form_tensor, is_su21)
+                         w_form_tensor, is_su21)
 from .toledo import (CONVENTION, CompositionReport, PullbackReport,
                      composition_invariant, pullback_constant)
 from .lifting import (GradedMask, PeriodTriple, TwistorVerdict,

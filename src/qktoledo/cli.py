@@ -30,6 +30,12 @@ _CLI_EMBEDDINGS = {
     "sym-square": "sym_square",
 }
 
+# Upper bounds on the two size arguments: memory grows linearly with
+# --samples (every record is kept until the report prints) and
+# quadratically with --n (2n tabulated images of size 2n x 2).
+_MAX_SAMPLES = 10_000
+_MAX_N = 100
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -99,7 +105,7 @@ def _random_negative_line(rng):
               FieldElem(1))
         if herm_form(v0, v0, BALL_SIG).real_sign() < 0:
             break
-    basis = Subspace.span(3, [v0]).perp(BALL_SIG).basis
+    basis = Subspace(3, [v0]).perp(BALL_SIG).basis
     acc = (FieldElem(0), FieldElem(0), FieldElem(0))
     for b in basis:
         coef = FieldElem(rng.randint(-2, 2), rng.randint(-2, 2))
@@ -225,12 +231,16 @@ def main(argv=None) -> int:
     if args.verb == "pullback":
         if args.n < 2:
             parser.error("--n must be at least 2")
+        if args.n > _MAX_N:
+            parser.error(f"--n must be at most {_MAX_N}")
         if args.embedding == "sym-square" and args.n != 2:
             parser.error("sym-square is defined for --n 2 only")
         return _cmd_pullback(args)
     if args.verb == "lift-check":
         if args.samples < 1:
             parser.error("--samples must be at least 1")
+        if args.samples > _MAX_SAMPLES:
+            parser.error(f"--samples must be at most {_MAX_SAMPLES}")
         return _cmd_lift_check(args)
     if args.verb == "classify":
         return _cmd_classify(args)

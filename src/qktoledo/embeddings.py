@@ -182,72 +182,26 @@ def _tabulate(name, n, rows_of):
                                         for x in basis))
 
 
-def rho_embedding(n=2) -> EmbeddingDiff:
-    """Holomorphic diagonal: z -> column of z_k I_2 blocks."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-    def rows(x):
-        out = []
-        for c in x:
-            out.append([c, ZERO])
-            out.append([ZERO, c])
-        return out
-
-    return _tabulate("rho", n, rows)
-
-
-def totally_real_embedding(n=2) -> EmbeddingDiff:
-    """Totally real: z -> column of diag(z_k, conj(z_k)) blocks."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-    def rows(x):
-        out = []
-        for c in x:
-            out.append([c, ZERO])
-            out.append([ZERO, c.conj()])
-        return out
-
-    return _tabulate("totally_real", n, rows)
-
-
-def phi_embedding(n=2) -> EmbeddingDiff:
-    """Partial diagonal: z -> column of (z_k, 0) blocks, second factor frozen."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-    def rows(x):
-        out = []
-        for c in x:
-            out.append([c, ZERO])
-            out.append([ZERO, ZERO])
-        return out
-
-    return _tabulate("phi", n, rows)
-
-
-def sym_square_embedding() -> EmbeddingDiff:
-    """Symmetric square differential of SU(2,1) -> SU(4,2) (n = 2)."""
-
-    def rows(x):
-        return sym_square_tangent_diff(x).a.entries
-
-    return _tabulate("sym_square", 2, rows)
+# the two rows that one coordinate c contributes, per diagonal-type embedding
+_ROW_PAIRS = {
+    "rho": lambda c: ([c, ZERO], [ZERO, c]),
+    "totally_real": lambda c: ([c, ZERO], [ZERO, c.conj()]),
+    "phi": lambda c: ([c, ZERO], [ZERO, ZERO]),
+}
 
 
 def make_embedding(name: str, n=2) -> EmbeddingDiff:
-    if name == "rho":
-        return rho_embedding(n)
-    if name == "totally_real":
-        return totally_real_embedding(n)
-    if name == "phi":
-        return phi_embedding(n)
+    """The differential of the named embedding of the n-ball."""
     if name == "sym_square":
         if n != 2:
             raise ValueError("the symmetric square embedding requires n = 2")
-        return sym_square_embedding()
-    raise ValueError(f"unknown embedding {name!r}")
+        return _tabulate(name, 2, lambda x: sym_square_tangent_diff(x).a.entries)
+    if name not in _ROW_PAIRS:
+        raise ValueError(f"unknown embedding {name!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    pair = _ROW_PAIRS[name]
+    return _tabulate(name, n, lambda x: [row for c in x for row in pair(c)])
 
 
 def standard_quadruple(n=2):

@@ -127,60 +127,26 @@ def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
     return metric_g0(complex_structure_j(x), y)
 
 
-class QuatCoords:
-    """Quaternionic coordinates of a tangent vector with two columns."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatCoords is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, m):
-        return self.entries[m]
-
-    def pairing(self, other: "QuatCoords") -> Quat:
-        """Standard quaternionic Hermitian pairing sum_m q_m conj(p_m)."""
-        acc = Quat()
-        for q, p in zip(self.entries, other.entries):
-            acc = acc + q * p.conj()
-        return acc
-
-    def right_mul(self, unit) -> "QuatCoords":
-        u = QUAT_UNITS[unit] if isinstance(unit, str) else unit
-        return QuatCoords(q * u for q in self.entries)
-
-    def to_tangent(self) -> TangentVec:
-        return TangentVec(Matrix([[q.z, q.w] for q in self.entries]))
-
-    def __eq__(self, other):
-        if not isinstance(other, QuatCoords):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "(" + ", ".join(repr(q) for q in self.entries) + ")"
+def _pairing(qs, ps) -> Quat:
+    """Standard quaternionic Hermitian pairing sum_m q_m conj(p_m)."""
+    acc = Quat()
+    for q, p in zip(qs, ps):
+        acc = acc + q * p.conj()
+    return acc
 
 
-def to_quat(x: TangentVec) -> QuatCoords:
-    """Identify a 2n x 2 block (x | y) with the quaternion vector x + y*j."""
+def to_quat(x: TangentVec) -> tuple:
+    """Identify a 2n x 2 block (x | y) with the quaternion vector x + y*j,
+    returned as a tuple of Quat."""
     if x.q != 2:
         raise ValueError("quaternionic coordinates need exactly 2 columns")
-    return QuatCoords(Quat(x.a[m, 0], x.a[m, 1]) for m in range(x.p))
+    return tuple(Quat(x.a[m, 0], x.a[m, 1]) for m in range(x.p))
 
 
 def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:
     """omega_u(X, Y) = Re(q_X . conj(q_Y) u); antisymmetric, real-valued."""
     _check_same_shape(x, y)
-    pairing = to_quat(x).pairing(to_quat(y))
+    pairing = _pairing(to_quat(x), to_quat(y))
     return (pairing * QUAT_UNITS[unit]).re()
 
 
@@ -201,9 +167,9 @@ def omega4(x: TangentVec, y: TangentVec, z: TangentVec, w: TangentVec) -> FieldE
     _check_same_shape(x, y, z, w)
     qx, qy, qz, qw = (to_quat(v) for v in (x, y, z, w))
     pair = {
-        "xy": qx.pairing(qy), "zw": qz.pairing(qw),
-        "xz": qx.pairing(qz), "yw": qy.pairing(qw),
-        "xw": qx.pairing(qw), "yz": qy.pairing(qz),
+        "xy": _pairing(qx, qy), "zw": _pairing(qz, qw),
+        "xz": _pairing(qx, qz), "yw": _pairing(qy, qw),
+        "xw": _pairing(qx, qw), "yz": _pairing(qy, qz),
     }
     total = ZERO
     for unit in QUAT_UNITS.values():
@@ -216,7 +182,7 @@ def omega4(x: TangentVec, y: TangentVec, z: TangentVec, w: TangentVec) -> FieldE
 # The three generators whose adjoint action realizes right quaternion
 # multiplication on the tangent space: conjugating [[0,A],[A*,0]] by the
 # group element diag(I_2n, u*) sends A to A*u.
-SU2_GENERATORS = {
+_SU2_GENERATORS = {
     "i": Matrix([[I, ZERO], [ZERO, -I]]),
     "j": Matrix([[ZERO, FieldElem(1)], [FieldElem(-1), ZERO]]),
     "k": Matrix([[ZERO, I], [I, ZERO]]),
@@ -225,6 +191,6 @@ SU2_GENERATORS = {
 
 def su2_action_check(unit: str, x: TangentVec) -> bool:
     """Adjoint action of the unit's generator == right multiplication by it."""
-    g = SU2_GENERATORS[unit]
-    acted = TangentVec(x.a @ g)
-    return to_quat(acted) == to_quat(x).right_mul(unit)
+    acted = TangentVec(x.a @ _SU2_GENERATORS[unit])
+    u = QUAT_UNITS[unit]
+    return to_quat(acted) == tuple(q * u for q in to_quat(x))

@@ -39,16 +39,12 @@ class GradedMask:
     h: tuple
     allow: tuple
 
-    @property
-    def size(self) -> int:
-        return len(self.h)
-
     def allowed(self, row: int, col: int) -> bool:
         """1-based indices."""
         return self.allow[row - 1][col - 1]
 
     def allowed_positions(self):
-        n = self.size
+        n = len(self.h)
         return tuple((r, c) for r in range(1, n + 1) for c in range(1, n + 1)
                      if self.allow[r - 1][c - 1])
 
@@ -87,12 +83,15 @@ def iota_star_bplus(a) -> Matrix:
     ])
 
 
-def _pattern_violations(a, h) -> tuple:
-    """Nonzero entries of the image for a that the grading h does not allow.
+_TWISTOR_ALLOW = grading_mask(TWISTOR_H).allow
+_FLAG_ALLOW = grading_mask(PERIOD_FLAG_H).allow
+
+
+def _pattern_violations(a, allow) -> tuple:
+    """Nonzero entries of the image for a that the allow table forbids.
 
     1-based (row, col, value) triples in row-major order.
     """
-    allow = grading_mask(h).allow
     return tuple((r + 1, c + 1, value)
                  for r, row in enumerate(iota_star_bplus(a).entries)
                  for c, value in enumerate(row)
@@ -119,13 +118,13 @@ def twistor_nonlift_check(a) -> TwistorVerdict:
     For every a != 0 the answer is no, and the violations name the offending
     entries; they all lie in the off-diagonal blocks.
     """
-    violations = _pattern_violations(a, TWISTOR_H)
+    violations = _pattern_violations(a, _TWISTOR_ALLOW)
     return TwistorVerdict(member=not violations, violations=violations)
 
 
 def holomorphy_check_u3u1u2(a) -> bool:
     """True iff the symmetric-square image respects the flag grading."""
-    return not _pattern_violations(a, PERIOD_FLAG_H)
+    return not _pattern_violations(a, _FLAG_ALLOW)
 
 
 # -- linearity classification -------------------------------------------------
@@ -211,7 +210,7 @@ def _negative_line_basis(v):
     norm = herm_form(vec, vec, BALL_SIG)
     if norm.real_sign() >= 0:
         raise ValueError("the vector must be negative for the (2,1) form")
-    perp = Subspace.span(3, [vec]).perp(BALL_SIG)
+    perp = Subspace(3, [vec]).perp(BALL_SIG)
     return vec, perp.basis
 
 
@@ -220,9 +219,9 @@ def period_triple(v) -> PeriodTriple:
     vec, (u1, u2) = _negative_line_basis(v)
     coords = lambda x, y: sym_to_e_coords(sym_product(x, y))
     return PeriodTriple(
-        s2_perp=Subspace.span(6, [coords(u1, u1), coords(u1, u2), coords(u2, u2)]),
-        line_sq=Subspace.span(6, [coords(vec, vec)]),
-        mixed=Subspace.span(6, [coords(vec, u1), coords(vec, u2)]),
+        s2_perp=Subspace(6, [coords(u1, u1), coords(u1, u2), coords(u2, u2)]),
+        line_sq=Subspace(6, [coords(vec, vec)]),
+        mixed=Subspace(6, [coords(vec, u1), coords(vec, u2)]),
     )
 
 
@@ -269,8 +268,8 @@ def _flag_motion(v0, w, names):
     """For each named flag component: its span at time zero and the
     derivatives of its spanning vectors along the line curve."""
     curves = _first_order_flag_curves(v0, w)
-    return {name: (Subspace.span(6, [tuple(j.val for j in vec)
-                                     for vec in curves[name]]),
+    return {name: (Subspace(6, [tuple(j.val for j in vec)
+                                for vec in curves[name]]),
                    [tuple(j.deriv for j in vec) for vec in curves[name]])
             for name in names}
 

@@ -125,13 +125,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x.is_zero() for r in self.entries for x in r)
 
-    def apply(self, vector):
-        """Matrix times column vector (tuple in, tuple out)."""
-        v = _coerce_row(vector)
-        if len(v) != self.cols:
-            raise ValueError("length mismatch in matrix-vector product")
-        return tuple(_dot(r, v) for r in self.entries)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -230,10 +223,6 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @classmethod
-    def span(cls, ambient, vectors):
-        return cls(ambient, vectors)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -251,9 +240,6 @@ class Subspace:
 
     def contains(self, vector) -> bool:
         return all(x.is_zero() for x in self.residue(vector))
-
-    def __contains__(self, vector):
-        return self.contains(vector)
 
     def __add__(self, other):
         if not isinstance(other, Subspace):

@@ -191,14 +191,6 @@ class FieldElem:
     def is_real(self) -> bool:
         return not (self.nb or self.nd)
 
-    def is_rational(self) -> bool:
-        return not (self.nb or self.nc or self.nd)
-
-    def rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.na, self.den)
-
     def real_sign(self) -> int:
         """Exact sign of a real element a + c*sqrt2.
 
@@ -231,6 +223,9 @@ class FieldElem:
                 and self.den == other.den)
 
     def __hash__(self):
+        # a rational element equals its Fraction (and int), so it hashes alike
+        if not (self.nb or self.nc or self.nd):
+            return hash(Fraction(self.na, self.den))
         return hash((self.na, self.nb, self.nc, self.nd, self.den))
 
     def __str__(self):
@@ -408,7 +403,8 @@ class Quat:
         return self.z == other.z and self.w == other.w
 
     def __hash__(self):
-        return hash((self.z, self.w))
+        # a quaternion with w = 0 equals its scalar z, so it hashes alike
+        return hash(self.z) if self.w.is_zero() else hash((self.z, self.w))
 
     def __repr__(self):
         return f"({self.z}) + ({self.w})*j"
@@ -503,6 +499,9 @@ class JetScalar:
         return self.val == other.val and self.deriv == other.deriv
 
     def __hash__(self):
+        # a jet with zero derivative equals its value, so it hashes alike
+        if self.deriv.is_zero():
+            return hash(self.val)
         return hash((self.val, self.deriv))
 
     def __repr__(self):

@@ -3,6 +3,7 @@ test modules."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from qktoledo import (FieldElem, Matrix, Quat, TangentVec, ZERO, ONE, I,
                       HALF_SQRT2, su21_p_matrix, sym_square_lie,
@@ -11,6 +12,61 @@ from qktoledo import (FieldElem, Matrix, Quat, TangentVec, ZERO, ONE, I,
 
 def rng(seed):
     return random.Random(seed)
+
+
+def unit(n, k):
+    """The k-th standard basis vector of C^n (0-based)."""
+    return tuple(ONE if i == k else ZERO for i in range(n))
+
+
+def perm_sign(perm):
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+              if perm[i] > perm[j])
+    return 1 if inv % 2 == 0 else -1
+
+
+def perm_det(m):
+    """Determinant of a square matrix (list of rows) by permutation expansion;
+    generic in the entry type (Fraction or FieldElem)."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        prod = 1
+        for i, p in enumerate(perm):
+            prod = prod * m[i][p]
+        total = total + perm_sign(perm) * prod
+    return total
+
+
+def matchings_oracle(form, vecs):
+    """(alpha ^ alpha)(X,Y,Z,W) as the signed sum over the three perfect
+    matchings of four slots, enumerated through all permutations."""
+    total = ZERO
+    for perm in permutations(range(4)):
+        a, b, c, d = perm
+        if a > b or c > d or a > c:
+            continue
+        total = total + perm_sign(perm) * (form(vecs[a], vecs[b])
+                                           * form(vecs[c], vecs[d]))
+    return total
+
+
+def iv_sign(a, c):
+    """Sign of a + c*sqrt2 (Fractions a, c) by mpmath interval arithmetic,
+    starting at 50 bits and refining until the interval is decisive."""
+    from mpmath import iv
+
+    if a == 0 and c == 0:
+        return 0
+    prec = 50
+    while True:
+        iv.prec = prec
+        x = (iv.mpf(a.numerator) / a.denominator
+             + (iv.mpf(c.numerator) / c.denominator) * iv.sqrt(2))
+        if x.a > 0:
+            return 1
+        if x.b < 0:
+            return -1
+        prec *= 2
 
 
 def rand_fraction(r, lo=-9, hi=9, max_den=9):

@@ -5,20 +5,19 @@ a failed assertion is the fail line.
 """
 
 from fractions import Fraction
-from itertools import permutations
 
 from qktoledo import (BALL_SIG, FieldElem, Matrix, Subspace, W_SIG,
                       ZERO, ONE, ball_tangent, kahler_form, make_embedding,
-                      omega4, pullback_constant, rho_embedding,
-                      standard_quadruple, su2_action_check, su21_p_matrix,
+                      omega4, pullback_constant, standard_quadruple,
+                      su2_action_check, su21_p_matrix,
                       sym_square_lie, sym_square_p_block,
                       sym_square_tangent_diff, twistor_nonlift_check,
                       holomorphy_check_u3u1u2, horizontality_check,
                       wedge_square_eval)
 
-from _helpers import (rng, rand_complex_vec, rand_fraction, rand_gauss,
-                      rand_negative_vector, rand_nonzero_pair, rand_su21,
-                      rand_tangent)
+from _helpers import (matchings_oracle, perm_det, rng, rand_complex_vec,
+                      rand_fraction, rand_gauss, rand_negative_vector,
+                      rand_nonzero_pair, rand_su21, rand_tangent)
 
 QUAD = standard_quadruple(2)
 
@@ -47,7 +46,7 @@ def test_criterion_2_base_kahler_square():
 
 def test_criterion_3_holomorphic_pullback_identity():
     for n in (2, 3, 4):
-        emb = rho_embedding(n)
+        emb = make_embedding("rho", n)
         r = rng(700 + n)
         for _ in range(100):
             imgs = [emb(rand_complex_vec(r, n)) for _ in range(4)]
@@ -104,30 +103,13 @@ def test_criterion_7_period_domain_lift():
     assert horizontality_check(e3, (ZERO, ZERO, ZERO))
     for _ in range(50):
         v0 = rand_negative_vector(r)
-        basis = Subspace.span(3, [v0]).perp(BALL_SIG).basis
+        basis = Subspace(3, [v0]).perp(BALL_SIG).basis
         w = (ZERO, ZERO, ZERO)
         for b in basis:
             coef = rand_gauss(r, -2, 2)
             w = tuple(x + coef * y for x, y in zip(w, b))
         assert horizontality_check(v0, w)
     _report(7, "holomorphy (100) and horizontality (50 + base cases), exact")
-
-
-def _perm_sign(perm):
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return 1 if inv % 2 == 0 else -1
-
-
-def _matchings_oracle(form, vecs):
-    total = ZERO
-    for perm in permutations(range(4)):
-        a, b, c, d = perm
-        if a > b or c > d or a > c:
-            continue
-        total = total + _perm_sign(perm) * (form(vecs[a], vecs[b])
-                                            * form(vecs[c], vecs[d]))
-    return total
 
 
 def test_criterion_8_property_suites():
@@ -154,7 +136,7 @@ def test_criterion_8_property_suites():
                 table[i][j], table[j][i] = v, -v
         form = lambda u, v: table[u][v]
         slots = (0, 1, 2, 3)
-        assert wedge_square_eval(form, *slots) == _matchings_oracle(form, slots)
+        assert wedge_square_eval(form, *slots) == matchings_oracle(form, slots)
     # determinant scaling under basis recombination, 100 trials
     emb = make_embedding("rho")
     images = [emb(x) for x in QUAD]
@@ -162,7 +144,7 @@ def test_criterion_8_property_suites():
     done = 0
     while done < 100:
         m = [[rand_fraction(r, -3, 3, 3) for _ in range(4)] for _ in range(4)]
-        det = _det4(m)
+        det = perm_det(m)
         if det == 0:
             continue
         done += 1
@@ -178,7 +160,7 @@ def test_criterion_8_property_suites():
     while done < 50:
         d = r.randint(1, 5)
         vecs = [tuple(rand_gauss(r) for _ in range(6)) for _ in range(d)]
-        s = Subspace.span(6, vecs)
+        s = Subspace(6, vecs)
         if s.dim == 0:
             continue
         assert s.dim + s.perp(W_SIG).dim == 6
@@ -191,12 +173,3 @@ def test_criterion_8_property_suites():
     _report(8, "alternation/multilinearity (500), matchings oracle (200), "
                "determinant scaling (100), subspace invariants (50)")
 
-
-def _det4(m):
-    total = Fraction(0)
-    for perm in permutations(range(4)):
-        prod = Fraction(1)
-        for i, p in enumerate(perm):
-            prod *= m[i][p]
-        total += _perm_sign(perm) * prod
-    return total

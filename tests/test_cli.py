@@ -145,6 +145,9 @@ def test_period_triple_parse_error_exits_2(capsys):
      "--vector needs 3 components, got 4"),
     (("period-triple", "--vector", "1/0,0,1"),
      "cannot parse --vector: zero denominator in '1/0'"),
+    (("pullback", "--embedding", "rho", "--n", "101"), "--n must be at most 100"),
+    (("lift-check", "--domain", "twistor", "--samples", "10001"),
+     "--samples must be at most 10000"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as err:

@@ -3,8 +3,8 @@
 import pytest
 
 from qktoledo import (FieldElem, Matrix, Quat,
-                      ZERO, ONE, I, SQRT2, HALF_SQRT2, QUAT_J, QUAT_K,
-                      E_BASIS_TENSORS, W_SIG, complex_structure_j,
+                      ZERO, ONE, I, SQRT2, HALF_SQRT2,
+                      W_SIG, complex_structure_j,
                       e_coords_to_sym, herm_form, is_su21, make_embedding,
                       su21_p_matrix, sym_product, sym_square_lie,
                       sym_square_p_block, sym_square_tangent_diff,
@@ -14,50 +14,34 @@ from _helpers import (rng, rand_complex_vec, rand_fraction, rand_su21,
                       rand_field_elem)
 
 
-def unit3(k):
-    return tuple(ONE if i == k else ZERO for i in range(3))
-
-
 def test_rho_blocks():
-    rho = make_embedding("rho")
-    assert rho((ONE, ZERO)).a == Matrix([[ONE, ZERO], [ZERO, ONE],
-                                         [ZERO, ZERO], [ZERO, ZERO]])
-    assert rho((I, ZERO)).a == Matrix([[I, ZERO], [ZERO, I],
-                                       [ZERO, ZERO], [ZERO, ZERO]])
-    assert rho((ZERO, ZERO)).is_zero()
+    # n = 2 is pinned by the selftest registry; here the layout at n = 3
+    rho = make_embedding("rho", 3)
+    assert rho((ZERO, ZERO, I)).a == Matrix([[ZERO, ZERO]] * 4
+                                            + [[I, ZERO], [ZERO, I]])
+    assert rho((ZERO, ZERO, ZERO)).is_zero()
 
 
 def test_totally_real_blocks():
     tot = make_embedding("totally_real")
     assert tot((ONE, ZERO)) == make_embedding("rho")((ONE, ZERO))
-    assert to_quat(tot((I, ZERO))).entries == (Quat(I), Quat(ZERO, -I),
-                                               Quat(), Quat())
+    assert make_embedding("totally_real", 3)((ZERO, ZERO, I)).a == Matrix(
+        [[ZERO, ZERO]] * 4 + [[I, ZERO], [ZERO, -I]])
     assert tot((ZERO, ZERO)).is_zero()
 
 
 def test_phi_blocks():
     phi = make_embedding("phi")
-    assert to_quat(phi((ONE, ZERO))).entries == (Quat(ONE), Quat(), Quat(), Quat())
+    assert to_quat(phi((ONE, ZERO))) == (Quat(ONE), Quat(), Quat(), Quat())
+    assert make_embedding("phi", 3)((ZERO, ZERO, I)).a == Matrix(
+        [[ZERO, ZERO]] * 4 + [[I, ZERO], [ZERO, ZERO]])
     assert phi((ZERO, ZERO)).is_zero()
 
 
 def test_sym_square_tangent_quat_coords():
-    cases = {
-        (ONE, ZERO): (Quat(ONE), Quat(), Quat(ONE), Quat(ZERO, HALF_SQRT2)),
-        (I, ZERO): (Quat(I), Quat(), Quat(-I), Quat(ZERO, I * HALF_SQRT2)),
-        (ZERO, ONE): (Quat(), QUAT_J, QUAT_J, Quat(HALF_SQRT2)),
-        (ZERO, I): (Quat(), QUAT_K, -QUAT_K, Quat(I * HALF_SQRT2)),
-    }
-    for a, want in cases.items():
-        assert to_quat(sym_square_tangent_diff(a)).entries == want
-
-
-def test_e_basis_orthonormality():
-    signs = (1, 1, 1, 1, -1, -1)
-    for i in range(6):
-        for j in range(6):
-            want = FieldElem(signs[i]) if i == j else ZERO
-            assert w_form_tensor(E_BASIS_TENSORS[i], E_BASIS_TENSORS[j]) == want
+    # the (1, 0), (0, 1) and (0, i) images are selftest registry checks
+    assert to_quat(sym_square_tangent_diff((I, ZERO))) == (
+        Quat(I), Quat(), Quat(-I), Quat(ZERO, I * HALF_SQRT2))
 
 
 def test_tensor_form_matches_coordinate_form():
@@ -81,13 +65,9 @@ def test_e_coords_round_trip():
 
 
 def test_leibniz_expansion_of_mixed_vector():
-    # d(X)(e3 . e1) = E1 + E3 for a = (1, 0): frozen coefficient vector
-    x = su21_p_matrix(ONE, ZERO)
-    t = Matrix(sym_product(unit3(2), unit3(0)))
-    image = x @ t + t @ x.transpose()
-    assert sym_to_e_coords(image.entries) == (ONE, ZERO, ONE, ZERO, ZERO, ZERO)
-    # the orthonormal E5 column carries the extra sqrt2
-    lie = sym_square_lie(x)
+    # d(X)(e3 . e1) = E1 + E3 for a = (1, 0) is a selftest registry check;
+    # in the orthonormal E5 column it carries the extra sqrt2
+    lie = sym_square_lie(su21_p_matrix(ONE, ZERO))
     assert lie.col(4) == (SQRT2, ZERO, SQRT2, ZERO, ZERO, ZERO)
 
 

@@ -5,14 +5,10 @@ import pytest
 from qktoledo import (FieldElem, HermSig, Matrix, Subspace, herm_form,
                       ZERO, ONE, I, SQRT2, su21_p_matrix)
 
-from _helpers import rng, rand_gauss, rand_field_elem
+from _helpers import iv_sign, perm_det, rng, rand_gauss, rand_field_elem, unit
 
 SIG21 = HermSig(2, 1)
 SIG42 = HermSig(4, 2)
-
-
-def unit(n, k):
-    return tuple(ONE if i == k else ZERO for i in range(n))
 
 
 def test_matrix_basics():
@@ -36,7 +32,6 @@ def test_su21_basis_product():
 def test_herm_form_values():
     assert herm_form(unit(3, 2), unit(3, 2), SIG21) == FieldElem(-1)
     assert herm_form(unit(3, 0), unit(3, 2), SIG21) == ZERO
-    assert herm_form(unit(6, 4), unit(6, 4), SIG42) == FieldElem(-1)
     with pytest.raises(ValueError):
         herm_form(unit(3, 0), unit(6, 0), SIG21)
 
@@ -50,33 +45,32 @@ def test_herm_form_conjugate_symmetry():
 
 
 def test_perp_examples():
-    s = Subspace.span(3, [unit(3, 2)])
-    assert s.perp(SIG21) == Subspace.span(3, [unit(3, 0), unit(3, 1)])
+    s = Subspace(3, [unit(3, 2)])
+    assert s.perp(SIG21) == Subspace(3, [unit(3, 0), unit(3, 1)])
 
 
 def test_definiteness_examples():
-    assert Subspace.span(6, [unit(6, 4), unit(6, 5)]).definiteness(SIG42) == "negative"
-    assert Subspace.span(6, [unit(6, 0), unit(6, 1), unit(6, 3)]).definiteness(SIG42) == "positive"
-    mixed = Subspace.span(6, [unit(6, 0), unit(6, 4)])
+    # span(E5, E6) negative and span(E1, E2, E4) positive are registry checks
+    mixed = Subspace(6, [unit(6, 0), unit(6, 4)])
     assert mixed.definiteness(SIG42) == "indefinite"
     # isotropic line: degenerate restriction
-    iso = Subspace.span(6, [tuple(x + y for x, y in zip(unit(6, 0), unit(6, 4)))])
+    iso = Subspace(6, [tuple(x + y for x, y in zip(unit(6, 0), unit(6, 4)))])
     assert iso.definiteness(SIG42) == "degenerate"
     # hyperbolic plane spanned by isotropic vectors: zero diagonal, indefinite
     e_plus = tuple(x + y for x, y in zip(unit(6, 0), unit(6, 4)))
     e_minus = tuple(x - y for x, y in zip(unit(6, 0), unit(6, 4)))
-    assert Subspace.span(6, [e_plus, e_minus]).definiteness(SIG42) == "indefinite"
+    assert Subspace(6, [e_plus, e_minus]).definiteness(SIG42) == "indefinite"
 
 
 def test_inertia_of_full_space():
-    full = Subspace.span(6, [unit(6, k) for k in range(6)])
+    full = Subspace(6, [unit(6, k) for k in range(6)])
     assert full.inertia(SIG42) == (4, 2, 0)
 
 
 def _random_subspace(r, ambient=6, max_dim=5):
     d = r.randint(1, max_dim)
     vecs = [tuple(rand_gauss(r) for _ in range(ambient)) for _ in range(d)]
-    return Subspace.span(ambient, vecs)
+    return Subspace(ambient, vecs)
 
 
 def test_membership_invariant_under_recombination():
@@ -94,7 +88,7 @@ def test_membership_invariant_under_recombination():
                 for c, b in zip(row, s.basis):
                     v = tuple(x + c * y for x, y in zip(v, b))
                 recombined.append(v)
-            s2 = Subspace.span(6, recombined)
+            s2 = Subspace(6, recombined)
             if s2.dim == s.dim:
                 break
         assert s2 == s
@@ -130,6 +124,51 @@ def test_residue_is_linear_and_canonical():
 
 
 def test_subspace_sum():
-    a = Subspace.span(6, [unit(6, 0)])
-    b = Subspace.span(6, [unit(6, 1)])
-    assert (a + b) == Subspace.span(6, [unit(6, 0), unit(6, 1)])
+    a = Subspace(6, [unit(6, 0)])
+    b = Subspace(6, [unit(6, 1)])
+    assert (a + b) == Subspace(6, [unit(6, 0), unit(6, 1)])
+
+
+def test_inertia_matches_leading_minor_oracle():
+    # Independent oracle: the leading principal minors of the Gram matrix,
+    # expanded over permutations and signed by interval arithmetic.  If
+    # none vanishes, Jacobi's rule gives n_minus as the number of sign
+    # changes in 1, D_1, ..., D_k; in any case sign(det) = (-1)^n_minus
+    # when det != 0, and det = 0 means a degenerate restriction.
+    e_plus = tuple(x + y for x, y in zip(unit(6, 0), unit(6, 4)))
+    e_minus = tuple(x - y for x, y in zip(unit(6, 0), unit(6, 4)))
+    e2_e5 = tuple(x + y for x, y in zip(unit(6, 1), unit(6, 4)))
+    e2_e6 = tuple(x + y for x, y in zip(unit(6, 1), unit(6, 5)))
+    structured = [
+        Subspace(6, [e_plus]),              # isotropic line
+        Subspace(6, [e_plus, e2_e6]),       # totally isotropic plane
+        Subspace(6, [e_plus, e_minus]),     # hyperbolic plane span(E1, E5)
+        Subspace(6, [e_plus, e2_e5]),       # hyperbolic plane, zero diagonal
+    ]
+    r = rng(205)
+    jacobi = degenerate = 0
+    while jacobi < 300:
+        if structured:
+            s = structured.pop()
+        else:
+            s = _random_subspace(r)
+            if s.dim == 0:
+                continue
+        g = s.gram(SIG42).entries
+        signs = []
+        for k in range(1, s.dim + 1):
+            minor = perm_det([row[:k] for row in g[:k]])
+            assert minor.is_real()
+            signs.append(iv_sign(minor.a, minor.c))
+        if signs[-1] == 0:
+            assert s.definiteness(SIG42) == "degenerate"
+            degenerate += 1
+            continue
+        n_plus, n_minus, n_zero = s.inertia(SIG42)
+        assert n_zero == 0 and n_plus + n_minus == s.dim
+        assert (-1) ** n_minus == signs[-1]
+        if all(signs):
+            changes = sum(1 for x, y in zip([1] + signs, signs) if x != y)
+            assert (n_plus, n_minus) == (s.dim - changes, changes)
+            jacobi += 1
+    assert degenerate >= 2

@@ -8,8 +8,8 @@ from qktoledo import (FieldElem, JetScalar, Quat, parse_field_elem,
                       ZERO, ONE, I, SQRT2, I_SQRT2, HALF_SQRT2,
                       QUAT_I, QUAT_J, QUAT_K)
 
-from _helpers import (rng, rand_field_elem, rand_nonzero_field_elem,
-                      rand_real_field_elem, rand_quat)
+from _helpers import (iv_sign, rng, rand_field_elem, rand_fraction,
+                      rand_nonzero_field_elem, rand_real_field_elem, rand_quat)
 
 
 def test_defining_relations():
@@ -63,22 +63,6 @@ def test_real_sign_cases():
 
 def test_real_sign_matches_interval_arithmetic():
     # Independent oracle: 50-bit interval arithmetic, refined until decisive.
-    from mpmath import iv
-
-    def iv_sign(a, c):
-        if a == 0 and c == 0:
-            return 0
-        prec = 50
-        while True:
-            iv.prec = prec
-            x = (iv.mpf(a.numerator) / a.denominator
-                 + (iv.mpf(c.numerator) / c.denominator) * iv.sqrt(2))
-            if x.a > 0:
-                return 1
-            if x.b < 0:
-                return -1
-            prec *= 2
-
     r = rng(103)
     for _ in range(1000):
         x = rand_real_field_elem(r)
@@ -154,3 +138,32 @@ def test_parse_round_trip():
                 "1/0", "1e5", "1.5", "1_0"):
         with pytest.raises(ValueError):
             parse_field_elem(bad)
+
+
+def _hash_contract_holds(values):
+    """x == y implies hash(x) == hash(y) on every pair; returns how many
+    pairs of distinct types compared equal, so the check is not vacuous."""
+    cross = 0
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+                cross += type(x) is not type(y)
+    return cross
+
+
+def test_equal_values_hash_equal():
+    assert len({FieldElem(1), 1, Fraction(1), Quat(1)}) == 1
+    assert len({FieldElem(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(Quat(I)) == hash(I)
+    assert hash(JetScalar(2)) == hash(FieldElem(2))
+    r = rng(107)
+    for _ in range(200):
+        q = rand_fraction(r)
+        x = rand_field_elem(r)
+        rationals = [q, FieldElem(q)] + ([int(q)] if q.denominator == 1 else [])
+        # Quat and JetScalar never compare equal to each other: two groups
+        quats = rationals + [Quat(q), x, Quat(x), Quat(x, x)]
+        jets = rationals + [JetScalar(q), x, JetScalar(x), JetScalar(x, x)]
+        assert _hash_contract_holds(quats) >= 4
+        assert _hash_contract_holds(jets) >= 4
