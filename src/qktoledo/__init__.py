@@ -8,7 +8,7 @@ chart normalization of the symmetric square).
 from .scalars import (FieldElem, JetScalar, Quat, parse_field_elem,
                       ZERO, ONE, I, SQRT2, I_SQRT2, HALF_SQRT2,
                       QUAT_I, QUAT_J, QUAT_K, QUAT_UNITS)
-from .linalg import HermSig, Matrix, Subspace, herm_form
+from .linalg import Matrix, Subspace, herm_form, unit_vector
 from .geometry import (TangentVec, complex_structure_j, kahler_form,
                        metric_g0, omega4, omega_unit, su2_action_check,
                        to_quat, wedge_square_eval)
@@ -20,7 +20,7 @@ from .embeddings import (EmbeddingDiff, BALL_SIG, W_SIG, E_BASIS_TENSORS,
                          w_form_tensor, is_su21)
 from .toledo import (CONVENTION, CompositionReport, PullbackReport,
                      composition_invariant, pullback_constant)
-from .lifting import (GradedMask, PeriodTriple, TwistorVerdict,
+from .lifting import (PeriodTriple, TwistorVerdict,
                       PERIOD_FLAG_H, TWISTOR_H, classify_column,
                       classify_linearity, grading_mask, holomorphy_check_u3u1u2,
                       horizontality_check, horizontality_residues,

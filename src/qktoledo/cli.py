@@ -159,7 +159,7 @@ def _cmd_lift_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     embedding = make_embedding(_CLI_EMBEDDINGS[args.embedding])
-    rows = embedding.values[0].p
+    rows = embedding.values[0].rows
     components = [{"column": col, "row": row,
                    "verdict": classify_linearity(embedding, col, row)}
                   for col in (1, 2) for row in range(1, rows + 1)]

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import FieldElem, ZERO, ONE, I, SQRT2, HALF_SQRT2, as_scalar
-from .linalg import Matrix, HermSig
+from .linalg import Matrix, unit_vector
 from .geometry import TangentVec
 
-W_SIG = HermSig(4, 2)
-BALL_SIG = HermSig(2, 1)
-_ETA = Matrix.diagonal([1, 1, -1])
+W_SIG = (1, 1, 1, 1, -1, -1)
+BALL_SIG = (1, 1, -1)
+_ETA = Matrix.diagonal(BALL_SIG)
 _HALF = Fraction(1, 2)
 
 
@@ -63,22 +63,17 @@ def e_coords_to_sym(coords):
 
 def w_form_tensor(s, t) -> FieldElem:
     """Induced Hermitian form on Sym^2 evaluated on coefficient grids."""
-    signs = BALL_SIG.signs
     acc = ZERO
     for i in range(3):
         for j in range(3):
-            acc = acc + signs[i] * signs[j] * (s[i][j] * t[i][j].conj())
+            acc = acc + BALL_SIG[i] * BALL_SIG[j] * (s[i][j] * t[i][j].conj())
     return acc
 
 
-def _unit3(k):
-    return tuple(ONE if i == k else ZERO for i in range(3))
-
-
 E_BASIS_TENSORS = tuple(
-    sym_product(_unit3(i), _unit3(j)) if i == j
+    sym_product(unit_vector(3, i), unit_vector(3, j)) if i == j
     else tuple(tuple(x * SQRT2 for x in row)
-               for row in sym_product(_unit3(i), _unit3(j)))
+               for row in sym_product(unit_vector(3, i), unit_vector(3, j)))
     for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (2, 0), (2, 1))
 )
 
@@ -138,12 +133,12 @@ def sym_square_tangent_diff(a) -> TangentVec:
     (conj(a1), conj(a2)), (a2/sqrt2, a1/sqrt2).
     """
     a1, a2 = (as_scalar(x) for x in a)
-    return TangentVec(Matrix([
+    return TangentVec([
         [a1, ZERO],
         [ZERO, a2],
         [a1.conj(), a2.conj()],
         [a2 * HALF_SQRT2, a1 * HALF_SQRT2],
-    ]))
+    ])
 
 
 # -- the four embedding differentials ----------------------------------------
@@ -161,7 +156,7 @@ class EmbeddingDiff:
         comps = [as_scalar(c) for c in x]
         if len(comps) != self.n or any(c is NotImplemented for c in comps):
             raise ValueError(f"expected a complex {self.n}-vector")
-        out = TangentVec.zero(self.values[0].p, 2)
+        out = TangentVec.zeros(self.values[0].rows, 2)
         for k, c in enumerate(comps):
             re = FieldElem(c.a, 0, c.c, 0)
             im = FieldElem(c.b, 0, c.d, 0)
@@ -173,13 +168,8 @@ class EmbeddingDiff:
 
 
 def _tabulate(name, n, rows_of):
-    basis = []
-    for k in range(n):
-        basis.append(tuple(ONE if j == k else ZERO for j in range(n)))
-    for k in range(n):
-        basis.append(tuple(I if j == k else ZERO for j in range(n)))
-    return EmbeddingDiff(name, n, tuple(TangentVec(Matrix(rows_of(x)))
-                                        for x in basis))
+    basis = [unit_vector(n, k, s) for s in (ONE, I) for k in range(n)]
+    return EmbeddingDiff(name, n, tuple(TangentVec(rows_of(x)) for x in basis))
 
 
 # the two rows that one coordinate c contributes, per diagonal-type embedding
@@ -195,7 +185,7 @@ def make_embedding(name: str, n=2) -> EmbeddingDiff:
     if name == "sym_square":
         if n != 2:
             raise ValueError("the symmetric square embedding requires n = 2")
-        return _tabulate(name, 2, lambda x: sym_square_tangent_diff(x).a.entries)
+        return _tabulate(name, 2, lambda x: sym_square_tangent_diff(x).entries)
     if name not in _ROW_PAIRS:
         raise ValueError(f"unknown embedding {name!r}")
     if n < 1:
@@ -208,13 +198,10 @@ def standard_quadruple(n=2):
     """The basis quadruple (e1, i e1, e2, i e2) of the ball tangent space."""
     if n < 2:
         raise ValueError("the standard quadruple needs n >= 2")
-
-    def unit(k, s):
-        return tuple(s if j == k else ZERO for j in range(n))
-
-    return (unit(0, ONE), unit(0, I), unit(1, ONE), unit(1, I))
+    return (unit_vector(n, 0), unit_vector(n, 0, I),
+            unit_vector(n, 1), unit_vector(n, 1, I))
 
 
 def ball_tangent(x) -> TangentVec:
     """A ball tangent vector as an n x 1 block (for the base Kahler form)."""
-    return TangentVec(Matrix([[as_scalar(c)] for c in x]))
+    return TangentVec([[as_scalar(c)] for c in x])

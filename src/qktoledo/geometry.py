@@ -30,43 +30,14 @@ from .scalars import (FieldElem, Quat, ZERO, I, QUAT_UNITS, as_scalar)
 from .linalg import Matrix
 
 
-class TangentVec:
-    """p x q block of a symmetric-pair tangent vector at the base point."""
+class TangentVec(Matrix):
+    """p x q block A of a symmetric-pair tangent vector at the base point.
 
-    __slots__ = ("a",)
+    A Matrix whose sums, negatives and scalar multiples stay tangent vectors;
+    it adds real scaling and the full symmetric-pair matrix.
+    """
 
-    def __init__(self, block: Matrix):
-        if not isinstance(block, Matrix):
-            block = Matrix(block)
-        object.__setattr__(self, "a", block)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentVec is immutable")
-
-    @classmethod
-    def zero(cls, p, q):
-        return cls(Matrix.zeros(p, q))
-
-    @property
-    def p(self) -> int:
-        return self.a.rows
-
-    @property
-    def q(self) -> int:
-        return self.a.cols
-
-    def __add__(self, other):
-        if not isinstance(other, TangentVec):
-            return NotImplemented
-        return TangentVec(self.a + other.a)
-
-    def __sub__(self, other):
-        if not isinstance(other, TangentVec):
-            return NotImplemented
-        return TangentVec(self.a - other.a)
-
-    def __neg__(self):
-        return TangentVec(-self.a)
+    __slots__ = ()
 
     def scale(self, s) -> "TangentVec":
         """Real scalar multiple (the tangent space is a real vector space)."""
@@ -75,50 +46,36 @@ class TangentVec:
             raise TypeError("scale expects a real scalar")
         if not s.is_real():
             raise ValueError("scale by a non-real scalar; use complex_structure_j")
-        return TangentVec(self.a * s)
+        return self * s
 
     def su_matrix(self) -> Matrix:
         """The full (p+q) x (p+q) matrix [[0, A], [A*, 0]]."""
-        p, q = self.p, self.q
-        astar = self.a.conj_transpose()
+        p, q = self.rows, self.cols
+        astar = self.conj_transpose()
         rows = []
         for i in range(p):
-            rows.append([ZERO] * p + list(self.a.row(i)))
+            rows.append([ZERO] * p + list(self.row(i)))
         for i in range(q):
             rows.append(list(astar.row(i)) + [ZERO] * q)
         return Matrix(rows)
 
-    def is_zero(self) -> bool:
-        return self.a.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, TangentVec):
-            return NotImplemented
-        return self.a == other.a
-
-    def __hash__(self):
-        return hash(self.a)
-
-    def __repr__(self):
-        return f"TangentVec({self.a!r})"
-
 
 def complex_structure_j(x: TangentVec) -> TangentVec:
     """J(A) = i*A; squares to minus the identity."""
-    return TangentVec(x.a * I)
+    return x * I
 
 
 def _check_same_shape(*vecs):
-    p, q = vecs[0].p, vecs[0].q
+    p, q = vecs[0].rows, vecs[0].cols
     for v in vecs[1:]:
-        if (v.p, v.q) != (p, q):
+        if (v.rows, v.cols) != (p, q):
             raise ValueError("tangent vectors have mismatched shapes")
 
 
 def metric_g0(x: TangentVec, y: TangentVec) -> FieldElem:
     """g0(X, Y) = 4 Re Tr(B* A); real, symmetric, positive definite."""
     _check_same_shape(x, y)
-    t = (y.a.conj_transpose() @ x.a).trace()
+    t = (y.conj_transpose() @ x).trace()
     return (t * 4).real_part()
 
 
@@ -138,9 +95,9 @@ def _pairing(qs, ps) -> Quat:
 def to_quat(x: TangentVec) -> tuple:
     """Identify a 2n x 2 block (x | y) with the quaternion vector x + y*j,
     returned as a tuple of Quat."""
-    if x.q != 2:
+    if x.cols != 2:
         raise ValueError("quaternionic coordinates need exactly 2 columns")
-    return tuple(Quat(x.a[m, 0], x.a[m, 1]) for m in range(x.p))
+    return tuple(Quat(z, w) for z, w in x.entries)
 
 
 def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:
@@ -191,6 +148,6 @@ _SU2_GENERATORS = {
 
 def su2_action_check(unit: str, x: TangentVec) -> bool:
     """Adjoint action of the unit's generator == right multiplication by it."""
-    acted = TangentVec(x.a @ _SU2_GENERATORS[unit])
+    acted = x @ _SU2_GENERATORS[unit]
     u = QUAT_UNITS[unit]
     return to_quat(acted) == tuple(q * u for q in to_quat(x))

@@ -2,17 +2,17 @@
 
 A flag domain of SU(4,2) carries the complex structure whose holomorphic
 tangent space is the positive eigenspace of ad(H) for a grading element
-H = diag(h); ``grading_mask`` tabulates which matrix positions that allows.
+H = diag(h); ``grading_mask`` gives the set of matrix positions that allows.
 Two gradings are used:
 
 * twistor grading (0,0,0,0,1,-1): the holomorphic-lift obstruction lives in
   the off-diagonal blocks, and the image of the holomorphic ball tangent
-  under the symmetric square always leaves the allowed pattern, so no
+  under the symmetric square always leaves the holomorphic pattern, so no
   holomorphic horizontal lift to the twistor space exists;
 * flag grading (1,1,-3,1,0,0): the same image always stays inside the
-  allowed pattern, and first-order curve calculus shows the induced map of
-  flags (Sym^2 of the orthocomplement, square of the line, mixed plane) is
-  horizontal, so the lift to that period domain exists.
+  holomorphic pattern, and first-order curve calculus shows the induced map
+  of flags (Sym^2 of the orthocomplement, square of the line, mixed plane)
+  is horizontal, so the lift to that period domain exists.
 
 Positions are reported as 1-based (row, col) pairs in the E-basis, so (1, 5)
 is the E1-row, E5-column entry.
@@ -32,27 +32,11 @@ TWISTOR_H = (0, 0, 0, 0, 1, -1)
 PERIOD_FLAG_H = (1, 1, -3, 1, 0, 0)
 
 
-@dataclass(frozen=True)
-class GradedMask:
-    """Positive-eigenvalue positions of ad(diag(h))."""
-
-    h: tuple
-    allow: tuple
-
-    def allowed(self, row: int, col: int) -> bool:
-        """1-based indices."""
-        return self.allow[row - 1][col - 1]
-
-    def allowed_positions(self):
-        n = len(self.h)
-        return tuple((r, c) for r in range(1, n + 1) for c in range(1, n + 1)
-                     if self.allow[r - 1][c - 1])
-
-
-def grading_mask(h) -> GradedMask:
+def grading_mask(h) -> frozenset:
+    """1-based (row, col) positions where ad(diag(h)) has a positive eigenvalue."""
     hs = tuple(Fraction(x) for x in h)
-    allow = tuple(tuple(hp > hq for hq in hs) for hp in hs)
-    return GradedMask(h=hs, allow=allow)
+    return frozenset((r + 1, c + 1) for r, hr in enumerate(hs)
+                     for c, hc in enumerate(hs) if hr > hc)
 
 
 def p_positions(size=6, split=4):
@@ -83,19 +67,19 @@ def iota_star_bplus(a) -> Matrix:
     ])
 
 
-_TWISTOR_ALLOW = grading_mask(TWISTOR_H).allow
-_FLAG_ALLOW = grading_mask(PERIOD_FLAG_H).allow
+_TWISTOR_ALLOW = grading_mask(TWISTOR_H)
+_FLAG_ALLOW = grading_mask(PERIOD_FLAG_H)
 
 
 def _pattern_violations(a, allow) -> tuple:
-    """Nonzero entries of the image for a that the allow table forbids.
+    """Nonzero entries of the image for a at positions not in allow.
 
     1-based (row, col, value) triples in row-major order.
     """
-    return tuple((r + 1, c + 1, value)
-                 for r, row in enumerate(iota_star_bplus(a).entries)
-                 for c, value in enumerate(row)
-                 if value and not allow[r][c])
+    return tuple((r, c, value)
+                 for r, row in enumerate(iota_star_bplus(a).entries, 1)
+                 for c, value in enumerate(row, 1)
+                 if value and (r, c) not in allow)
 
 
 @dataclass(frozen=True)
@@ -140,9 +124,13 @@ def classify_linearity(embedding: EmbeddingDiff, column: int, row: int) -> str:
     (conjugate-linear) across the domain basis; identically zero components
     report "zero".
     """
-    n = embedding.n
-    alphas = [embedding.values[k].a[row - 1, column - 1] for k in range(n)]
-    betas = [embedding.values[n + k].a[row - 1, column - 1] for k in range(n)]
+    n, first = embedding.n, embedding.values[0]
+    if not 1 <= column <= first.cols:
+        raise ValueError(f"column must be in 1..{first.cols}, got {column}")
+    if not 1 <= row <= first.rows:
+        raise ValueError(f"row must be in 1..{first.rows}, got {row}")
+    alphas = [embedding.values[k][row - 1, column - 1] for k in range(n)]
+    betas = [embedding.values[n + k][row - 1, column - 1] for k in range(n)]
     if all(x.is_zero() for x in alphas + betas):
         return ZERO_MAP
     if all(b == I * a for a, b in zip(alphas, betas)):
@@ -153,7 +141,7 @@ def classify_linearity(embedding: EmbeddingDiff, column: int, row: int) -> str:
 
 
 def classify_column(embedding: EmbeddingDiff, column: int) -> str:
-    rows = embedding.values[0].p
+    rows = embedding.values[0].rows
     verdicts = {classify_linearity(embedding, column, r)
                 for r in range(1, rows + 1)}
     if verdicts == {ZERO_MAP}:
@@ -167,7 +155,7 @@ def classify_column(embedding: EmbeddingDiff, column: int) -> str:
 
 def twistor_lift_condition(embedding: EmbeddingDiff) -> bool:
     """Necessary condition for a holomorphic twistor lift: first column
-    conjugate-linear, second column linear (zero components allowed)."""
+    conjugate-linear, second column linear (zero components permitted)."""
     return (classify_column(embedding, 1) in (CONJUGATE_LINEAR, ZERO_MAP)
             and classify_column(embedding, 2) in (LINEAR, ZERO_MAP))
 
@@ -214,15 +202,24 @@ def _negative_line_basis(v):
     return vec, perp.basis
 
 
+def _flag_spans(v, u1, u2):
+    """E-coordinate spanning vectors of the three flag components of the line
+    through v with orthocomplement basis u1, u2; generic in the scalar."""
+    coords = lambda x, y: sym_to_e_coords(sym_product(x, y))
+    return {
+        "S2Lperp": [coords(u1, u1), coords(u1, u2), coords(u2, u2)],
+        "L2": [coords(v, v)],
+        "LoLperp": [coords(v, u1), coords(v, u2)],
+    }
+
+
 def period_triple(v) -> PeriodTriple:
     """The three subspaces of W attached to the negative line through v."""
     vec, (u1, u2) = _negative_line_basis(v)
-    coords = lambda x, y: sym_to_e_coords(sym_product(x, y))
-    return PeriodTriple(
-        s2_perp=Subspace(6, [coords(u1, u1), coords(u1, u2), coords(u2, u2)]),
-        line_sq=Subspace(6, [coords(vec, vec)]),
-        mixed=Subspace(6, [coords(vec, u1), coords(vec, u2)]),
-    )
+    spans = _flag_spans(vec, u1, u2)
+    return PeriodTriple(s2_perp=Subspace(6, spans["S2Lperp"]),
+                        line_sq=Subspace(6, spans["L2"]),
+                        mixed=Subspace(6, spans["LoLperp"]))
 
 
 # -- horizontality along first-order curves ------------------------------------
@@ -246,19 +243,11 @@ def _first_order_flag_curves(v0, w):
         raise ValueError("the curve direction must be orthogonal to the line")
     vec, (u1, u2) = _negative_line_basis(v0)
     hvv = herm_form(vec, vec, BALL_SIG)
-    zeros = (ZERO, ZERO, ZERO)
-    v_t = _jet_vec(vec, w)
     u_t = []
     for u in (u1, u2):
         c = -(herm_form(u, w, BALL_SIG) / hvv)
         u_t.append(_jet_vec(u, tuple(c * x for x in vec)))
-    coords = lambda x, y: sym_to_e_coords(sym_product(x, y))
-    return {
-        "L2": [coords(v_t, v_t)],
-        "S2Lperp": [coords(u_t[0], u_t[0]), coords(u_t[0], u_t[1]),
-                    coords(u_t[1], u_t[1])],
-        "LoLperp": [coords(v_t, u_t[0]), coords(v_t, u_t[1])],
-    }
+    return _flag_spans(_jet_vec(vec, w), *u_t)
 
 
 _FIBER_PARTS = ("L2", "S2Lperp")

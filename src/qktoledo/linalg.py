@@ -4,14 +4,13 @@ Subspaces are stored in reduced row echelon form (applied to their spanning
 vectors), which is the canonical basis of a subspace: subspace equality is
 basis-tuple equality, and reduction modulo a subspace is well defined.
 
-Definiteness of the restricted Hermitian form is decided by exact congruence
-elimination of the Gram matrix (Sylvester inertia).  A subspace meeting its
-own orthocomplement reports "degenerate".
+A Hermitian form diag(s_1, ..., s_n) is given by its sign tuple, e.g.
+(1, 1, -1) for C^{2,1}.  Definiteness of the restricted form is decided by
+exact congruence elimination of the Gram matrix (Sylvester inertia).  A
+subspace meeting its own orthocomplement reports "degenerate".
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .scalars import FieldElem, ZERO, ONE, as_scalar
 
@@ -27,7 +26,11 @@ def _coerce_row(row):
 
 
 class Matrix:
-    """Immutable matrix with FieldElem entries."""
+    """Immutable matrix with FieldElem entries.
+
+    Sums, negation and scalar multiples keep the subclass of the left
+    operand; products and transposes are plain matrices.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -81,8 +84,8 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix([[x + y for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return type(self)([[x + y for x, y in zip(r1, r2)]
+                           for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -90,13 +93,13 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix([[-x for x in r] for r in self.entries])
+        return type(self)([[-x for x in r] for r in self.entries])
 
     def __mul__(self, scalar):
         s = as_scalar(scalar)
         if s is NotImplemented:
             return NotImplemented
-        return Matrix([[x * s for x in r] for r in self.entries])
+        return type(self)([[x * s for x in r] for r in self.entries])
 
     __rmul__ = __mul__
 
@@ -145,35 +148,21 @@ def _dot(u, v):
     return acc
 
 
-@dataclass(frozen=True)
-class HermSig:
-    """Signature (p, q) Hermitian form diag(I_p, -I_q) on C^(p+q)."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError("signature counts must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.p + self.q
-
-    @property
-    def signs(self):
-        return (1,) * self.p + (-1,) * self.q
+def unit_vector(n, k, s=ONE):
+    """The k-th standard basis vector of C^n (0-based), scaled by s."""
+    return tuple(s if i == k else ZERO for i in range(n))
 
 
-def herm_form(u, v, sig: HermSig):
-    """h(u, v) = sum_k s_k u_k conj(v_k): linear in u, conjugate-linear in v.
+def herm_form(u, v, sig):
+    """h(u, v) = sum_k s_k u_k conj(v_k) for the sign tuple sig = (s_1, ...):
+    linear in u, conjugate-linear in v.
 
     Generic over the scalar type (FieldElem or JetScalar entries).
     """
-    if len(u) != sig.n or len(v) != sig.n:
+    if len(u) != len(sig) or len(v) != len(sig):
         raise ValueError("vector length does not match the signature")
     acc = None
-    for s, x, y in zip(sig.signs, u, v):
+    for s, x, y in zip(sig, u, v):
         term = s * (x * y.conj())
         acc = term if acc is None else acc + term
     return acc if acc is not None else ZERO
@@ -248,15 +237,14 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         return Subspace(self.ambient, self.basis + other.basis)
 
-    def perp(self, sig: HermSig) -> "Subspace":
-        """Orthocomplement with respect to the indefinite form."""
-        if sig.n != self.ambient:
+    def perp(self, sig) -> "Subspace":
+        """Orthocomplement with respect to the form with sign tuple sig."""
+        if len(sig) != self.ambient:
             raise ValueError("signature does not match ambient dimension")
         if not self.basis:
-            return Subspace(self.ambient, [tuple(ONE if i == j else ZERO
-                                                 for j in range(self.ambient))
+            return Subspace(self.ambient, [unit_vector(self.ambient, i)
                                            for i in range(self.ambient)])
-        constraints = [tuple(s * b.conj() for s, b in zip(sig.signs, row))
+        constraints = [tuple(s * b.conj() for s, b in zip(sig, row))
                        for row in self.basis]
         reduced, pivots = _rref(constraints, self.ambient)
         free = [c for c in range(self.ambient) if c not in pivots]
@@ -271,13 +259,13 @@ class Subspace:
             vectors = [tuple(ZERO for _ in range(self.ambient))]
         return Subspace(self.ambient, vectors)
 
-    def gram(self, sig: HermSig) -> Matrix:
+    def gram(self, sig) -> Matrix:
         if not self.basis:
             raise ValueError("gram matrix of the zero subspace")
         return Matrix([[herm_form(u, v, sig) for v in self.basis]
                        for u in self.basis])
 
-    def inertia(self, sig: HermSig):
+    def inertia(self, sig):
         """(n_plus, n_minus, n_zero) of the restricted form, by exact congruence."""
         if not self.basis:
             return (0, 0, 0)
@@ -319,7 +307,7 @@ class Subspace:
                 g[pivot][i] = ZERO
         return (n_plus, n_minus, n_zero)
 
-    def definiteness(self, sig: HermSig) -> str:
+    def definiteness(self, sig) -> str:
         """One of "positive", "negative", "indefinite", "degenerate"."""
         n_plus, n_minus, n_zero = self.inertia(sig)
         if n_zero:

@@ -63,18 +63,25 @@ class CompositionReport:
     below_source_bound: Optional[bool]    # value < (1/16) * vol(source), if given
 
 
+def _exact(x, what):
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{what} must be an int or Fraction, got {x!r}")
+    return x
+
+
 def composition_invariant(degree: int, vol_target, vol_source=None) -> CompositionReport:
-    """(1/16) * degree * vol(target), with the strict bound flag if vol(source) given."""
-    if degree < 1:
+    """(1/16) * degree * vol(target), with the strict bound flag if vol(source) given.
+
+    Every argument is an int or a Fraction, so the value is exact.
+    """
+    if _exact(degree, "degree") < 1 or degree.denominator != 1:
         raise ValueError("degree must be a positive integer")
-    vol_target = Fraction(vol_target)
-    if vol_target <= 0:
+    if _exact(vol_target, "target volume") <= 0:
         raise ValueError("target volume must be positive")
     value = Fraction(1, 16) * degree * vol_target
     flag = None
     if vol_source is not None:
-        vol_source = Fraction(vol_source)
-        if vol_source <= 0:
+        if _exact(vol_source, "source volume") <= 0:
             raise ValueError("source volume must be positive")
         flag = value < Fraction(1, 16) * vol_source
     return CompositionReport(value=value, below_source_bound=flag)

@@ -14,11 +14,6 @@ def rng(seed):
     return random.Random(seed)
 
 
-def unit(n, k):
-    """The k-th standard basis vector of C^n (0-based)."""
-    return tuple(ONE if i == k else ZERO for i in range(n))
-
-
 def perm_sign(perm):
     inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
               if perm[i] > perm[j])
@@ -109,8 +104,7 @@ def rand_nonzero_pair(r):
 
 
 def rand_tangent(r, p, q=2):
-    return TangentVec(Matrix([[rand_gauss(r) for _ in range(q)]
-                              for _ in range(p)]))
+    return TangentVec([[rand_gauss(r) for _ in range(q)] for _ in range(p)])
 
 
 def rand_su21(r):

@@ -7,8 +7,8 @@ from qktoledo import (FieldElem, Matrix, Quat,
                       W_SIG, complex_structure_j,
                       e_coords_to_sym, herm_form, is_su21, make_embedding,
                       su21_p_matrix, sym_product, sym_square_lie,
-                      sym_square_p_block, sym_square_tangent_diff,
-                      sym_to_e_coords, to_quat, w_form_tensor)
+                      sym_square_tangent_diff, sym_to_e_coords, to_quat,
+                      w_form_tensor)
 
 from _helpers import (rng, rand_complex_vec, rand_fraction, rand_su21,
                       rand_field_elem)
@@ -17,15 +17,15 @@ from _helpers import (rng, rand_complex_vec, rand_fraction, rand_su21,
 def test_rho_blocks():
     # n = 2 is pinned by the selftest registry; here the layout at n = 3
     rho = make_embedding("rho", 3)
-    assert rho((ZERO, ZERO, I)).a == Matrix([[ZERO, ZERO]] * 4
-                                            + [[I, ZERO], [ZERO, I]])
+    assert rho((ZERO, ZERO, I)) == Matrix([[ZERO, ZERO]] * 4
+                                          + [[I, ZERO], [ZERO, I]])
     assert rho((ZERO, ZERO, ZERO)).is_zero()
 
 
 def test_totally_real_blocks():
     tot = make_embedding("totally_real")
     assert tot((ONE, ZERO)) == make_embedding("rho")((ONE, ZERO))
-    assert make_embedding("totally_real", 3)((ZERO, ZERO, I)).a == Matrix(
+    assert make_embedding("totally_real", 3)((ZERO, ZERO, I)) == Matrix(
         [[ZERO, ZERO]] * 4 + [[I, ZERO], [ZERO, -I]])
     assert tot((ZERO, ZERO)).is_zero()
 
@@ -33,7 +33,7 @@ def test_totally_real_blocks():
 def test_phi_blocks():
     phi = make_embedding("phi")
     assert to_quat(phi((ONE, ZERO))) == (Quat(ONE), Quat(), Quat(), Quat())
-    assert make_embedding("phi", 3)((ZERO, ZERO, I)).a == Matrix(
+    assert make_embedding("phi", 3)((ZERO, ZERO, I)) == Matrix(
         [[ZERO, ZERO]] * 4 + [[I, ZERO], [ZERO, ZERO]])
     assert phi((ZERO, ZERO)).is_zero()
 
@@ -98,24 +98,6 @@ def test_sym_square_lie_lands_in_su42():
         lie = sym_square_lie(rand_su21(r))
         assert (lie.conj_transpose() @ form + form @ lie).is_zero()
         assert lie.trace().is_zero()
-
-
-def test_sym_square_lie_is_bracket_homomorphism():
-    r = rng(404)
-    for _ in range(100):
-        x, y = rand_su21(r), rand_su21(r)
-        bracket = x @ y - y @ x
-        lhs = sym_square_lie(bracket)
-        lx, ly = sym_square_lie(x), sym_square_lie(y)
-        assert lhs == lx @ ly - ly @ lx
-
-
-def test_closed_form_matches_leibniz_block():
-    r = rng(405)
-    for _ in range(200):
-        a = rand_complex_vec(r, 2)
-        lie = sym_square_lie(su21_p_matrix(*a))
-        assert sym_square_p_block(lie) == sym_square_tangent_diff(a).a
 
 
 def test_embeddings_are_real_linear():

@@ -6,11 +6,9 @@ from qktoledo import (FieldElem, Matrix, Quat, TangentVec,
                       ZERO, ONE, I, QUAT_UNITS,
                       ball_tangent, complex_structure_j, kahler_form,
                       make_embedding, metric_g0, omega4, omega_unit,
-                      standard_quadruple, su2_action_check, to_quat,
-                      wedge_square_eval)
+                      standard_quadruple, to_quat, wedge_square_eval)
 
-from _helpers import (matchings_oracle, rng, rand_tangent, rand_complex_vec,
-                      rand_fraction)
+from _helpers import matchings_oracle, rng, rand_tangent, rand_complex_vec
 
 RHO = make_embedding("rho")
 TOT = make_embedding("totally_real")
@@ -27,8 +25,8 @@ def test_full_tangent_matrix_lies_in_su_p_q():
 
 
 def test_complex_structure():
-    x = TangentVec(Matrix.identity(2))
-    assert complex_structure_j(x) == TangentVec(Matrix.identity(2) * I)
+    x = TangentVec.identity(2)
+    assert complex_structure_j(x) == TangentVec.identity(2) * I
     r = rng(301)
     for _ in range(50):
         y = rand_tangent(r, 4)
@@ -38,7 +36,7 @@ def test_complex_structure():
 
 
 def test_metric_values():
-    e11 = TangentVec(Matrix([[ONE, ZERO], [ZERO, ZERO]]))
+    e11 = TangentVec([[ONE, ZERO], [ZERO, ZERO]])
     assert metric_g0(e11, e11) == FieldElem(4)
     x, y = ball_tangent(QUAD[0]), ball_tangent(QUAD[1])
     assert metric_g0(x, y) == ZERO
@@ -70,29 +68,15 @@ def test_wedge_alternation_on_repeat():
     assert wedge_square_eval(kahler_form, x, x, z, w) == ZERO
 
 
-def test_wedge_matches_matchings_oracle():
-    # random antisymmetric tables stand in for the 2-form
-    r = rng(305)
-    for _ in range(200):
-        table = [[ZERO] * 4 for _ in range(4)]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                v = FieldElem(rand_fraction(r), 0, rand_fraction(r), 0)
-                table[a][b], table[b][a] = v, -v
-        form = lambda u, v: table[u][v]
-        slots = (0, 1, 2, 3)
-        assert wedge_square_eval(form, *slots) == matchings_oracle(form, slots)
-
-
 def test_to_quat_examples_and_round_trip():
-    zero = TangentVec.zero(4, 2)
+    zero = TangentVec.zeros(4, 2)
     assert to_quat(zero) == (Quat(),) * 4
     with pytest.raises(ValueError):
         to_quat(ball_tangent((ONE, ZERO)))
     r = rng(306)
     for _ in range(50):
         x = rand_tangent(r, 4)
-        assert TangentVec(Matrix([[q.z, q.w] for q in to_quat(x)])) == x
+        assert TangentVec([[q.z, q.w] for q in to_quat(x)]) == x
 
 
 def test_totally_real_quat_coords():
@@ -119,24 +103,6 @@ def test_omega_unit_values():
             assert omega_unit(u, v, unit) == ZERO
 
 
-def test_omega4_alternating_and_multilinear():
-    r = rng(308)
-    for _ in range(100):
-        vecs = [rand_tangent(r, 4) for _ in range(4)]
-        base = omega4(*vecs)
-        i, j = sorted(r.sample(range(4), 2))
-        swapped = list(vecs)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert omega4(*swapped) == -base
-    for _ in range(50):
-        x, x2, y, z, w = (rand_tangent(r, 4) for _ in range(5))
-        a, b = rand_fraction(r), rand_fraction(r)
-        combo = x.scale(a) + x2.scale(b)
-        lhs = omega4(combo, y, z, w)
-        rhs = a * omega4(x, y, z, w) + b * omega4(x2, y, z, w)
-        assert lhs == rhs
-
-
 def test_omega4_vs_unit_oracles():
     r = rng(309)
     for _ in range(50):
@@ -146,23 +112,6 @@ def test_omega4_vs_unit_oracles():
             form = lambda u, v: omega_unit(u, v, unit)
             total = total + matchings_oracle(form, vecs)
         assert omega4(*vecs) == total
-
-
-def test_holomorphic_pullback_identity_n2():
-    imgs = [RHO(v) for v in QUAD]
-    assert wedge_square_eval(kahler_form, *imgs) == omega4(*imgs) * 16
-    r = rng(310)
-    for _ in range(100):
-        imgs = [RHO(rand_complex_vec(r, 2)) for _ in range(4)]
-        assert wedge_square_eval(kahler_form, *imgs) == omega4(*imgs) * 16
-
-
-def test_su2_action_is_right_multiplication():
-    r = rng(311)
-    for unit in ("i", "j", "k"):
-        assert su2_action_check(unit, TangentVec.zero(4, 2))
-        for _ in range(100):
-            assert su2_action_check(unit, rand_tangent(r, 4))
 
 
 def test_right_multiplications_square_and_anticommute():

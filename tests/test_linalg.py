@@ -2,13 +2,10 @@
 
 import pytest
 
-from qktoledo import (FieldElem, HermSig, Matrix, Subspace, herm_form,
-                      ZERO, ONE, I, SQRT2, su21_p_matrix)
+from qktoledo import (BALL_SIG, W_SIG, FieldElem, Matrix, Subspace, herm_form,
+                      unit_vector, ZERO, ONE, I, SQRT2, su21_p_matrix)
 
-from _helpers import iv_sign, perm_det, rng, rand_gauss, rand_field_elem, unit
-
-SIG21 = HermSig(2, 1)
-SIG42 = HermSig(4, 2)
+from _helpers import iv_sign, perm_det, rng, rand_gauss, rand_field_elem
 
 
 def test_matrix_basics():
@@ -30,10 +27,10 @@ def test_su21_basis_product():
 
 
 def test_herm_form_values():
-    assert herm_form(unit(3, 2), unit(3, 2), SIG21) == FieldElem(-1)
-    assert herm_form(unit(3, 0), unit(3, 2), SIG21) == ZERO
+    assert herm_form(unit_vector(3, 2), unit_vector(3, 2), BALL_SIG) == FieldElem(-1)
+    assert herm_form(unit_vector(3, 0), unit_vector(3, 2), BALL_SIG) == ZERO
     with pytest.raises(ValueError):
-        herm_form(unit(3, 0), unit(6, 0), SIG21)
+        herm_form(unit_vector(3, 0), unit_vector(6, 0), BALL_SIG)
 
 
 def test_herm_form_conjugate_symmetry():
@@ -41,30 +38,29 @@ def test_herm_form_conjugate_symmetry():
     for _ in range(200):
         u = tuple(rand_field_elem(r) for _ in range(3))
         v = tuple(rand_field_elem(r) for _ in range(3))
-        assert herm_form(u, v, SIG21) == herm_form(v, u, SIG21).conj()
+        assert herm_form(u, v, BALL_SIG) == herm_form(v, u, BALL_SIG).conj()
 
 
 def test_perp_examples():
-    s = Subspace(3, [unit(3, 2)])
-    assert s.perp(SIG21) == Subspace(3, [unit(3, 0), unit(3, 1)])
+    s = Subspace(3, [unit_vector(3, 2)])
+    assert s.perp(BALL_SIG) == Subspace(3, [unit_vector(3, 0), unit_vector(3, 1)])
 
 
 def test_definiteness_examples():
     # span(E5, E6) negative and span(E1, E2, E4) positive are registry checks
-    mixed = Subspace(6, [unit(6, 0), unit(6, 4)])
-    assert mixed.definiteness(SIG42) == "indefinite"
+    mixed = Subspace(6, [unit_vector(6, 0), unit_vector(6, 4)])
+    assert mixed.definiteness(W_SIG) == "indefinite"
+    e_plus = tuple(x + y for x, y in zip(unit_vector(6, 0), unit_vector(6, 4)))
+    e_minus = tuple(x - y for x, y in zip(unit_vector(6, 0), unit_vector(6, 4)))
     # isotropic line: degenerate restriction
-    iso = Subspace(6, [tuple(x + y for x, y in zip(unit(6, 0), unit(6, 4)))])
-    assert iso.definiteness(SIG42) == "degenerate"
+    assert Subspace(6, [e_plus]).definiteness(W_SIG) == "degenerate"
     # hyperbolic plane spanned by isotropic vectors: zero diagonal, indefinite
-    e_plus = tuple(x + y for x, y in zip(unit(6, 0), unit(6, 4)))
-    e_minus = tuple(x - y for x, y in zip(unit(6, 0), unit(6, 4)))
-    assert Subspace(6, [e_plus, e_minus]).definiteness(SIG42) == "indefinite"
+    assert Subspace(6, [e_plus, e_minus]).definiteness(W_SIG) == "indefinite"
 
 
 def test_inertia_of_full_space():
-    full = Subspace(6, [unit(6, k) for k in range(6)])
-    assert full.inertia(SIG42) == (4, 2, 0)
+    full = Subspace(6, [unit_vector(6, k) for k in range(6)])
+    assert full.inertia(W_SIG) == (4, 2, 0)
 
 
 def _random_subspace(r, ambient=6, max_dim=5):
@@ -98,18 +94,6 @@ def test_membership_invariant_under_recombination():
         assert s2.contains(inside)
 
 
-def test_perp_involution_and_dimension():
-    r = rng(203)
-    trials = 0
-    while trials < 50:
-        s = _random_subspace(r)
-        assert s.dim + s.perp(SIG42).dim == 6
-        if s.definiteness(SIG42) == "degenerate":
-            continue
-        trials += 1
-        assert s.perp(SIG42).perp(SIG42) == s
-
-
 def test_residue_is_linear_and_canonical():
     r = rng(204)
     s = _random_subspace(r, max_dim=3)
@@ -124,9 +108,9 @@ def test_residue_is_linear_and_canonical():
 
 
 def test_subspace_sum():
-    a = Subspace(6, [unit(6, 0)])
-    b = Subspace(6, [unit(6, 1)])
-    assert (a + b) == Subspace(6, [unit(6, 0), unit(6, 1)])
+    a = Subspace(6, [unit_vector(6, 0)])
+    b = Subspace(6, [unit_vector(6, 1)])
+    assert (a + b) == Subspace(6, [unit_vector(6, 0), unit_vector(6, 1)])
 
 
 def test_inertia_matches_leading_minor_oracle():
@@ -135,10 +119,10 @@ def test_inertia_matches_leading_minor_oracle():
     # none vanishes, Jacobi's rule gives n_minus as the number of sign
     # changes in 1, D_1, ..., D_k; in any case sign(det) = (-1)^n_minus
     # when det != 0, and det = 0 means a degenerate restriction.
-    e_plus = tuple(x + y for x, y in zip(unit(6, 0), unit(6, 4)))
-    e_minus = tuple(x - y for x, y in zip(unit(6, 0), unit(6, 4)))
-    e2_e5 = tuple(x + y for x, y in zip(unit(6, 1), unit(6, 4)))
-    e2_e6 = tuple(x + y for x, y in zip(unit(6, 1), unit(6, 5)))
+    e_plus = tuple(x + y for x, y in zip(unit_vector(6, 0), unit_vector(6, 4)))
+    e_minus = tuple(x - y for x, y in zip(unit_vector(6, 0), unit_vector(6, 4)))
+    e2_e5 = tuple(x + y for x, y in zip(unit_vector(6, 1), unit_vector(6, 4)))
+    e2_e6 = tuple(x + y for x, y in zip(unit_vector(6, 1), unit_vector(6, 5)))
     structured = [
         Subspace(6, [e_plus]),              # isotropic line
         Subspace(6, [e_plus, e2_e6]),       # totally isotropic plane
@@ -154,17 +138,17 @@ def test_inertia_matches_leading_minor_oracle():
             s = _random_subspace(r)
             if s.dim == 0:
                 continue
-        g = s.gram(SIG42).entries
+        g = s.gram(W_SIG).entries
         signs = []
         for k in range(1, s.dim + 1):
             minor = perm_det([row[:k] for row in g[:k]])
             assert minor.is_real()
             signs.append(iv_sign(minor.a, minor.c))
         if signs[-1] == 0:
-            assert s.definiteness(SIG42) == "degenerate"
+            assert s.definiteness(W_SIG) == "degenerate"
             degenerate += 1
             continue
-        n_plus, n_minus, n_zero = s.inertia(SIG42)
+        n_plus, n_minus, n_zero = s.inertia(W_SIG)
         assert n_zero == 0 and n_plus + n_minus == s.dim
         assert (-1) ** n_minus == signs[-1]
         if all(signs):

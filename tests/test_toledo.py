@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from qktoledo import (FieldElem, CONVENTION, composition_invariant,
-                      kahler_form, make_embedding, omega4, pullback_constant,
-                      standard_quadruple, wedge_square_eval)
+                      make_embedding, omega4, pullback_constant,
+                      standard_quadruple)
 
-from _helpers import perm_det, rng, rand_complex_vec, rand_fraction
+from _helpers import perm_det, rng, rand_fraction
 
 EMBEDDINGS = ("rho", "sym_square", "phi", "totally_real")
 
@@ -59,15 +59,6 @@ def test_determinant_scaling_under_recombination():
         assert omega4(*recombined) == FieldElem(det) * base
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_holomorphic_pullback_identity_general_n(n):
-    emb = make_embedding("rho", n)
-    r = rng(510 + n)
-    for _ in range(100):
-        imgs = [emb(rand_complex_vec(r, n)) for _ in range(4)]
-        assert wedge_square_eval(kahler_form, *imgs) == omega4(*imgs) * 16
-
-
 def test_composition_invariant_values():
     assert composition_invariant(1, 16).value == 1
     rep = composition_invariant(2, 5, vol_source=11)
@@ -85,3 +76,7 @@ def test_composition_invariant_rejects_bad_input():
         composition_invariant(1, 0)
     with pytest.raises(ValueError):
         composition_invariant(1, 4, vol_source=-1)
+    # inexact or non-integral arguments would make the value a float
+    for args in ((1.5, 8), (Fraction(3, 2), 8), (1, 8.0), (1, 8, 2.5), (1, "8")):
+        with pytest.raises(ValueError):
+            composition_invariant(*args)
