@@ -158,8 +158,8 @@ class EmbeddingDiff:
             raise ValueError(f"expected a complex {self.n}-vector")
         out = TangentVec.zeros(self.values[0].rows, 2)
         for k, c in enumerate(comps):
-            re = FieldElem(c.a, 0, c.c, 0)
-            im = FieldElem(c.b, 0, c.d, 0)
+            re = c.real_part()
+            im = FieldElem._raw(c.nb, 0, c.nd, 0, c.den)
             if re:
                 out = out + self.values[k].scale(re)
             if im:

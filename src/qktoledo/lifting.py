@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import JetScalar, ZERO, I, HALF_SQRT2, as_scalar
+from .scalars import ZERO, I, HALF_SQRT2, as_scalar
 from .linalg import Matrix, Subspace, herm_form
-from .embeddings import (BALL_SIG, W_SIG, EmbeddingDiff, sym_product,
-                         sym_to_e_coords)
+from .embeddings import BALL_SIG, W_SIG, EmbeddingDiff
 
 TWISTOR_H = (0, 0, 0, 0, 1, -1)
 PERIOD_FLAG_H = (1, 1, -3, 1, 0, 0)
@@ -202,38 +201,56 @@ def _negative_line_basis(v):
     return vec, perp.basis
 
 
-def _flag_spans(v, u1, u2):
-    """E-coordinate spanning vectors of the three flag components of the line
-    through v with orthocomplement basis u1, u2; generic in the scalar."""
-    coords = lambda x, y: sym_to_e_coords(sym_product(x, y))
-    return {
-        "S2Lperp": [coords(u1, u1), coords(u1, u2), coords(u2, u2)],
-        "L2": [coords(v, v)],
-        "LoLperp": [coords(v, u1), coords(v, u2)],
-    }
+def _e_product(x, y):
+    """E-coordinates of the symmetric product x.y of two vectors of C^3:
+    x0y0, x1y1, x2y2, (x0y1 + x1y0)/sqrt2, (x2y0 + x0y2)/sqrt2,
+    (x2y1 + x1y2)/sqrt2."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return (x0 * y0, x1 * y1, x2 * y2,
+            (x0 * y1 + x1 * y0) * HALF_SQRT2,
+            (x2 * y0 + x0 * y2) * HALF_SQRT2,
+            (x2 * y1 + x1 * y2) * HALF_SQRT2)
+
+
+# the factor pairs spanning each flag component, indexing (line, u1, u2)
+_FLAG_PAIRS = {
+    "S2Lperp": ((1, 1), (1, 2), (2, 2)),
+    "L2": ((0, 0),),
+    "LoLperp": ((0, 1), (0, 2)),
+}
+
+
+def _flag_span(factors, name) -> Subspace:
+    return Subspace(6, [_e_product(factors[i], factors[j])
+                        for i, j in _FLAG_PAIRS[name]])
 
 
 def period_triple(v) -> PeriodTriple:
     """The three subspaces of W attached to the negative line through v."""
     vec, (u1, u2) = _negative_line_basis(v)
-    spans = _flag_spans(vec, u1, u2)
-    return PeriodTriple(s2_perp=Subspace(6, spans["S2Lperp"]),
-                        line_sq=Subspace(6, spans["L2"]),
-                        mixed=Subspace(6, spans["LoLperp"]))
+    factors = (vec, u1, u2)
+    return PeriodTriple(s2_perp=_flag_span(factors, "S2Lperp"),
+                        line_sq=_flag_span(factors, "L2"),
+                        mixed=_flag_span(factors, "LoLperp"))
 
 
 # -- horizontality along first-order curves ------------------------------------
 
-def _jet_vec(vals, derivs):
-    return tuple(JetScalar(v, d) for v, d in zip(vals, derivs))
+_FIBER_PARTS = ("L2", "S2Lperp")
 
 
-def _first_order_flag_curves(v0, w):
-    """Jet spanning vectors for the three flag components along the line curve.
+def _flag_motion(v0, w):
+    """The flag along the line curve: the spans at time zero of all three
+    components, and for the square of the line and Sym^2 of the
+    orthocomplement the derivatives of their spanning vectors.
 
     The moving line is spanned by v0 + t*w; its orthocomplement basis gets
     the first-order correction u_i + t*c_i*v0 with c_i = -h(u_i, w)/h(v0, v0),
-    which keeps it orthogonal to the moving line to first order.
+    which keeps it orthogonal to the moving line to first order.  A factor
+    pair (x, y) spans E(x.y) at time zero, and by the product rule its
+    derivative is E(x'.y) + E(x.y').  The mixed plane's own motion is the
+    base motion of the flag, so its derivatives are not needed.
     """
     v0 = tuple(as_scalar(x) for x in v0)
     w = tuple(as_scalar(x) for x in w)
@@ -243,24 +260,16 @@ def _first_order_flag_curves(v0, w):
         raise ValueError("the curve direction must be orthogonal to the line")
     vec, (u1, u2) = _negative_line_basis(v0)
     hvv = herm_form(vec, vec, BALL_SIG)
-    u_t = []
-    for u in (u1, u2):
-        c = -(herm_form(u, w, BALL_SIG) / hvv)
-        u_t.append(_jet_vec(u, tuple(c * x for x in vec)))
-    return _flag_spans(_jet_vec(vec, w), *u_t)
-
-
-_FIBER_PARTS = ("L2", "S2Lperp")
-
-
-def _flag_motion(v0, w, names):
-    """For each named flag component: its span at time zero and the
-    derivatives of its spanning vectors along the line curve."""
-    curves = _first_order_flag_curves(v0, w)
-    return {name: (Subspace(6, [tuple(j.val for j in vec)
-                                for vec in curves[name]]),
-                   [tuple(j.deriv for j in vec) for vec in curves[name]])
-            for name in names}
+    cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
+    factors = (vec, u1, u2)
+    velocities = (w,) + tuple(tuple(c * x for x in vec) for c in cs)
+    spans = {name: _flag_span(factors, name) for name in _FLAG_PAIRS}
+    moved = {name: [tuple(p + q for p, q in
+                          zip(_e_product(velocities[i], factors[j]),
+                              _e_product(factors[i], velocities[j])))
+                    for i, j in _FLAG_PAIRS[name]]
+             for name in _FIBER_PARTS}
+    return spans, moved
 
 
 def horizontality_residues(v0, w):
@@ -271,9 +280,9 @@ def horizontality_residues(v0, w):
     base motion of the flag and carries no fiber component, so it does not
     appear here.
     """
-    motion = _flag_motion(v0, w, _FIBER_PARTS)
-    return {name: [at_zero.residue(d) for d in derivs]
-            for name, (at_zero, derivs) in motion.items()}
+    spans, moved = _flag_motion(v0, w)
+    return {name: [spans[name].residue(d) for d in moved[name]]
+            for name in _FIBER_PARTS}
 
 
 def horizontality_check(v0, w) -> bool:
@@ -282,12 +291,10 @@ def horizontality_check(v0, w) -> bool:
     The derivative residues of the square of the line and of Sym^2 of the
     orthocomplement must lie in (mixed plane + component at time zero).
     """
-    motion = _flag_motion(v0, w, _FIBER_PARTS + ("LoLperp",))
-    mixed0 = motion["LoLperp"][0]
+    spans, moved = _flag_motion(v0, w)
     for name in _FIBER_PARTS:
-        at_zero, derivs = motion[name]
-        target = at_zero + mixed0
-        for d in derivs:
+        target = spans[name] + spans["LoLperp"]
+        for d in moved[name]:
             if not target.contains(d):
                 return False
     return True

@@ -12,7 +12,7 @@ subspace meeting its own orthocomplement reports "degenerate".
 
 from __future__ import annotations
 
-from .scalars import FieldElem, ZERO, ONE, as_scalar
+from .scalars import FieldElem, ZERO, ONE, _frozen, as_scalar
 
 
 def _coerce_row(row):
@@ -33,6 +33,7 @@ class Matrix:
     """
 
     __slots__ = ("rows", "cols", "entries")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, rows_of_entries):
         entries = tuple(_coerce_row(r) for r in rows_of_entries)
@@ -44,9 +45,6 @@ class Matrix:
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -144,7 +142,8 @@ class Matrix:
 def _dot(u, v):
     acc = ZERO
     for x, y in zip(u, v):
-        acc = acc + x * y
+        if x and y:
+            acc = acc + x * y
     return acc
 
 
@@ -163,7 +162,9 @@ def herm_form(u, v, sig):
         raise ValueError("vector length does not match the signature")
     acc = None
     for s, x, y in zip(sig, u, v):
-        term = s * (x * y.conj())
+        term = x * y.conj()
+        if s < 0:
+            term = -term
         acc = term if acc is None else acc + term
     return acc if acc is not None else ZERO
 
@@ -190,7 +191,8 @@ def _rref(vectors, ambient):
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -202,15 +204,13 @@ class Subspace:
     """Subspace of C^n over Q(i, sqrt2), canonicalized on construction."""
 
     __slots__ = ("ambient", "basis", "pivots")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, ambient, vectors):
         basis, pivots = _rref(vectors, ambient)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self) -> int:
@@ -224,7 +224,7 @@ class Subspace:
         for row, p in zip(self.basis, self.pivots):
             if x[p]:
                 f = x[p]
-                x = [a - f * b for a, b in zip(x, row)]
+                x = [a - f * b if b else a for a, b in zip(x, row)]
         return tuple(x)
 
     def contains(self, vector) -> bool:

@@ -29,6 +29,10 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _frozen(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class FieldElem:
     """Element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2).
 
@@ -42,15 +46,12 @@ class FieldElem:
     """
 
     __slots__ = ("na", "nb", "nc", "nd", "den")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, a=0, b=0, c=0, d=0):
         if isinstance(a, int) and isinstance(b, int) and isinstance(c, int) \
                 and isinstance(d, int):
-            object.__setattr__(self, "na", a)
-            object.__setattr__(self, "nb", b)
-            object.__setattr__(self, "nc", c)
-            object.__setattr__(self, "nd", d)
-            object.__setattr__(self, "den", 1)
+            self._init_raw(a, b, c, d, 1)
             return
         fa, fb, fc, fd = (_as_fraction(x) for x in (a, b, c, d))
         den = 1
@@ -62,29 +63,28 @@ class FieldElem:
                        fd.numerator * (den // fd.denominator), den)
 
     def _init_raw(self, na, nb, nc, nd, den):
-        if den < 0:
-            na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
-        g = gcd(na, nb, nc, nd, den)
-        if g > 1:
-            na //= g
-            nb //= g
-            nc //= g
-            nd //= g
-            den //= g
-        object.__setattr__(self, "na", na)
-        object.__setattr__(self, "nb", nb)
-        object.__setattr__(self, "nc", nc)
-        object.__setattr__(self, "nd", nd)
-        object.__setattr__(self, "den", den)
+        # with den == 1 the five integers are already canonical
+        if den != 1:
+            if den < 0:
+                na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
+            g = gcd(na, nb, nc, nd, den)
+            if g > 1:
+                na //= g
+                nb //= g
+                nc //= g
+                nd //= g
+                den //= g
+        _set_na(self, na)
+        _set_nb(self, nb)
+        _set_nc(self, nc)
+        _set_nd(self, nd)
+        _set_den(self, den)
 
     @classmethod
     def _raw(cls, na, nb, nc, nd, den):
-        out = object.__new__(cls)
+        out = _new(cls)
         out._init_raw(na, nb, nc, nd, den)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
 
     @property
     def a(self) -> Fraction:
@@ -139,7 +139,11 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
+        if not (a1 or b1 or c1 or d1):
+            return ZERO
         a2, b2, c2, d2 = other.na, other.nb, other.nc, other.nd
+        if not (a2 or b2 or c2 or d2):
+            return ZERO
         # sqrt2*sqrt2 = 2, i*i = -1, (i*sqrt2)^2 = -2
         return FieldElem._raw(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
@@ -186,7 +190,7 @@ class FieldElem:
         return not (self.na or self.nb or self.nc or self.nd)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.na or self.nb or self.nc or self.nd)
 
     def is_real(self) -> bool:
         return not (self.nb or self.nd)
@@ -256,6 +260,10 @@ def as_scalar(value):
         return FieldElem._raw(value.numerator, 0, 0, 0, value.denominator)
     return NotImplemented
 
+
+_new = object.__new__
+_set_na, _set_nb, _set_nc, _set_nd, _set_den = (
+    vars(FieldElem)[slot].__set__ for slot in FieldElem.__slots__)
 
 ZERO = FieldElem()
 ONE = FieldElem(1)
@@ -332,6 +340,7 @@ class Quat:
     """
 
     __slots__ = ("z", "w")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, z=0, w=0):
         zc, wc = as_scalar(z), as_scalar(w)
@@ -339,9 +348,6 @@ class Quat:
             raise TypeError("Quat components must be FieldElem, int or Fraction")
         object.__setattr__(self, "z", zc)
         object.__setattr__(self, "w", wc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quat is immutable")
 
     def __add__(self, other):
         other = _as_quat(other)
@@ -433,6 +439,7 @@ class JetScalar:
     """
 
     __slots__ = ("val", "deriv")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, val=0, deriv=0):
         v, d = as_scalar(val), as_scalar(deriv)
@@ -440,9 +447,6 @@ class JetScalar:
             raise TypeError("JetScalar components must be FieldElem, int or Fraction")
         object.__setattr__(self, "val", v)
         object.__setattr__(self, "deriv", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JetScalar is immutable")
 
     def __add__(self, other):
         other = _as_jet(other)

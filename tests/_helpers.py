@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from qktoledo import (FieldElem, Matrix, Quat, TangentVec, ZERO, ONE, I,
-                      HALF_SQRT2, su21_p_matrix, sym_square_lie,
-                      sym_square_p_block)
+from qktoledo import (BALL_SIG, FieldElem, JetScalar, Matrix, Quat, Subspace,
+                      TangentVec, ZERO, ONE, I, HALF_SQRT2, herm_form,
+                      su21_p_matrix, sym_product, sym_square_lie,
+                      sym_square_p_block, sym_to_e_coords)
 
 
 def rng(seed):
@@ -144,3 +145,29 @@ def leibniz_bplus_image(a):
     rows += [[full[4 + r, c] * HALF_SQRT2 for c in range(4)]
              + [full[4 + r, 4 + c] for c in range(2)] for r in range(2)]
     return Matrix(rows)
+
+
+def jet_flag_motion(v0, w):
+    """Reference for ``lifting._flag_motion``: the three flag components of
+    the line curve v0 + t*w built from first-order jets, whose symmetric
+    products follow the Leibniz rule.  Per component: the span at time zero
+    and the derivatives of its spanning vectors."""
+    hvv = herm_form(v0, v0, BALL_SIG)
+    u1, u2 = Subspace(3, [v0]).perp(BALL_SIG).basis
+
+    def jets(vals, derivs):
+        return tuple(JetScalar(a, b) for a, b in zip(vals, derivs))
+
+    line = jets(v0, w)
+    t1, t2 = (jets(u, tuple(-(herm_form(u, w, BALL_SIG) / hvv) * x
+                            for x in v0)) for u in (u1, u2))
+
+    def coords(x, y):
+        return sym_to_e_coords(sym_product(x, y))
+
+    curves = {"S2Lperp": [coords(t1, t1), coords(t1, t2), coords(t2, t2)],
+              "L2": [coords(line, line)],
+              "LoLperp": [coords(line, t1), coords(line, t2)]}
+    return {name: (Subspace(6, [tuple(j.val for j in vec) for vec in vecs]),
+                   [tuple(j.deriv for j in vec) for vec in vecs])
+            for name, vecs in curves.items()}

@@ -13,9 +13,11 @@ from qktoledo import (BALL_SIG, EmbeddingDiff, FieldElem,
                       period_triple, su21_p_matrix, sym_product,
                       sym_to_e_coords, twistor_lift_condition,
                       twistor_nonlift_check, unit_vector)
+from qktoledo.lifting import _flag_motion
 
-from _helpers import (leibniz_bplus_image, rng, rand_field_elem, rand_fraction,
-                      rand_gauss, rand_nonzero_field_elem, rand_nonzero_pair,
+from _helpers import (jet_flag_motion, leibniz_bplus_image, rng,
+                      rand_field_elem, rand_fraction, rand_gauss,
+                      rand_nonzero_field_elem, rand_nonzero_pair,
                       rand_negative_vector)
 
 
@@ -220,6 +222,25 @@ def test_horizontality_base_cases():
     res2 = horizontality_residues(e3, unit_vector(3, 1))
     assert Subspace(6, [unit_vector(6, 5)]).contains(res2["L2"][0])
     assert any(res2["L2"][0])
+
+
+def test_flag_motion_matches_jet_oracle():
+    # the product rule on exact vectors against the Leibniz rule of jets
+    r = rng(610)
+    e3, still = unit_vector(3, 2), (ZERO, ZERO, ZERO)
+    cases = [(e3, still), (e3, unit_vector(3, 0)), (e3, unit_vector(3, 1))]
+    for k in range(300):
+        v0 = rand_negative_vector(r)
+        cases.append((v0, still if k % 50 == 0
+                      else _random_orthogonal_direction(r, v0)))
+    moving = 0
+    for v0, w in cases:
+        want = jet_flag_motion(v0, w)
+        spans, moved = _flag_motion(v0, w)
+        assert spans == {name: span for name, (span, _) in want.items()}
+        assert moved == {name: want[name][1] for name in ("L2", "S2Lperp")}
+        moving += any(any(d) for d in moved["L2"])
+    assert moving > 250
 
 
 def test_horizontality_preconditions():

@@ -1,12 +1,13 @@
 """Field, quaternion and jet arithmetic: exact identities and oracles."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from qktoledo import (FieldElem, JetScalar, Quat, parse_field_elem,
-                      ZERO, ONE, I, SQRT2, I_SQRT2, HALF_SQRT2,
-                      QUAT_I, QUAT_J, QUAT_K)
+from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
+                      parse_field_elem, ZERO, ONE, I, SQRT2, I_SQRT2,
+                      HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
 
 from _helpers import (iv_sign, rng, rand_field_elem, rand_fraction,
                       rand_nonzero_field_elem, rand_real_field_elem, rand_quat)
@@ -167,3 +168,48 @@ def test_equal_values_hash_equal():
         jets = rationals + [JetScalar(q), x, JetScalar(x), JetScalar(x, x)]
         assert _hash_contract_holds(quats) >= 4
         assert _hash_contract_holds(jets) >= 4
+
+
+def test_values_refuse_assignment_and_deletion():
+    values = [(FieldElem(1, 2), "na"), (Quat(I), "z"), (JetScalar(1, 2), "val"),
+              (Matrix.identity(2), "entries"), (TangentVec([[ONE, I]]), "rows"),
+              (Subspace(2, [(ONE, I)]), "basis")]
+    for value, slot in values:
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError):
+            delattr(value, slot)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert repr(value) == before
+
+
+def _is_canonical(x):
+    coords = (x.na, x.nb, x.nc, x.nd)
+    return (x.den > 0 and gcd(*coords, x.den) == 1
+            and (any(coords) or x.den == 1))
+
+
+def test_results_stay_canonical():
+    # equality is coordinate equality, so every fast path must normalize
+    r = rng(108)
+    integral = [FieldElem(*(r.randint(-4, 4) for _ in range(4)))
+                for _ in range(40)]
+    fractional = [rand_field_elem(r) for _ in range(40)]
+    values = integral + fractional + [ZERO, ONE, -ONE, HALF_SQRT2]
+    assert {x.den for x in integral} == {1}
+    assert sum(x.den > 1 for x in fractional) > 30
+    results = 0
+    for _ in range(300):
+        x, y = r.choice(values), r.choice(values)
+        outs = [x + y, x - y, x * y, x - x]
+        if y:
+            outs.append(y.inverse())
+        for out in outs:
+            assert _is_canonical(out), (x, y, out)
+        results += len(outs)
+    assert results >= 1000
+    for x in values:
+        for zero in (x * ZERO, ZERO * x, x * 0, 0 * x):
+            assert zero == ZERO and zero.den == 1 and hash(zero) == hash(0)
