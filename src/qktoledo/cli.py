@@ -31,8 +31,8 @@ _CLI_EMBEDDINGS = {
 }
 
 # Upper bounds on the two size arguments: memory grows linearly with
-# --samples (every record is kept until the report prints) and
-# quadratically with --n (2n tabulated images of size 2n x 2).
+# --samples (every record is kept until the report prints) and with --n
+# (four images of size 2n x 2).
 _MAX_SAMPLES = 10_000
 _MAX_N = 100
 

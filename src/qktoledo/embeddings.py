@@ -1,8 +1,8 @@
 """Differentials at the base point of four embeddings of the complex ball.
 
 The ball B = SU(n,1)/S(U(n)xU(1)) sits inside X = SU(2n,2)/S(U(2n)xU(2)) in
-four ways; each differential is an R-linear map from C^n to 2n x 2 blocks,
-stored by its values on the real basis e_1..e_n, i*e_1..i*e_n:
+four ways, each differential an R-linear map from C^n to 2n x 2 blocks given
+by its closed form; the real Jacobian ``values`` is derived on first use:
 
 * ``rho``          row pairs (x_k, 0), (0, x_k): the holomorphic diagonal;
 * ``totally_real`` row pairs (x_k, 0), (0, conj(x_k));
@@ -28,8 +28,10 @@ tests compare them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .scalars import FieldElem, ZERO, ONE, I, SQRT2, HALF_SQRT2, as_scalar
 from .linalg import Matrix, unit_vector
@@ -126,72 +128,66 @@ def sym_square_p_block(lie_matrix: Matrix) -> Matrix:
                    for r in range(4)])
 
 
+def _sym_square_rows(a):
+    a1, a2 = a
+    return ([a1, ZERO], [ZERO, a2], [a1.conj(), a2.conj()],
+            [a2 * HALF_SQRT2, a1 * HALF_SQRT2])
+
+
 def sym_square_tangent_diff(a) -> TangentVec:
     """Closed form of the symmetric-square differential on the ball tangent.
 
     For a = (a1, a2) the 4 x 2 block has rows (a1, 0), (0, a2),
     (conj(a1), conj(a2)), (a2/sqrt2, a1/sqrt2).
     """
-    a1, a2 = (as_scalar(x) for x in a)
-    return TangentVec([
-        [a1, ZERO],
-        [ZERO, a2],
-        [a1.conj(), a2.conj()],
-        [a2 * HALF_SQRT2, a1 * HALF_SQRT2],
-    ])
+    return TangentVec(_sym_square_rows([as_scalar(x) for x in a]))
 
 
 # -- the four embedding differentials ----------------------------------------
 
+# closed-form row maps from a complex n-vector to the rows of its image
+_ROW_MAPS = {
+    "rho": lambda x: [r for c in x for r in ([c, ZERO], [ZERO, c])],
+    "totally_real": lambda x: [r for c in x for r in ([c, ZERO], [ZERO, c.conj()])],
+    "phi": lambda x: [r for c in x for r in ([c, ZERO], [ZERO, ZERO])],
+    "sym_square": _sym_square_rows,
+}
+
+
 @dataclass(frozen=True)
 class EmbeddingDiff:
-    """R-linear differential from C^n to 2m x 2 blocks, tabulated on the
-    real basis vectors e_1..e_n, i*e_1..i*e_n."""
+    """R-linear differential from C^n to 2n x 2 blocks, given by its
+    closed-form row map ``rows_of`` from a complex n-vector to the rows of
+    its image."""
 
     name: str
     n: int
-    values: tuple
+    rows_of: Callable = field(repr=False)
 
     def __call__(self, x) -> TangentVec:
         comps = [as_scalar(c) for c in x]
         if len(comps) != self.n or any(c is NotImplemented for c in comps):
             raise ValueError(f"expected a complex {self.n}-vector")
-        out = TangentVec.zeros(self.values[0].rows, 2)
-        for k, c in enumerate(comps):
-            re = c.real_part()
-            im = FieldElem._raw(c.nb, 0, c.nd, 0, c.den)
-            if re:
-                out = out + self.values[k].scale(re)
-            if im:
-                out = out + self.values[self.n + k].scale(im)
-        return out
+        return TangentVec(self.rows_of(comps))
 
-
-def _tabulate(name, n, rows_of):
-    basis = [unit_vector(n, k, s) for s in (ONE, I) for k in range(n)]
-    return EmbeddingDiff(name, n, tuple(TangentVec(rows_of(x)) for x in basis))
-
-
-# the two rows that one coordinate c contributes, per diagonal-type embedding
-_ROW_PAIRS = {
-    "rho": lambda c: ([c, ZERO], [ZERO, c]),
-    "totally_real": lambda c: ([c, ZERO], [ZERO, c.conj()]),
-    "phi": lambda c: ([c, ZERO], [ZERO, ZERO]),
-}
+    @cached_property
+    def values(self) -> tuple:
+        """The real Jacobian: the images of e_1..e_n, i*e_1..i*e_n."""
+        return tuple(self(unit_vector(self.n, k, s))
+                     for s in (ONE, I) for k in range(self.n))
 
 
 def make_embedding(name: str, n=2) -> EmbeddingDiff:
     """The differential of the named embedding of the n-ball."""
-    if name == "sym_square":
-        if n != 2:
-            raise ValueError("the symmetric square embedding requires n = 2")
-        return _tabulate(name, 2, lambda x: sym_square_tangent_diff(x).entries)
-    if name not in _ROW_PAIRS:
+    if name not in _ROW_MAPS:
         raise ValueError(f"unknown embedding {name!r}")
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if name == "sym_square" and n != 2:
+        raise ValueError("the symmetric square embedding requires n = 2")
     if n < 1:
         raise ValueError("n must be at least 1")
-    pair = _ROW_PAIRS[name]
-    return _tabulate(name, n, lambda x: [row for c in x for row in pair(c)])
+    return EmbeddingDiff(name, n, _ROW_MAPS[name])
 
 
 def standard_quadruple(n=2):

@@ -133,6 +133,16 @@ def rand_negative_vector(r):
             return v
 
 
+def rand_orthogonal_direction(r, v0):
+    """Direction in C^{2,1} orthogonal to v0: a Q(i) combination, with
+    coordinates in -2..2, of the basis of the orthocomplement of v0."""
+    acc = (ZERO, ZERO, ZERO)
+    for b in Subspace(3, [v0]).perp(BALL_SIG).basis:
+        coef = rand_gauss(r, -2, 2)
+        acc = tuple(x + coef * y for x, y in zip(acc, b))
+    return acc
+
+
 def leibniz_bplus_image(a):
     """Reference for ``iota_star_bplus``: (L(X_a) - i * L(X_{ia})) / 2 from
     the Leibniz differential L, with both off-diagonal blocks rescaled by

@@ -6,7 +6,7 @@ a failed assertion is the fail line.
 
 from fractions import Fraction
 
-from qktoledo import (BALL_SIG, FieldElem, Matrix, Subspace, W_SIG,
+from qktoledo import (FieldElem, Matrix, Subspace, W_SIG,
                       ZERO, ONE, ball_tangent, kahler_form, make_embedding,
                       omega4, pullback_constant, standard_quadruple,
                       su2_action_check, su21_p_matrix,
@@ -17,7 +17,8 @@ from qktoledo import (BALL_SIG, FieldElem, Matrix, Subspace, W_SIG,
 
 from _helpers import (matchings_oracle, perm_det, rng, rand_complex_vec,
                       rand_fraction, rand_gauss, rand_negative_vector,
-                      rand_nonzero_pair, rand_su21, rand_tangent)
+                      rand_nonzero_pair, rand_orthogonal_direction, rand_su21,
+                      rand_tangent)
 
 QUAD = standard_quadruple(2)
 
@@ -103,12 +104,7 @@ def test_criterion_7_period_domain_lift():
     assert horizontality_check(e3, (ZERO, ZERO, ZERO))
     for _ in range(50):
         v0 = rand_negative_vector(r)
-        basis = Subspace(3, [v0]).perp(BALL_SIG).basis
-        w = (ZERO, ZERO, ZERO)
-        for b in basis:
-            coef = rand_gauss(r, -2, 2)
-            w = tuple(x + coef * y for x, y in zip(w, b))
-        assert horizontality_check(v0, w)
+        assert horizontality_check(v0, rand_orthogonal_direction(r, v0))
     _report(7, "holomorphy (100) and horizontality (50 + base cases), exact")
 
 

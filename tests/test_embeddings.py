@@ -6,12 +6,12 @@ from qktoledo import (FieldElem, Matrix, Quat,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2,
                       W_SIG, complex_structure_j,
                       e_coords_to_sym, herm_form, is_su21, make_embedding,
-                      su21_p_matrix, sym_product, sym_square_lie,
-                      sym_square_tangent_diff, sym_to_e_coords, to_quat,
-                      w_form_tensor)
+                      pullback_constant, su21_p_matrix, sym_product,
+                      sym_square_lie, sym_square_tangent_diff, sym_to_e_coords,
+                      to_quat, unit_vector, w_form_tensor)
 
-from _helpers import (rng, rand_complex_vec, rand_fraction, rand_su21,
-                      rand_field_elem)
+from _helpers import (rng, rand_complex_vec, rand_su21, rand_field_elem,
+                      rand_real_field_elem)
 
 
 def test_rho_blocks():
@@ -100,15 +100,42 @@ def test_sym_square_lie_lands_in_su42():
         assert lie.trace().is_zero()
 
 
+NAMES = ("rho", "totally_real", "phi", "sym_square")
+
+
 def test_embeddings_are_real_linear():
+    # each differential is its closed-form row map, so R-linearity must hold
+    # for full Q(i, sqrt2) coordinates and real coefficients a + c*sqrt2
     r = rng(406)
-    for name in ("rho", "totally_real", "phi", "sym_square"):
-        emb = make_embedding(name)
+    cases = [(name, 2) for name in NAMES] + [(name, 3) for name in NAMES[:3]]
+    for name, n in cases:
+        emb = make_embedding(name, n)
         for _ in range(50):
-            x, y = rand_complex_vec(r, 2), rand_complex_vec(r, 2)
-            a, b = rand_fraction(r), rand_fraction(r)
+            x = tuple(rand_field_elem(r) for _ in range(n))
+            y = tuple(rand_field_elem(r) for _ in range(n))
+            a, b = rand_real_field_elem(r), rand_real_field_elem(r)
             combo = tuple(a * u + b * v for u, v in zip(x, y))
             assert emb(combo) == emb(x).scale(a) + emb(y).scale(b)
+
+
+def test_values_are_the_real_jacobian():
+    for name in NAMES:
+        emb = make_embedding(name)
+        pullback_constant(emb)
+        assert "values" not in vars(emb)       # pullback never builds it
+        basis = [unit_vector(2, k, s) for s in (ONE, I) for k in range(2)]
+        assert emb.values == tuple(emb(x) for x in basis)
+        assert emb.values is emb.values        # computed once per object
+
+
+def test_embeddings_are_values():
+    for name in NAMES:
+        a, b = make_embedding(name), make_embedding(name)
+        a.values                               # a cached Jacobian changes neither
+        assert a == b and hash(a) == hash(b)
+    assert make_embedding("rho", 2) != make_embedding("rho", 3)
+    assert make_embedding("rho") != make_embedding("phi")
+    assert repr(make_embedding("rho", 3)) == "EmbeddingDiff(name='rho', n=3)"
 
 
 def test_complex_linearity_of_rho_and_phi():
@@ -138,5 +165,6 @@ def test_make_embedding_validation():
         make_embedding("sym_square", 3)
     with pytest.raises(ValueError):
         make_embedding("unknown")
-    with pytest.raises(ValueError):
-        make_embedding("rho", 0)
+    for n in (0, 2.5, "2"):
+        with pytest.raises(ValueError):
+            make_embedding("rho", n)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qktoledo import (BALL_SIG, EmbeddingDiff, FieldElem,
-                      JetScalar, Matrix, Subspace, TangentVec,
+                      JetScalar, Matrix, Subspace,
                       ZERO, ONE, I, HALF_SQRT2, PERIOD_FLAG_H,
                       classify_column, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
@@ -18,7 +18,7 @@ from qktoledo.lifting import _flag_motion
 from _helpers import (jet_flag_motion, leibniz_bplus_image, rng,
                       rand_field_elem, rand_fraction, rand_gauss,
                       rand_nonzero_field_elem, rand_nonzero_pair,
-                      rand_negative_vector)
+                      rand_negative_vector, rand_orthogonal_direction)
 
 
 # -- grading masks ------------------------------------------------------------
@@ -137,13 +137,14 @@ def test_classify_phi():
             classify_linearity(phi, 1, row)
 
 
+def _synthetic_rows(x):
+    c = x[0]
+    return [[c.conj(), c], [c.conj(), c]]
+
+
 def _synthetic_embedding():
     # column 1 = conj(x), column 2 = x, on both rows: satisfies the condition
-    values = (
-        TangentVec([[ONE, ONE], [ONE, ONE]]),
-        TangentVec([[-I, I], [-I, I]]),
-    )
-    return EmbeddingDiff("synthetic", 1, values)
+    return EmbeddingDiff("synthetic", 1, _synthetic_rows)
 
 
 def test_classify_synthetic_round_trip():
@@ -205,15 +206,6 @@ def test_period_triple_random_invariants():
 
 # -- horizontality ----------------------------------------------------------------
 
-def _random_orthogonal_direction(r, v0):
-    basis = Subspace(3, [v0]).perp(BALL_SIG).basis
-    acc = (ZERO, ZERO, ZERO)
-    for b in basis:
-        coef = rand_gauss(r, -2, 2)
-        acc = tuple(x + coef * y for x, y in zip(acc, b))
-    return acc
-
-
 def test_horizontality_base_cases():
     # the e1 direction and its residue are a selftest registry check
     e3 = unit_vector(3, 2)
@@ -232,7 +224,7 @@ def test_flag_motion_matches_jet_oracle():
     for k in range(300):
         v0 = rand_negative_vector(r)
         cases.append((v0, still if k % 50 == 0
-                      else _random_orthogonal_direction(r, v0)))
+                      else rand_orthogonal_direction(r, v0)))
     moving = 0
     for v0, w in cases:
         want = jet_flag_motion(v0, w)
@@ -256,7 +248,7 @@ def test_residue_class_independent_of_first_order_family():
     r = rng(609)
     for _ in range(20):
         v0 = rand_negative_vector(r)
-        w = _random_orthogonal_direction(r, v0)
+        w = rand_orthogonal_direction(r, v0)
         basis = Subspace(3, [v0]).perp(BALL_SIG).basis
         hvv = herm_form(v0, v0, BALL_SIG)
         v_t = tuple(JetScalar(a, b) for a, b in zip(v0, w))
