@@ -13,7 +13,7 @@ from .geometry import (TangentVec, complex_structure_j, kahler_form,
                        metric_g0, omega4, omega_unit, su2_action_check,
                        to_quat, wedge_square_eval)
 from .embeddings import (EmbeddingDiff, BALL_SIG, W_SIG, E_BASIS_TENSORS,
-                         ball_tangent, e_coords_to_sym, make_embedding,
+                         ball_tangent, make_embedding,
                          standard_quadruple, su21_p_matrix, sym_product,
                          sym_square_lie, sym_square_p_block,
                          sym_square_tangent_diff, sym_to_e_coords,

@@ -57,12 +57,6 @@ def sym_to_e_coords(grid):
             SQRT2 * grid[0][1], SQRT2 * grid[2][0], SQRT2 * grid[2][1])
 
 
-def e_coords_to_sym(coords):
-    c1, c2, c3, c4, c5, c6 = coords
-    h4, h5, h6 = c4 * HALF_SQRT2, c5 * HALF_SQRT2, c6 * HALF_SQRT2
-    return ((c1, h4, h5), (h4, c2, h6), (h5, h6, c3))
-
-
 def w_form_tensor(s, t) -> FieldElem:
     """Induced Hermitian form on Sym^2 evaluated on coefficient grids."""
     acc = ZERO

@@ -14,6 +14,11 @@ Two gradings are used:
   of flags (Sym^2 of the orthocomplement, square of the line, mixed plane)
   is horizontal, so the lift to that period domain exists.
 
+The three flag parts are mutually orthogonal and non-degenerate for the form
+of W, of dimensions 3 + 1 + 2 = 6, so they span W and each fiber part plus
+the mixed plane is exactly the orthocomplement of the other fiber part.
+Horizontality is therefore decided by Hermitian products alone.
+
 Positions are reported as 1-based (row, col) pairs in the E-basis, so (1, 5)
 is the E1-row, E5-column entry.
 """
@@ -23,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ZERO, I, HALF_SQRT2, as_scalar
-from .linalg import Matrix, Subspace, herm_form
+from .scalars import ZERO, I, HALF_SQRT2
+from .linalg import Matrix, Subspace, _coerce_row, herm_form
 from .embeddings import BALL_SIG, W_SIG, EmbeddingDiff
 
 TWISTOR_H = (0, 0, 0, 0, 1, -1)
@@ -54,7 +59,7 @@ def iota_star_bplus(a) -> Matrix:
     (a2/sqrt2, a1/sqrt2), and the bottom-left 2 x 4 block has rows
     (0, 0, a1, 0), (0, 0, a2, 0).
     """
-    a1, a2 = (as_scalar(x) for x in a)
+    a1, a2 = _coerce_row(a)
     z = ZERO
     return Matrix([
         [z, z, z, z, a1, z],
@@ -173,25 +178,12 @@ class PeriodTriple:
         return (("S2Lperp", self.s2_perp), ("L2", self.line_sq),
                 ("LoLperp", self.mixed))
 
-    def dimensions(self):
-        return (self.s2_perp.dim, self.line_sq.dim, self.mixed.dim)
-
     def definiteness(self):
         return tuple(s.definiteness(W_SIG) for _, s in self.parts())
 
-    def mutually_orthogonal(self) -> bool:
-        spaces = [s for _, s in self.parts()]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                for u in spaces[i].basis:
-                    for v in spaces[j].basis:
-                        if herm_form(u, v, W_SIG):
-                            return False
-        return True
-
 
 def _negative_line_basis(v):
-    vec = tuple(as_scalar(x) for x in v)
+    vec = _coerce_row(v)
     if len(vec) != 3:
         raise ValueError("expected a vector in C^{2,1}")
     norm = herm_form(vec, vec, BALL_SIG)
@@ -221,18 +213,19 @@ _FLAG_PAIRS = {
 }
 
 
-def _flag_span(factors, name) -> Subspace:
-    return Subspace(6, [_e_product(factors[i], factors[j])
-                        for i, j in _FLAG_PAIRS[name]])
+def _flag_generators(factors):
+    """The spanning vectors of each flag component, by component name."""
+    return {name: [_e_product(factors[i], factors[j]) for i, j in pairs]
+            for name, pairs in _FLAG_PAIRS.items()}
 
 
 def period_triple(v) -> PeriodTriple:
     """The three subspaces of W attached to the negative line through v."""
     vec, (u1, u2) = _negative_line_basis(v)
-    factors = (vec, u1, u2)
-    return PeriodTriple(s2_perp=_flag_span(factors, "S2Lperp"),
-                        line_sq=_flag_span(factors, "L2"),
-                        mixed=_flag_span(factors, "LoLperp"))
+    gens = _flag_generators((vec, u1, u2))
+    return PeriodTriple(s2_perp=Subspace(6, gens["S2Lperp"]),
+                        line_sq=Subspace(6, gens["L2"]),
+                        mixed=Subspace(6, gens["LoLperp"]))
 
 
 # -- horizontality along first-order curves ------------------------------------
@@ -241,8 +234,8 @@ _FIBER_PARTS = ("L2", "S2Lperp")
 
 
 def _flag_motion(v0, w):
-    """The flag along the line curve: the spans at time zero of all three
-    components, and for the square of the line and Sym^2 of the
+    """The flag along the line curve: the spanning vectors at time zero of
+    all three components, and for the square of the line and Sym^2 of the
     orthocomplement the derivatives of their spanning vectors.
 
     The moving line is spanned by v0 + t*w; its orthocomplement basis gets
@@ -252,8 +245,7 @@ def _flag_motion(v0, w):
     derivative is E(x'.y) + E(x.y').  The mixed plane's own motion is the
     base motion of the flag, so its derivatives are not needed.
     """
-    v0 = tuple(as_scalar(x) for x in v0)
-    w = tuple(as_scalar(x) for x in w)
+    v0, w = _coerce_row(v0), _coerce_row(w)
     if len(w) != 3:
         raise ValueError("expected a vector in C^{2,1}")
     if herm_form(v0, w, BALL_SIG):
@@ -263,13 +255,12 @@ def _flag_motion(v0, w):
     cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
     factors = (vec, u1, u2)
     velocities = (w,) + tuple(tuple(c * x for x in vec) for c in cs)
-    spans = {name: _flag_span(factors, name) for name in _FLAG_PAIRS}
     moved = {name: [tuple(p + q for p, q in
                           zip(_e_product(velocities[i], factors[j]),
                               _e_product(factors[i], velocities[j])))
                     for i, j in _FLAG_PAIRS[name]]
              for name in _FIBER_PARTS}
-    return spans, moved
+    return _flag_generators(factors), moved
 
 
 def horizontality_residues(v0, w):
@@ -280,21 +271,26 @@ def horizontality_residues(v0, w):
     base motion of the flag and carries no fiber component, so it does not
     appear here.
     """
-    spans, moved = _flag_motion(v0, w)
-    return {name: [spans[name].residue(d) for d in moved[name]]
-            for name in _FIBER_PARTS}
+    gens, moved = _flag_motion(v0, w)
+    residues = {}
+    for name in _FIBER_PARTS:
+        span = Subspace(6, gens[name])
+        residues[name] = [span.residue(d) for d in moved[name]]
+    return residues
 
 
 def horizontality_check(v0, w) -> bool:
     """True iff the induced flag motion is horizontal to first order.
 
-    The derivative residues of the square of the line and of Sym^2 of the
-    orthocomplement must lie in (mixed plane + component at time zero).
+    The derivative of each fiber part must lie in (that part + mixed plane)
+    at time zero.  The flag parts are mutually orthogonal, non-degenerate
+    and span W, so that sum is the orthocomplement of the other fiber part:
+    the condition is h(d, g) = 0 for every derivative d of the square of the
+    line against the three generators g of Sym^2 of the orthocomplement,
+    and for the three derivatives of Sym^2 against the one generator of the
+    square of the line.
     """
-    spans, moved = _flag_motion(v0, w)
-    for name in _FIBER_PARTS:
-        target = spans[name] + spans["LoLperp"]
-        for d in moved[name]:
-            if not target.contains(d):
-                return False
-    return True
+    gens, moved = _flag_motion(v0, w)
+    return not any(herm_form(d, g, W_SIG)
+                   for name, other in (("L2", "S2Lperp"), ("S2Lperp", "L2"))
+                   for d in moved[name] for g in gens[other])

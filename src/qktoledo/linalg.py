@@ -230,13 +230,6 @@ class Subspace:
     def contains(self, vector) -> bool:
         return all(x.is_zero() for x in self.residue(vector))
 
-    def __add__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        return Subspace(self.ambient, self.basis + other.basis)
-
     def perp(self, sig) -> "Subspace":
         """Orthocomplement with respect to the form with sign tuple sig."""
         if len(sig) != self.ambient:

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from qktoledo import (BALL_SIG, FieldElem, JetScalar, Matrix, Quat, Subspace,
-                      TangentVec, ZERO, ONE, I, HALF_SQRT2, herm_form,
-                      su21_p_matrix, sym_product, sym_square_lie,
+from qktoledo import (BALL_SIG, W_SIG, FieldElem, JetScalar, Matrix, Quat,
+                      Subspace, TangentVec, ZERO, ONE, I, HALF_SQRT2,
+                      herm_form, su21_p_matrix, sym_product, sym_square_lie,
                       sym_square_p_block, sym_to_e_coords)
+from qktoledo import lifting
 
 
 def rng(seed):
@@ -181,3 +182,23 @@ def jet_flag_motion(v0, w):
     return {name: (Subspace(6, [tuple(j.val for j in vec) for vec in vecs]),
                    [tuple(j.deriv for j in vec) for vec in vecs])
             for name, vecs in curves.items()}
+
+
+def rref_horizontality_check(v0, w):
+    """Reference for ``horizontality_check``: each derivative of the square
+    of the line and of Sym^2 of the orthocomplement must lie in the span of
+    (that component + mixed plane) at time zero, decided by rref membership."""
+    gens, moved = lifting._flag_motion(v0, w)
+    for name in ("L2", "S2Lperp"):
+        target = Subspace(6, gens[name] + gens["LoLperp"])
+        if not all(target.contains(d) for d in moved[name]):
+            return False
+    return True
+
+
+def mutually_orthogonal(parts):
+    """True iff the (name, subspace) parts are pairwise orthogonal in W."""
+    spaces = [s for _, s in parts]
+    return not any(herm_form(u, v, W_SIG)
+                   for i, a in enumerate(spaces) for b in spaces[i + 1:]
+                   for u in a.basis for v in b.basis)

@@ -5,7 +5,7 @@ import pytest
 from qktoledo import (FieldElem, Matrix, Quat,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2,
                       W_SIG, complex_structure_j,
-                      e_coords_to_sym, herm_form, is_su21, make_embedding,
+                      herm_form, is_su21, make_embedding,
                       pullback_constant, su21_p_matrix, sym_product,
                       sym_square_lie, sym_square_tangent_diff, sym_to_e_coords,
                       to_quat, unit_vector, w_form_tensor)
@@ -55,13 +55,6 @@ def test_tensor_form_matches_coordinate_form():
         lhs = w_form_tensor(s, t)
         rhs = herm_form(sym_to_e_coords(s), sym_to_e_coords(t), W_SIG)
         assert lhs == rhs
-
-
-def test_e_coords_round_trip():
-    r = rng(402)
-    for _ in range(50):
-        coords = tuple(rand_field_elem(r) for _ in range(6))
-        assert sym_to_e_coords(e_coords_to_sym(coords)) == coords
 
 
 def test_leibniz_expansion_of_mixed_vector():

@@ -6,19 +6,21 @@ import pytest
 
 from qktoledo import (BALL_SIG, EmbeddingDiff, FieldElem,
                       JetScalar, Matrix, Subspace,
-                      ZERO, ONE, I, HALF_SQRT2, PERIOD_FLAG_H,
+                      ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H,
                       classify_column, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
                       horizontality_residues, iota_star_bplus, make_embedding,
                       period_triple, su21_p_matrix, sym_product,
                       sym_to_e_coords, twistor_lift_condition,
                       twistor_nonlift_check, unit_vector)
+from qktoledo import lifting
 from qktoledo.lifting import _flag_motion
 
-from _helpers import (jet_flag_motion, leibniz_bplus_image, rng,
-                      rand_field_elem, rand_fraction, rand_gauss,
-                      rand_nonzero_field_elem, rand_nonzero_pair,
-                      rand_negative_vector, rand_orthogonal_direction)
+from _helpers import (jet_flag_motion, leibniz_bplus_image,
+                      mutually_orthogonal, rng, rand_field_elem,
+                      rand_fraction, rand_gauss, rand_nonzero_field_elem,
+                      rand_nonzero_pair, rand_negative_vector,
+                      rand_orthogonal_direction, rref_horizontality_check)
 
 
 # -- grading masks ------------------------------------------------------------
@@ -174,16 +176,16 @@ def test_conjugate_linearity_matches_real_block_criterion():
 def test_period_triple_base_point():
     # the subspaces and their definiteness are a selftest registry check
     triple = period_triple(unit_vector(3, 2))
-    assert triple.dimensions() == (3, 1, 2)
-    assert triple.mutually_orthogonal()
+    assert tuple(s.dim for _, s in triple.parts()) == (3, 1, 2)
+    assert mutually_orthogonal(triple.parts())
 
 
 def test_period_triple_shifted_line():
     v = (FieldElem(Fraction(1, 2)), ZERO, ONE)
     triple = period_triple(v)
-    assert triple.dimensions() == (3, 1, 2)
+    assert tuple(s.dim for _, s in triple.parts()) == (3, 1, 2)
     assert triple.definiteness() == ("positive", "positive", "negative")
-    assert triple.mutually_orthogonal()
+    assert mutually_orthogonal(triple.parts())
     coords = sym_to_e_coords(sym_product(v, v))
     assert triple.line_sq.contains(coords)
 
@@ -199,9 +201,9 @@ def test_period_triple_random_invariants():
     r = rng(607)
     for _ in range(50):
         triple = period_triple(rand_negative_vector(r))
-        assert triple.dimensions() == (3, 1, 2)
+        assert tuple(s.dim for _, s in triple.parts()) == (3, 1, 2)
         assert triple.definiteness() == ("positive", "positive", "negative")
-        assert triple.mutually_orthogonal()
+        assert mutually_orthogonal(triple.parts())
 
 
 # -- horizontality ----------------------------------------------------------------
@@ -228,11 +230,47 @@ def test_flag_motion_matches_jet_oracle():
     moving = 0
     for v0, w in cases:
         want = jet_flag_motion(v0, w)
-        spans, moved = _flag_motion(v0, w)
-        assert spans == {name: span for name, (span, _) in want.items()}
+        gens, moved = _flag_motion(v0, w)
+        assert ({name: Subspace(6, vecs) for name, vecs in gens.items()}
+                == {name: span for name, (span, _) in want.items()})
         assert moved == {name: want[name][1] for name in ("L2", "S2Lperp")}
+        # orthogonality against rref membership in (component + mixed plane)
+        assert horizontality_check(v0, w) and rref_horizontality_check(v0, w)
         moving += any(any(d) for d in moved["L2"])
     assert moving > 250
+
+
+def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch):
+    # dropping the 1/sqrt2 on E4 is a linear change of coordinates, which
+    # span membership cannot see; it breaks the orthogonality of the flag
+    exact = lifting._e_product
+
+    def unscaled_e4(x, y):
+        coords = exact(x, y)
+        return coords[:3] + (coords[3] * SQRT2,) + coords[4:]
+
+    monkeypatch.setattr(lifting, "_e_product", unscaled_e4)
+    r = rng(611)
+    failed = 0
+    for _ in range(100):
+        v0 = rand_negative_vector(r)
+        w = rand_orthogonal_direction(r, v0)
+        assert rref_horizontality_check(v0, w)
+        failed += not horizontality_check(v0, w)
+    assert failed >= 90
+
+
+@pytest.mark.parametrize("bad", [0.5, "x"])
+@pytest.mark.parametrize("call", [
+    lambda bad: period_triple((bad, 0, 1)),
+    lambda bad: horizontality_check((0, 0, 1), (bad, 0, 0)),
+    lambda bad: twistor_nonlift_check((bad, 1)),
+    lambda bad: iota_star_bplus((bad, 1)),
+], ids=["period_triple", "horizontality_check", "twistor_nonlift_check",
+        "iota_star_bplus"])
+def test_non_scalar_entries_raise_type_error(call, bad):
+    with pytest.raises(TypeError, match="is not a scalar"):
+        call(bad)
 
 
 def test_horizontality_preconditions():

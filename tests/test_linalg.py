@@ -107,12 +107,6 @@ def test_residue_is_linear_and_canonical():
         assert s.contains(tuple(x - y for x, y in zip(u, s.residue(u))))
 
 
-def test_subspace_sum():
-    a = Subspace(6, [unit_vector(6, 0)])
-    b = Subspace(6, [unit_vector(6, 1)])
-    assert (a + b) == Subspace(6, [unit_vector(6, 0), unit_vector(6, 1)])
-
-
 def test_inertia_matches_leading_minor_oracle():
     # Independent oracle: the leading principal minors of the Gram matrix,
     # expanded over permutations and signed by interval arithmetic.  If
