@@ -15,12 +15,12 @@ import sys
 from fractions import Fraction
 
 from .scalars import FieldElem, parse_field_elem
-from .linalg import Subspace, herm_form
+from .linalg import herm_form
 from .embeddings import BALL_SIG, W_SIG, make_embedding
-from .toledo import pullback_constant
+from .toledo import CONVENTION, pullback_constant
 from .lifting import (classify_column, classify_linearity, holomorphy_check_u3u1u2,
-                      horizontality_check, period_triple, twistor_lift_condition,
-                      twistor_nonlift_check)
+                      horizontality_check, negative_line_basis, period_triple,
+                      twistor_lift_condition, twistor_nonlift_check)
 from .selftest import run_selftest
 
 _CLI_EMBEDDINGS = {
@@ -78,10 +78,13 @@ def _cmd_pullback(args) -> int:
     embedding = make_embedding(name, args.n)
     report = pullback_constant(embedding)
     if args.json:
-        _emit_json(report.to_json_dict())
+        _emit_json({"embedding": report.embedding,
+                    "omega_on_basis": str(report.omega_value),
+                    "ratio_to_OmegaB2": str(report.ratio),
+                    "convention": CONVENTION})
         return 0
     print(f"embedding: {args.embedding}")
-    print(f"convention: {report.convention}")
+    print(f"convention: {CONVENTION}")
     print(f"omega_on_basis: {report.omega_value}")
     print(f"Omega0^2_on_basis: {report.omega0sq_value}")
     print(f"ratio_to_OmegaB2: {report.ratio}")
@@ -105,7 +108,7 @@ def _random_negative_line(rng):
               FieldElem(1))
         if herm_form(v0, v0, BALL_SIG).real_sign() < 0:
             break
-    basis = Subspace(3, [v0]).perp(BALL_SIG).basis
+    _, basis = negative_line_basis(v0)
     acc = (FieldElem(0), FieldElem(0), FieldElem(0))
     for b in basis:
         coef = FieldElem(rng.randint(-2, 2), rng.randint(-2, 2))
@@ -124,11 +127,16 @@ def _cmd_lift_check(args) -> int:
     for _ in range(args.samples):
         if args.domain == "twistor":
             a = _random_pair(rng)
-            verdict = twistor_nonlift_check(a)
-            ok = not verdict.member
-            record = verdict.to_json_dict()
-            record["input"] = f"a={_fmt_vec(a)}"
-            record["pass"] = ok
+            violations = twistor_nonlift_check(a)
+            ok = bool(violations)
+            record = {
+                "check": "twistor-nonlift",
+                "input": f"a={_fmt_vec(a)}",
+                "verdict": f"member={'false' if violations else 'true'}",
+                "violations": [{"row": r, "col": c, "value": str(v)}
+                               for r, c, v in violations],
+                "pass": ok,
+            }
         else:
             a = _random_pair(rng)
             holo = holomorphy_check_u3u1u2(a)
@@ -188,13 +196,13 @@ def _cmd_period_triple(args, parser) -> int:
     if len(components) != 3:
         parser.error(f"--vector needs 3 components, got {len(components)}")
     try:
-        triple = period_triple(components)
+        parts = period_triple(components)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
         payload = {"vector": [str(c) for c in components]}
-        for label, space in triple.parts():
+        for label, space in parts:
             payload[label] = {
                 "dimension": space.dim,
                 "definiteness": space.definiteness(W_SIG),
@@ -203,7 +211,7 @@ def _cmd_period_triple(args, parser) -> int:
         _emit_json(payload)
         return 0
     print(f"vector: {_fmt_vec(components)}")
-    for label, space in triple.parts():
+    for label, space in parts:
         print(f"{label}: dimension {space.dim}, "
               f"{space.definiteness(W_SIG)} definite")
         for row in space.basis:

@@ -175,7 +175,7 @@ def make_embedding(name: str, n=2) -> EmbeddingDiff:
     """The differential of the named embedding of the n-ball."""
     if name not in _ROW_MAPS:
         raise ValueError(f"unknown embedding {name!r}")
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an int, got {n!r}")
     if name == "sym_square" and n != 2:
         raise ValueError("the symmetric square embedding requires n = 2")

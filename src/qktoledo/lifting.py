@@ -19,16 +19,18 @@ of W, of dimensions 3 + 1 + 2 = 6, so they span W and each fiber part plus
 the mixed plane is exactly the orthocomplement of the other fiber part.
 Horizontality is therefore decided by Hermitian products alone.
 
-Positions are reported as 1-based (row, col) pairs in the E-basis, so (1, 5)
-is the E1-row, E5-column entry.
+The checks return plain values.  ``twistor_nonlift_check`` returns the
+entries that leave the twistor pattern as 1-based (row, col, value) triples
+in the E-basis, so (1, 5) is the E1-row, E5-column entry; an empty tuple
+means the image is in the pattern.  ``period_triple`` returns the flag as
+(name, Subspace) pairs named S2Lperp, L2 and LoLperp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ZERO, I, HALF_SQRT2
+from .scalars import ZERO, ONE, I, HALF_SQRT2
 from .linalg import Matrix, Subspace, _coerce_row, herm_form
 from .embeddings import BALL_SIG, W_SIG, EmbeddingDiff
 
@@ -86,28 +88,15 @@ def _pattern_violations(a, allow) -> tuple:
                  if value and (r, c) not in allow)
 
 
-@dataclass(frozen=True)
-class TwistorVerdict:
-    member: bool
-    violations: tuple    # ((row, col, value), ...) 1-based E-positions
+def twistor_nonlift_check(a) -> tuple:
+    """The entries of the symmetric-square image for a that leave the twistor
+    holomorphic pattern, as 1-based (row, col, value) triples in row-major
+    order.
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "twistor-nonlift",
-            "verdict": f"member={str(self.member).lower()}",
-            "violations": [{"row": r, "col": c, "value": str(v)}
-                           for r, c, v in self.violations],
-        }
-
-
-def twistor_nonlift_check(a) -> TwistorVerdict:
-    """Does the symmetric-square image stay in the twistor holomorphic pattern?
-
-    For every a != 0 the answer is no, and the violations name the offending
-    entries; they all lie in the off-diagonal blocks.
+    An empty tuple means the image is in the pattern.  For every a != 0 the
+    tuple is nonempty, and its entries all lie in the off-diagonal blocks.
     """
-    violations = _pattern_violations(a, _TWISTOR_ALLOW)
-    return TwistorVerdict(member=not violations, violations=violations)
+    return _pattern_violations(a, _TWISTOR_ALLOW)
 
 
 def holomorphy_check_u3u1u2(a) -> bool:
@@ -166,31 +155,19 @@ def twistor_lift_condition(embedding: EmbeddingDiff) -> bool:
 
 # -- the flag of a negative line ----------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodTriple:
-    """(Sym^2 of the orthocomplement, square of the line, mixed plane) in W."""
+def negative_line_basis(v):
+    """v as a vector of C^{2,1}, with the rref basis of its orthocomplement.
 
-    s2_perp: Subspace
-    line_sq: Subspace
-    mixed: Subspace
-
-    def parts(self):
-        return (("S2Lperp", self.s2_perp), ("L2", self.line_sq),
-                ("LoLperp", self.mixed))
-
-    def definiteness(self):
-        return tuple(s.definiteness(W_SIG) for _, s in self.parts())
-
-
-def _negative_line_basis(v):
+    v is negative, so v2 != 0, and h(x, v) = x0 conj(v0) + x1 conj(v1)
+    - x2 conj(v2) vanishes on (1, 0, conj(v0/v2)) and (0, 1, conj(v1/v2)).
+    """
     vec = _coerce_row(v)
     if len(vec) != 3:
         raise ValueError("expected a vector in C^{2,1}")
-    norm = herm_form(vec, vec, BALL_SIG)
-    if norm.real_sign() >= 0:
+    if herm_form(vec, vec, BALL_SIG).real_sign() >= 0:
         raise ValueError("the vector must be negative for the (2,1) form")
-    perp = Subspace(3, [vec]).perp(BALL_SIG)
-    return vec, perp.basis
+    v0, v1, v2 = vec
+    return vec, ((ONE, ZERO, (v0 / v2).conj()), (ZERO, ONE, (v1 / v2).conj()))
 
 
 def _e_product(x, y):
@@ -219,13 +196,13 @@ def _flag_generators(factors):
             for name, pairs in _FLAG_PAIRS.items()}
 
 
-def period_triple(v) -> PeriodTriple:
-    """The three subspaces of W attached to the negative line through v."""
-    vec, (u1, u2) = _negative_line_basis(v)
-    gens = _flag_generators((vec, u1, u2))
-    return PeriodTriple(s2_perp=Subspace(6, gens["S2Lperp"]),
-                        line_sq=Subspace(6, gens["L2"]),
-                        mixed=Subspace(6, gens["LoLperp"]))
+def period_triple(v) -> tuple:
+    """The flag of the negative line through v: (name, Subspace) pairs in W,
+    in the order S2Lperp (Sym^2 of the orthocomplement), L2 (square of the
+    line), LoLperp (mixed plane)."""
+    vec, (u1, u2) = negative_line_basis(v)
+    return tuple((name, Subspace(6, gens))
+                 for name, gens in _flag_generators((vec, u1, u2)).items())
 
 
 # -- horizontality along first-order curves ------------------------------------
@@ -250,7 +227,7 @@ def _flag_motion(v0, w):
         raise ValueError("expected a vector in C^{2,1}")
     if herm_form(v0, w, BALL_SIG):
         raise ValueError("the curve direction must be orthogonal to the line")
-    vec, (u1, u2) = _negative_line_basis(v0)
+    vec, (u1, u2) = negative_line_basis(v0)
     hvv = herm_form(vec, vec, BALL_SIG)
     cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
     factors = (vec, u1, u2)

@@ -278,17 +278,16 @@ def _flag_pattern():
 
 @_check("twistor obstruction for a = (1, 0)")
 def _twistor_10():
-    verdict = twistor_nonlift_check((ONE, ZERO))
-    ok = (not verdict.member) and verdict.violations == ((1, 5, ONE),)
-    return ok, f"member={verdict.member}, violations={verdict.violations}"
+    violations = twistor_nonlift_check((ONE, ZERO))
+    ok = violations == ((1, 5, ONE),)
+    return ok, f"member={not violations}, violations={violations}"
 
 
 @_check("twistor obstruction for a = (0, 1)")
 def _twistor_01():
-    verdict = twistor_nonlift_check((ZERO, ONE))
-    ok = (not verdict.member) and verdict.violations == ((4, 5, HALF_SQRT2),
-                                                          (6, 3, ONE))
-    return ok, f"member={verdict.member}, violations={verdict.violations}"
+    violations = twistor_nonlift_check((ZERO, ONE))
+    ok = violations == ((4, 5, HALF_SQRT2), (6, 3, ONE))
+    return ok, f"member={not violations}, violations={violations}"
 
 
 @_check("flag holomorphy for a = (1, 0)")
@@ -303,15 +302,14 @@ def _holomorphy_01():
 
 @_check("flag of the base negative line")
 def _period_triple_base():
-    triple = period_triple(unit_vector(3, 2))
+    got = tuple(s for _, s in period_triple(unit_vector(3, 2)))
     want = (Subspace(6, [unit_vector(6, 0), unit_vector(6, 1), unit_vector(6, 3)]),
             Subspace(6, [unit_vector(6, 2)]),
             Subspace(6, [unit_vector(6, 4), unit_vector(6, 5)]))
-    got = (triple.s2_perp, triple.line_sq, triple.mixed)
     if got != want:
         return False, f"triple mismatch: {got}"
-    return _expect(triple.definiteness(), ("positive", "positive", "negative"),
-                   "definiteness")
+    return _expect(tuple(s.definiteness(W_SIG) for s in got),
+                   ("positive", "positive", "negative"), "definiteness")
 
 
 @_check("horizontality of the base curve")

@@ -30,15 +30,6 @@ class PullbackReport:
     omega_value: FieldElem       # 4-form on the embedded basis quadruple
     omega0sq_value: FieldElem    # ambient Kahler form squared on the same quadruple
     ratio: FieldElem             # omega_value / 16
-    convention: str = CONVENTION
-
-    def to_json_dict(self) -> dict:
-        return {
-            "embedding": self.embedding,
-            "omega_on_basis": str(self.omega_value),
-            "ratio_to_OmegaB2": str(self.ratio),
-            "convention": self.convention,
-        }
 
 
 def pullback_constant(embedding: EmbeddingDiff) -> PullbackReport:
@@ -64,7 +55,7 @@ class CompositionReport:
 
 
 def _exact(x, what):
-    if not isinstance(x, (int, Fraction)):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError(f"{what} must be an int or Fraction, got {x!r}")
     return x
 

@@ -83,14 +83,14 @@ def test_criterion_6_twistor_obstruction():
     r = rng(706)
     for _ in range(100):
         a1, a2 = rand_nonzero_pair(r)
-        verdict = twistor_nonlift_check((a1, a2))
-        assert not verdict.member
+        violations = twistor_nonlift_check((a1, a2))
+        assert violations     # a nonempty tuple: the image leaves the pattern
         want = set()
         if a1:
             want.add((1, 5))
         if a2:
             want.update({(4, 5), (6, 3)})
-        assert {(row, col) for row, col, _ in verdict.violations} == want
+        assert {(row, col) for row, col, _ in violations} == want
     _report(6, "twistor membership false with predicted violations, 100 trials")
 
 

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from qktoledo import CONVENTION, make_embedding, pullback_constant
 from qktoledo.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +40,25 @@ def test_pullback_json(capsys):
     assert payload["embedding"] == "rho"
     assert set(payload) == {"embedding", "omega_on_basis",
                             "ratio_to_OmegaB2", "convention"}
+
+
+@pytest.mark.parametrize("cli_name, name", [
+    ("rho", "rho"), ("totally-real", "totally_real"), ("phi", "phi"),
+    ("sym-square", "sym_square")])
+def test_pullback_json_matches_the_report(capsys, cli_name, name):
+    rep = pullback_constant(make_embedding(name))
+    code, out, _ = run_cli(capsys, "pullback", "--embedding", cli_name, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"embedding", "omega_on_basis",
+                            "ratio_to_OmegaB2", "convention"}
+    assert payload["embedding"] == rep.embedding
+    assert payload["ratio_to_OmegaB2"] == str(rep.ratio)
+    assert payload["omega_on_basis"] == str(rep.omega_value)
+    assert payload["convention"] == CONVENTION
+    code, out, _ = run_cli(capsys, "pullback", "--embedding", cli_name)
+    assert code == 0
+    assert f"convention: {CONVENTION}\n" in out
 
 
 def test_pullback_general_n(capsys):
@@ -90,7 +114,8 @@ def test_lift_check_json_deterministic(capsys):
     assert payload["seed"] == 11
     assert len(payload["samples"]) == 6
     for sample in payload["samples"]:
-        assert {"check", "input", "verdict", "violations"} <= set(sample)
+        assert set(sample) == {"check", "input", "verdict", "violations", "pass"}
+        assert set(sample["violations"][0]) == {"row", "col", "value"}
 
 
 def test_classify_table(capsys):
@@ -175,3 +200,29 @@ def test_selftest_json(capsys):
     payload = json.loads(out)
     assert payload["summary"] == "PASS"
     assert all(check["pass"] for check in payload["checks"])
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each ``$ qktoledo ...`` line in the README's
+    Examples block; the expected output is every line after it up to the
+    next blank line or the end of the block."""
+    lines = README.read_text().split("Examples:", 1)[1].split("```")[1].splitlines()
+    examples = []
+    for k, line in enumerate(lines):
+        if line.startswith("$ qktoledo "):
+            out = []
+            for follow in lines[k + 1:]:
+                if not follow.strip():
+                    break
+                out.append(follow)
+            examples.append((shlex.split(line[2:])[1:], "".join(f"{x}\n" for x in out)))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    for argv, want in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == want, argv

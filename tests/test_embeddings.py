@@ -158,6 +158,6 @@ def test_make_embedding_validation():
         make_embedding("sym_square", 3)
     with pytest.raises(ValueError):
         make_embedding("unknown")
-    for n in (0, 2.5, "2"):
+    for n in (0, 2.5, "2", True, False):
         with pytest.raises(ValueError):
             make_embedding("rho", n)

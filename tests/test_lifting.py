@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from qktoledo import (BALL_SIG, EmbeddingDiff, FieldElem,
+from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       JetScalar, Matrix, Subspace,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H,
                       classify_column, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
                       horizontality_residues, iota_star_bplus, make_embedding,
-                      period_triple, su21_p_matrix, sym_product,
-                      sym_to_e_coords, twistor_lift_condition,
+                      negative_line_basis, period_triple, su21_p_matrix,
+                      sym_product, sym_to_e_coords, twistor_lift_condition,
                       twistor_nonlift_check, unit_vector)
 from qktoledo import lifting
 from qktoledo.lifting import _flag_motion
@@ -95,7 +95,7 @@ def test_iota_star_block_structure():
 
 def test_twistor_nonlift_golden():
     # the (1, 0) and (0, 1) verdicts are selftest registry checks
-    assert twistor_nonlift_check((ZERO, ZERO)).member
+    assert twistor_nonlift_check((ZERO, ZERO)) == ()
 
 
 def test_holomorphy_random():
@@ -173,21 +173,53 @@ def test_conjugate_linearity_matches_real_block_criterion():
 
 # -- flags of negative lines -----------------------------------------------------
 
+def _definiteness(triple):
+    return tuple(s.definiteness(W_SIG) for _, s in triple)
+
+
 def test_period_triple_base_point():
     # the subspaces and their definiteness are a selftest registry check
     triple = period_triple(unit_vector(3, 2))
-    assert tuple(s.dim for _, s in triple.parts()) == (3, 1, 2)
-    assert mutually_orthogonal(triple.parts())
+    assert tuple(name for name, _ in triple) == ("S2Lperp", "L2", "LoLperp")
+    assert tuple(s.dim for _, s in triple) == (3, 1, 2)
+    assert mutually_orthogonal(triple)
 
 
 def test_period_triple_shifted_line():
     v = (FieldElem(Fraction(1, 2)), ZERO, ONE)
     triple = period_triple(v)
-    assert tuple(s.dim for _, s in triple.parts()) == (3, 1, 2)
-    assert triple.definiteness() == ("positive", "positive", "negative")
-    assert mutually_orthogonal(triple.parts())
+    assert tuple(s.dim for _, s in triple) == (3, 1, 2)
+    assert _definiteness(triple) == ("positive", "positive", "negative")
+    assert mutually_orthogonal(triple)
     coords = sym_to_e_coords(sym_product(v, v))
-    assert triple.line_sq.contains(coords)
+    assert dict(triple)["L2"].contains(coords)
+
+
+def _negative_vector_with_specials(r):
+    """A negative vector of C^{2,1} with full Q(i, sqrt2) entries, where v0
+    and v1 are zero a quarter of the time each and v2 is i or sqrt2 a
+    quarter of the time each; (v0, v1) is halved until the vector is
+    negative."""
+    v0, v1 = (ZERO if r.random() < 0.25 else rand_field_elem(r) for _ in range(2))
+    v2 = r.choice((I, SQRT2, rand_nonzero_field_elem(r), rand_nonzero_field_elem(r)))
+    while herm_form((v0, v1, v2), (v0, v1, v2), BALL_SIG).real_sign() >= 0:
+        v0, v1 = v0 * Fraction(1, 2), v1 * Fraction(1, 2)
+    return (v0, v1, v2)
+
+
+def test_negative_line_basis_matches_the_perp_oracle():
+    r = rng(609)
+    seen = {"v0 = 0": 0, "v1 = 0": 0, "v2 = i": 0, "v2 = sqrt2": 0}
+    for _ in range(400):
+        v = _negative_vector_with_specials(r)
+        vec, basis = negative_line_basis(v)
+        assert vec == v
+        assert basis == Subspace(3, [v]).perp(BALL_SIG).basis
+        seen["v0 = 0"] += not v[0]
+        seen["v1 = 0"] += not v[1]
+        seen["v2 = i"] += v[2] == I
+        seen["v2 = sqrt2"] += v[2] == SQRT2
+    assert min(seen.values()) >= 50, seen
 
 
 def test_period_triple_rejects_non_negative():
@@ -201,9 +233,9 @@ def test_period_triple_random_invariants():
     r = rng(607)
     for _ in range(50):
         triple = period_triple(rand_negative_vector(r))
-        assert tuple(s.dim for _, s in triple.parts()) == (3, 1, 2)
-        assert triple.definiteness() == ("positive", "positive", "negative")
-        assert mutually_orthogonal(triple.parts())
+        assert tuple(s.dim for _, s in triple) == (3, 1, 2)
+        assert _definiteness(triple) == ("positive", "positive", "negative")
+        assert mutually_orthogonal(triple)
 
 
 # -- horizontality ----------------------------------------------------------------

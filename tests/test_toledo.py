@@ -1,11 +1,10 @@
 """Pullback constants, their distinctness, and the composition arithmetic."""
 
-import json
 from fractions import Fraction
 
 import pytest
 
-from qktoledo import (FieldElem, CONVENTION, composition_invariant,
+from qktoledo import (FieldElem, composition_invariant,
                       make_embedding, omega4, pullback_constant,
                       standard_quadruple)
 
@@ -15,11 +14,11 @@ EMBEDDINGS = ("rho", "sym_square", "phi", "totally_real")
 
 
 def test_pullback_ratios():
-    # the four ratio values are selftest registry checks
+    # the four ratio values are selftest registry checks; the convention the
+    # CLI prints with each report is checked in test_cli
     for name in EMBEDDINGS:
         rep = pullback_constant(make_embedding(name))
         assert rep.ratio * 16 == rep.omega_value
-        assert rep.convention == CONVENTION
 
 
 def test_ratios_pairwise_distinct():
@@ -27,16 +26,6 @@ def test_ratios_pairwise_distinct():
     for i in range(len(ratios)):
         for j in range(i + 1, len(ratios)):
             assert ratios[i] != ratios[j]
-
-
-def test_report_json_fields():
-    rep = pullback_constant(make_embedding("sym_square"))
-    payload = rep.to_json_dict()
-    assert set(payload) == {"embedding", "omega_on_basis",
-                            "ratio_to_OmegaB2", "convention"}
-    assert payload["ratio_to_OmegaB2"] == str(rep.ratio)
-    assert payload["omega_on_basis"] == str(rep.omega_value)
-    json.dumps(payload)
 
 
 def test_determinant_scaling_under_recombination():
@@ -77,6 +66,8 @@ def test_composition_invariant_rejects_bad_input():
     with pytest.raises(ValueError):
         composition_invariant(1, 4, vol_source=-1)
     # inexact or non-integral arguments would make the value a float
-    for args in ((1.5, 8), (Fraction(3, 2), 8), (1, 8.0), (1, 8, 2.5), (1, "8")):
+    # bool is a subclass of int, but True is not a degree or a volume
+    for args in ((1.5, 8), (Fraction(3, 2), 8), (1, 8.0), (1, 8, 2.5), (1, "8"),
+                 (True, 8), (2, True), (1, 8, True)):
         with pytest.raises(ValueError):
             composition_invariant(*args)
