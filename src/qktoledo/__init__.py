@@ -26,6 +26,5 @@ from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column,
                       iota_star_bplus, negative_line_basis, p_positions,
                       period_triple, twistor_lift_condition,
                       twistor_nonlift_check)
-from .selftest import run_selftest
 
 __version__ = "0.1.0"

@@ -28,12 +28,10 @@ tests compare them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
-from .scalars import FieldElem, ZERO, ONE, I, SQRT2, HALF_SQRT2, as_scalar
+from .scalars import FieldElem, ZERO, ONE, I, SQRT2, HALF_SQRT2, _frozen, as_scalar
 from .linalg import Matrix, unit_vector
 from .geometry import TangentVec
 
@@ -148,15 +146,31 @@ _ROW_MAPS = {
 }
 
 
-@dataclass(frozen=True)
 class EmbeddingDiff:
     """R-linear differential from C^n to 2n x 2 blocks, given by its
     closed-form row map ``rows_of`` from a complex n-vector to the rows of
-    its image."""
+    its image.  Immutable; ``values`` is cached in the instance dict."""
 
-    name: str
-    n: int
-    rows_of: Callable = field(repr=False)
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, name: str, n: int, rows_of):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows_of", rows_of)
+
+    def _key(self):
+        return (self.name, self.n, self.rows_of)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"EmbeddingDiff(name={self.name!r}, n={self.n!r})"
 
     def __call__(self, x) -> TangentVec:
         comps = [as_scalar(c) for c in x]

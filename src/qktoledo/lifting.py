@@ -110,6 +110,12 @@ LINEAR, CONJUGATE_LINEAR, ZERO_MAP, NEITHER = (
     "linear", "conjugate_linear", "zero", "neither")
 
 
+def _check_index(value, what: str, top: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not 1 <= value <= top:
+        raise ValueError(f"{what} must be in 1..{top}, got {value!r}")
+
+
 def classify_linearity(embedding: EmbeddingDiff, column: int, row: int) -> str:
     """Classify one scalar component of a differential (1-based column, row).
 
@@ -118,10 +124,8 @@ def classify_linearity(embedding: EmbeddingDiff, column: int, row: int) -> str:
     report "zero".
     """
     n, first = embedding.n, embedding.values[0]
-    if not 1 <= column <= first.cols:
-        raise ValueError(f"column must be in 1..{first.cols}, got {column}")
-    if not 1 <= row <= first.rows:
-        raise ValueError(f"row must be in 1..{first.rows}, got {row}")
+    _check_index(column, "column", first.cols)
+    _check_index(row, "row", first.rows)
     alphas = [embedding.values[k][row - 1, column - 1] for k in range(n)]
     betas = [embedding.values[n + k][row - 1, column - 1] for k in range(n)]
     if all(x.is_zero() for x in alphas + betas):

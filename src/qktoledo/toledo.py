@@ -10,11 +10,10 @@ separates the corresponding representation classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
-from .scalars import FieldElem, as_scalar
+from .scalars import as_scalar
 from .geometry import kahler_form, omega4, wedge_square_eval
 from .embeddings import EmbeddingDiff, standard_quadruple
 
@@ -24,12 +23,10 @@ CONVENTION = ("v1: quat x+y*j; wedge a^2(X,Y,Z,W) = "
 OMEGA_B_SQUARED = as_scalar(16)
 
 
-@dataclass(frozen=True)
-class PullbackReport:
-    embedding: str
-    omega_value: FieldElem       # 4-form on the embedded basis quadruple
-    omega0sq_value: FieldElem    # ambient Kahler form squared on the same quadruple
-    ratio: FieldElem             # omega_value / 16
+# omega_value: the 4-form on the embedded basis quadruple; omega0sq_value: the
+# ambient Kahler form squared on the same quadruple; ratio: omega_value / 16
+PullbackReport = namedtuple(
+    "PullbackReport", "embedding omega_value omega0sq_value ratio")
 
 
 def pullback_constant(embedding: EmbeddingDiff) -> PullbackReport:
@@ -46,12 +43,10 @@ def pullback_constant(embedding: EmbeddingDiff) -> PullbackReport:
     )
 
 
-@dataclass(frozen=True)
-class CompositionReport:
-    """Invariant of a representation factored through a holomorphic map."""
-
-    value: Fraction                       # (1/16) * degree * vol(target)
-    below_source_bound: Optional[bool]    # value < (1/16) * vol(source), if given
+# Invariant of a representation factored through a holomorphic map.
+# value: (1/16) * degree * vol(target); below_source_bound: whether
+# value < (1/16) * vol(source), or None if no source volume was given
+CompositionReport = namedtuple("CompositionReport", "value below_source_bound")
 
 
 def _exact(x, what):

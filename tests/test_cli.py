@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ import pytest
 from qktoledo import CONVENTION, make_embedding, pullback_constant
 from qktoledo.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +204,39 @@ def test_selftest_json(capsys):
     payload = json.loads(out)
     assert payload["summary"] == "PASS"
     assert all(check["pass"] for check in payload["checks"])
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter with ``src`` on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+# Every verb runs in a fresh process, so what ``qktoledo.cli`` imports is paid
+# on every call; the selftest verb loads its golden checks itself.
+_ADDED_BY_CLI_IMPORT = """
+import sys
+before = set(sys.modules)
+import qktoledo.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_selftest():
+    proc = _fresh_python("-c", _ADDED_BY_CLI_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"qktoledo.cli", "qktoledo.lifting"} <= added
+    assert not added & {"dataclasses", "inspect", "qktoledo.selftest"}
+
+
+def test_selftest_verb_in_a_fresh_process():
+    proc = _fresh_python("-m", "qktoledo.cli", "selftest", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    assert payload["summary"] == "PASS"
+    assert payload["checks"] and all(c["pass"] for c in payload["checks"])
 
 
 def _readme_examples():

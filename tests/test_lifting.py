@@ -130,13 +130,15 @@ def test_classify_phi():
     assert classify_column(phi, 1) == "linear"
     assert classify_column(phi, 2) == "zero"
     assert not twistor_lift_condition(phi)
-    # columns run over 1..2 and rows over 1..4; nothing wraps around
-    for column in (0, 3):
+    # columns run over 1..2 and rows over 1..4; nothing wraps around, and
+    # only a plain int is an index (True is not column 1)
+    for column in (0, 3, True, 1.5, "1"):
         with pytest.raises(ValueError):
             classify_column(phi, column)
-    for row in (0, 5):
+    for column, row in ((1, 0), (1, 5), (True, 1), (1, True), (1.5, 1),
+                        ("1", 1), (1, 1.5), (1, "1")):
         with pytest.raises(ValueError):
-            classify_linearity(phi, 1, row)
+            classify_linearity(phi, column, row)
 
 
 def _synthetic_rows(x):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
+                      composition_invariant, make_embedding, pullback_constant,
                       parse_field_elem, ZERO, ONE, I, SQRT2, I_SQRT2,
                       HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
 
@@ -173,7 +174,10 @@ def test_equal_values_hash_equal():
 def test_values_refuse_assignment_and_deletion():
     values = [(FieldElem(1, 2), "na"), (Quat(I), "z"), (JetScalar(1, 2), "val"),
               (Matrix.identity(2), "entries"), (TangentVec([[ONE, I]]), "rows"),
-              (Subspace(2, [(ONE, I)]), "basis")]
+              (Subspace(2, [(ONE, I)]), "basis"),
+              (make_embedding("phi"), "name"),
+              (pullback_constant(make_embedding("phi")), "ratio"),
+              (composition_invariant(2, 3, 7), "value")]
     for value, slot in values:
         before = repr(value)
         with pytest.raises(AttributeError):
@@ -183,6 +187,18 @@ def test_values_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             value.extra = None
         assert repr(value) == before
+
+
+def test_report_reprs_and_equality():
+    pullback = pullback_constant(make_embedding("phi"))
+    assert repr(pullback) == ("PullbackReport(embedding='phi', omega_value=1, "
+                              "omega0sq_value=16, ratio=1/16)")
+    composition = composition_invariant(3, 8, 25)
+    assert repr(composition) == ("CompositionReport(value=Fraction(3, 2), "
+                                 "below_source_bound=True)")
+    for a, b in ((pullback, pullback_constant(make_embedding("phi"))),
+                 (composition, composition_invariant(3, 8, 25))):
+        assert a is not b and a == b and hash(a) == hash(b)
 
 
 def _is_canonical(x):
