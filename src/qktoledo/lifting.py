@@ -73,19 +73,21 @@ def iota_star_bplus(a) -> Matrix:
     ])
 
 
-_TWISTOR_ALLOW = grading_mask(TWISTOR_H)
-_FLAG_ALLOW = grading_mask(PERIOD_FLAG_H)
+# 1-based (row, col) positions of the 6 x 6 image outside each grading mask,
+# in row-major order
+_TWISTOR_OFF, _FLAG_OFF = (
+    tuple((r, c) for r in range(1, 7) for c in range(1, 7) if (r, c) not in mask)
+    for mask in map(grading_mask, (TWISTOR_H, PERIOD_FLAG_H)))
 
 
-def _pattern_violations(a, allow) -> tuple:
-    """Nonzero entries of the image for a at positions not in allow.
+def _pattern_violations(a, off) -> tuple:
+    """Nonzero entries of the image for a at the positions off.
 
-    1-based (row, col, value) triples in row-major order.
+    1-based (row, col, value) triples in the order of off.
     """
-    return tuple((r, c, value)
-                 for r, row in enumerate(iota_star_bplus(a).entries, 1)
-                 for c, value in enumerate(row, 1)
-                 if value and (r, c) not in allow)
+    entries = iota_star_bplus(a).entries
+    return tuple((r, c, value) for r, c in off
+                 if (value := entries[r - 1][c - 1]))
 
 
 def twistor_nonlift_check(a) -> tuple:
@@ -96,12 +98,12 @@ def twistor_nonlift_check(a) -> tuple:
     An empty tuple means the image is in the pattern.  For every a != 0 the
     tuple is nonempty, and its entries all lie in the off-diagonal blocks.
     """
-    return _pattern_violations(a, _TWISTOR_ALLOW)
+    return _pattern_violations(a, _TWISTOR_OFF)
 
 
 def holomorphy_check_u3u1u2(a) -> bool:
     """True iff the symmetric-square image respects the flag grading."""
-    return not _pattern_violations(a, _FLAG_ALLOW)
+    return not _pattern_violations(a, _FLAG_OFF)
 
 
 # -- linearity classification -------------------------------------------------

@@ -16,6 +16,12 @@ from .scalars import FieldElem, ZERO, ONE, _frozen, as_scalar
 
 
 def _coerce_row(row):
+    row = tuple(row)
+    for x in row:
+        if type(x) is not FieldElem:
+            break
+    else:
+        return row
     out = []
     for x in row:
         s = as_scalar(x)

@@ -42,49 +42,25 @@ class FieldElem:
 
     Internally the four coordinates share one positive denominator with the
     five integers coprime, so products need a single gcd instead of one per
-    Fraction operation; a, b, c, d are exposed as Fractions.
+    Fraction operation; a, b, c, d are exposed as Fractions.  ``str`` renders
+    from these integers too, reducing each coordinate by one gcd.
     """
 
     __slots__ = ("na", "nb", "nc", "nd", "den")
     __setattr__ = __delattr__ = _frozen
 
-    def __init__(self, a=0, b=0, c=0, d=0):
+    def __new__(cls, a=0, b=0, c=0, d=0):
         if isinstance(a, int) and isinstance(b, int) and isinstance(c, int) \
                 and isinstance(d, int):
-            self._init_raw(a, b, c, d, 1)
-            return
+            return _raw(a, b, c, d, 1)
         fa, fb, fc, fd = (_as_fraction(x) for x in (a, b, c, d))
         den = 1
         for f in (fa, fb, fc, fd):
             den = den * f.denominator // gcd(den, f.denominator)
-        self._init_raw(fa.numerator * (den // fa.denominator),
-                       fb.numerator * (den // fb.denominator),
-                       fc.numerator * (den // fc.denominator),
-                       fd.numerator * (den // fd.denominator), den)
-
-    def _init_raw(self, na, nb, nc, nd, den):
-        # with den == 1 the five integers are already canonical
-        if den != 1:
-            if den < 0:
-                na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
-            g = gcd(na, nb, nc, nd, den)
-            if g > 1:
-                na //= g
-                nb //= g
-                nc //= g
-                nd //= g
-                den //= g
-        _set_na(self, na)
-        _set_nb(self, nb)
-        _set_nc(self, nc)
-        _set_nd(self, nd)
-        _set_den(self, den)
-
-    @classmethod
-    def _raw(cls, na, nb, nc, nd, den):
-        out = _new(cls)
-        out._init_raw(na, nb, nc, nd, den)
-        return out
+        return _raw(fa.numerator * (den // fa.denominator),
+                    fb.numerator * (den // fb.denominator),
+                    fc.numerator * (den // fc.denominator),
+                    fd.numerator * (den // fd.denominator), den)
 
     @property
     def a(self) -> Fraction:
@@ -105,39 +81,47 @@ class FieldElem:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
         d1, d2 = self.den, other.den
         if d1 == d2:
-            return FieldElem._raw(self.na + other.na, self.nb + other.nb,
-                                  self.nc + other.nc, self.nd + other.nd, d1)
-        return FieldElem._raw(self.na * d2 + other.na * d1,
-                              self.nb * d2 + other.nb * d1,
-                              self.nc * d2 + other.nc * d1,
-                              self.nd * d2 + other.nd * d1, d1 * d2)
+            return _raw(self.na + other.na, self.nb + other.nb,
+                        self.nc + other.nc, self.nd + other.nd, d1)
+        return _raw(self.na * d2 + other.na * d1, self.nb * d2 + other.nb * d1,
+                    self.nc * d2 + other.nc * d1, self.nd * d2 + other.nd * d1,
+                    d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem._raw(-self.na, -self.nb, -self.nc, -self.nd, self.den)
+        return _raw(-self.na, -self.nb, -self.nc, -self.nd, self.den)
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not FieldElem:
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _raw(self.na - other.na, self.nb - other.nb,
+                        self.nc - other.nc, self.nd - other.nd, d1)
+        return _raw(self.na * d2 - other.na * d1, self.nb * d2 - other.nb * d1,
+                    self.nc * d2 - other.nc * d1, self.nd * d2 - other.nd * d1,
+                    d1 * d2)
 
     def __rsub__(self, other):
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
         a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
         if not (a1 or b1 or c1 or d1):
             return ZERO
@@ -145,7 +129,7 @@ class FieldElem:
         if not (a2 or b2 or c2 or d2):
             return ZERO
         # sqrt2*sqrt2 = 2, i*i = -1, (i*sqrt2)^2 = -2
-        return FieldElem._raw(
+        return _raw(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
@@ -162,7 +146,7 @@ class FieldElem:
         norm = self * self.conj()        # real: (p + q*sqrt2) / den
         p, q, den = norm.na, norm.nc, norm.den
         denom = p * p - 2 * q * q        # nonzero since sqrt2 is irrational
-        inv_norm = FieldElem._raw(p * den, 0, -q * den, 0, denom)
+        inv_norm = _raw(p * den, 0, -q * den, 0, denom)
         return self.conj() * inv_norm
 
     def __truediv__(self, other):
@@ -180,11 +164,11 @@ class FieldElem:
     # -- structure maps -------------------------------------------------
 
     def conj(self) -> "FieldElem":
-        return FieldElem._raw(self.na, -self.nb, self.nc, -self.nd, self.den)
+        return _raw(self.na, -self.nb, self.nc, -self.nd, self.den)
 
     def real_part(self) -> "FieldElem":
         """The a + c*sqrt2 part (real part as a complex number)."""
-        return FieldElem._raw(self.na, 0, self.nc, 0, self.den)
+        return _raw(self.na, 0, self.nc, 0, self.den)
 
     def is_zero(self) -> bool:
         return not (self.na or self.nb or self.nc or self.nd)
@@ -233,19 +217,16 @@ class FieldElem:
         return hash((self.na, self.nb, self.nc, self.nd, self.den))
 
     def __str__(self):
-        terms = [(coef, sfx) for coef, sfx in
-                 zip((self.a, self.b, self.c, self.d), _SUFFIXES) if coef]
-        if not terms:
-            return "0"
-        parts = []
-        for k, (coef, sfx) in enumerate(terms):
-            if k == 0:
-                parts.append(f"{coef}{sfx}")
-            elif coef > 0:
-                parts.append(f" + {coef}{sfx}")
-            else:
-                parts.append(f" - {-coef}{sfx}")
-        return "".join(parts)
+        den, parts = self.den, []
+        for n, sfx in zip((self.na, self.nb, self.nc, self.nd), _SUFFIXES):
+            if n:
+                g = gcd(n, den)
+                n, q = n // g, den // g
+                if parts:
+                    parts.append(" - " if n < 0 else " + ")
+                    n = abs(n)
+                parts.append(f"{n}{sfx}" if q == 1 else f"{n}/{q}{sfx}")
+        return "".join(parts) or "0"
 
     __repr__ = __str__
 
@@ -255,10 +236,32 @@ def as_scalar(value):
     if isinstance(value, FieldElem):
         return value
     if isinstance(value, int):
-        return FieldElem._raw(value, 0, 0, 0, 1)
+        return _raw(value, 0, 0, 0, 1)
     if isinstance(value, Fraction):
-        return FieldElem._raw(value.numerator, 0, 0, 0, value.denominator)
+        return _raw(value.numerator, 0, 0, 0, value.denominator)
     return NotImplemented
+
+
+def _raw(na, nb, nc, nd, den):
+    """(na + nb*i + nc*sqrt2 + nd*i*sqrt2) / den in lowest terms, den != 0;
+    with den == 1 the five integers are already canonical."""
+    if den != 1:
+        if den < 0:
+            na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
+        g = gcd(na, nb, nc, nd, den)
+        if g > 1:
+            na //= g
+            nb //= g
+            nc //= g
+            nd //= g
+            den //= g
+    out = _new(FieldElem)
+    _set_na(out, na)
+    _set_nb(out, nb)
+    _set_nc(out, nc)
+    _set_nd(out, nd)
+    _set_den(out, den)
+    return out
 
 
 _new = object.__new__

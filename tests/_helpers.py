@@ -66,6 +66,24 @@ def iv_sign(a, c):
         prec *= 2
 
 
+def fraction_render(x):
+    """Reference for ``str(FieldElem)``: the canonical text built from the
+    Fraction coordinates a, b, c, d."""
+    terms = [(coef, sfx) for coef, sfx in
+             zip((x.a, x.b, x.c, x.d), ("", "*i", "*sqrt2", "*i*sqrt2")) if coef]
+    if not terms:
+        return "0"
+    parts = []
+    for k, (coef, sfx) in enumerate(terms):
+        if k == 0:
+            parts.append(f"{coef}{sfx}")
+        elif coef > 0:
+            parts.append(f" + {coef}{sfx}")
+        else:
+            parts.append(f" - {-coef}{sfx}")
+    return "".join(parts)
+
+
 def rand_fraction(r, lo=-9, hi=9, max_den=9):
     return Fraction(r.randint(lo, hi), r.randint(1, max_den))
 

@@ -14,6 +14,7 @@ from qktoledo.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,20 @@ def test_lift_check_json_deterministic(capsys):
     for sample in payload["samples"]:
         assert set(sample) == {"check", "input", "verdict", "violations", "pass"}
         assert set(sample["violations"][0]) == {"row", "col", "value"}
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("lift_check_twistor_seed11.json",
+     ("lift-check", "--domain", "twistor", "--samples", "3", "--seed", "11", "--json")),
+    ("lift_check_u3u1u2_seed5.txt",
+     ("lift-check", "--domain", "u3u1u2", "--samples", "2", "--seed", "5")),
+    ("period_triple.json",
+     ("period-triple", "--vector", "1/2 + 1/3*i,-2/5,3", "--json")),
+])
+def test_stdout_matches_the_golden_file(capsys, golden, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_classify_table(capsys):
@@ -237,6 +252,22 @@ def test_selftest_verb_in_a_fresh_process():
     payload = json.loads(proc.stdout)
     assert payload["summary"] == "PASS"
     assert payload["checks"] and all(c["pass"] for c in payload["checks"])
+
+
+def test_reader_closing_stdout_early_is_not_a_traceback():
+    # 2000 samples print far more than a pipe holds, so the write fails
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qktoledo.cli", "lift-check", "--domain",
+         "twistor", "--samples", "2000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert head == b'{"check": "twist'
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def _readme_examples():

@@ -1,5 +1,7 @@
 """Matrices, Hermitian forms and subspace calculus over Q(i, sqrt2)."""
 
+from fractions import Fraction
+
 import pytest
 
 from qktoledo import (BALL_SIG, W_SIG, FieldElem, Matrix, Subspace, herm_form,
@@ -16,6 +18,19 @@ def test_matrix_basics():
         Matrix([[ONE, ZERO]]).trace()
     with pytest.raises(ValueError):
         Matrix([[ONE]]) @ Matrix([[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])
+
+
+def test_matrix_rows_of_any_scalar_kind():
+    half = Fraction(1, 2)
+    want = Matrix([[ONE, FieldElem(half), I], [ZERO, SQRT2, FieldElem(-3)]])
+    mixed = Matrix([[1, half, I], [0, SQRT2, -3]])
+    generators = Matrix((x for x in row) for row in ([1, half, I], (0, SQRT2, -3)))
+    for m in (mixed, generators):
+        assert m == want
+        assert all(type(x) is FieldElem for row in m.entries for x in row)
+        assert all(type(row) is tuple for row in m.entries)
+    with pytest.raises(TypeError, match="is not a scalar"):
+        Matrix([[ONE, I, 1.5]])
 
 
 def test_su21_basis_product():

@@ -10,8 +10,9 @@ from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
                       parse_field_elem, ZERO, ONE, I, SQRT2, I_SQRT2,
                       HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
 
-from _helpers import (iv_sign, rng, rand_field_elem, rand_fraction,
-                      rand_nonzero_field_elem, rand_real_field_elem, rand_quat)
+from _helpers import (fraction_render, iv_sign, rng, rand_field_elem,
+                      rand_fraction, rand_nonzero_field_elem,
+                      rand_real_field_elem, rand_quat)
 
 
 def test_defining_relations():
@@ -127,6 +128,40 @@ def test_rendering_golden():
     assert str(HALF_SQRT2) == "1/2*sqrt2"
 
 
+def _render_case(r):
+    """A field element whose nonzero coordinates are chosen by a random
+    4-bit mask; a quarter of them have coefficients near 10**30."""
+    mask, big = r.randrange(16), r.random() < 0.25
+    coords = [0, 0, 0, 0]
+    for k in range(4):
+        if mask >> k & 1:
+            if big:
+                num = 10 ** 30 + r.randint(-10 ** 6, 10 ** 6)
+                den = r.choice((1, r.randint(2, 9), 10 ** 30 + r.randint(1, 10 ** 6)))
+            else:
+                num, den = r.randint(1, 99), r.choice((1, r.randint(2, 99)))
+            coords[k] = Fraction(r.choice((-1, 1)) * num, den)
+    return FieldElem(*coords)
+
+
+def test_rendering_matches_the_fraction_oracle():
+    r = rng(109)
+    values = [ZERO] + [_render_case(r) for _ in range(20_000)]
+    for x in values:
+        text = str(x)
+        assert text == fraction_render(x), (x.na, x.nb, x.nc, x.nd, x.den)
+        assert parse_field_elem(text) == x, text
+    # the seeded cases cover every shape of the rendered text
+    coords = [(x.na, x.nb, x.nc, x.nd) for x in values]
+    nonzero = [tuple(k for k, n in enumerate(c) if n) for c in coords]
+    assert nonzero.count(()) >= 1 and nonzero.count((0, 1, 2, 3)) > 500
+    for k in range(4):
+        assert nonzero.count((k,)) > 200
+    assert sum(len({n > 0 for n in c if n}) == 2 for c in coords) > 5000
+    assert sum(x.den == 1 for x in values) > 1000
+    assert sum(max(map(abs, c)) > 10 ** 29 for c in coords) > 3000
+
+
 def test_parse_round_trip():
     r = rng(106)
     for _ in range(300):
@@ -229,3 +264,22 @@ def test_results_stay_canonical():
     for x in values:
         for zero in (x * ZERO, ZERO * x, x * 0, 0 * x):
             assert zero == ZERO and zero.den == 1 and hash(zero) == hash(0)
+
+
+def test_mixed_operands_match_the_field_result():
+    r = rng(110)
+    for _ in range(300):
+        x, n, q = rand_field_elem(r), r.randint(-9, 9), rand_fraction(r)
+        fn, fq = FieldElem(n), FieldElem(q)
+        for got, want in ((x + n, x + fn), (n + x, fn + x), (x - n, x - fn),
+                          (n - x, fn - x), (x * q, x * fq), (q * x, fq * x),
+                          (x - q, x - fq), (q - x, fq - x)):
+            assert type(got) is FieldElem and _is_canonical(got)
+            assert got == want
+
+
+@pytest.mark.parametrize("operation", [
+    lambda x: x - 1.5, lambda x: 1.5 - x, lambda x: x * "2", lambda x: x + None])
+def test_non_scalar_operands_raise_type_error(operation):
+    with pytest.raises(TypeError):
+        operation(FieldElem(1, 2, 3, 4))
