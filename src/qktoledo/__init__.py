@@ -22,9 +22,8 @@ from .toledo import (CONVENTION, CompositionReport, PullbackReport,
                      composition_invariant, pullback_constant)
 from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column,
                       classify_linearity, grading_mask, holomorphy_check_u3u1u2,
-                      horizontality_check, horizontality_residues,
-                      iota_star_bplus, negative_line_basis, p_positions,
-                      period_triple, twistor_lift_condition,
+                      horizontality_check, iota_star_bplus, negative_line_basis,
+                      p_positions, period_triple, twistor_lift_condition,
                       twistor_nonlift_check)
 
 __version__ = "0.1.0"

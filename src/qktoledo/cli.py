@@ -19,9 +19,9 @@ from .scalars import FieldElem, parse_field_elem
 from .linalg import herm_form
 from .embeddings import BALL_SIG, W_SIG, make_embedding
 from .toledo import CONVENTION, pullback_constant
-from .lifting import (classify_column, classify_linearity, holomorphy_check_u3u1u2,
-                      horizontality_check, negative_line_basis, period_triple,
-                      twistor_lift_condition, twistor_nonlift_check)
+from .lifting import (classify_linearity, fold_column, fold_lift_condition,
+                      holomorphy_check_u3u1u2, horizontality_check,
+                      negative_line_basis, period_triple, twistor_nonlift_check)
 
 _CLI_EMBEDDINGS = {
     "rho": "rho",
@@ -171,8 +171,9 @@ def _cmd_classify(args) -> int:
     components = [{"column": col, "row": row,
                    "verdict": classify_linearity(embedding, col, row)}
                   for col in (1, 2) for row in range(1, rows + 1)]
-    columns = {str(col): classify_column(embedding, col) for col in (1, 2)}
-    condition = twistor_lift_condition(embedding)
+    columns = {str(col): fold_column(item["verdict"] for item in components
+                                     if item["column"] == col) for col in (1, 2)}
+    condition = fold_lift_condition(columns["1"], columns["2"])
     if args.json:
         _emit_json({"embedding": args.embedding, "components": components,
                     "columns": columns, "twistor_lift_condition": condition})

@@ -17,7 +17,13 @@ Two gradings are used:
 The three flag parts are mutually orthogonal and non-degenerate for the form
 of W, of dimensions 3 + 1 + 2 = 6, so they span W and each fiber part plus
 the mixed plane is exactly the orthocomplement of the other fiber part.
-Horizontality is therefore decided by Hermitian products alone.
+Horizontality is therefore decided by Hermitian products alone, and the
+identity h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 turns
+each product into a combination of h(v0, u_i) and h(w, u_i) in C^{2,1}.  A
+flag PASS thus rests on two facts: that identity, which
+``e_map_certificate`` checks on the basis products once per process, and the
+orthogonality of the ``negative_line_basis`` vectors u_i to v0, which
+``horizontality_check`` evaluates on the concrete inputs of every sample.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -28,10 +34,11 @@ means the image is in the pattern.  ``period_triple`` returns the flag as
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .scalars import ZERO, ONE, I, HALF_SQRT2
-from .linalg import Matrix, Subspace, _coerce_row, herm_form
+from .linalg import Matrix, Subspace, _coerce_row, herm_form, unit_vector
 from .embeddings import BALL_SIG, W_SIG, EmbeddingDiff
 
 TWISTOR_H = (0, 0, 0, 0, 1, -1)
@@ -139,10 +146,9 @@ def classify_linearity(embedding: EmbeddingDiff, column: int, row: int) -> str:
     return NEITHER
 
 
-def classify_column(embedding: EmbeddingDiff, column: int) -> str:
-    rows = embedding.values[0].rows
-    verdicts = {classify_linearity(embedding, column, r)
-                for r in range(1, rows + 1)}
+def fold_column(verdicts) -> str:
+    """The verdict of a column from the verdicts of its components."""
+    verdicts = set(verdicts)
     if verdicts == {ZERO_MAP}:
         return ZERO_MAP
     if verdicts <= {LINEAR, ZERO_MAP}:
@@ -152,11 +158,23 @@ def classify_column(embedding: EmbeddingDiff, column: int) -> str:
     return NEITHER
 
 
+def fold_lift_condition(first: str, second: str) -> bool:
+    """Necessary condition for a holomorphic twistor lift from the two
+    column verdicts: first column conjugate-linear, second column linear
+    (zero components permitted)."""
+    return first in (CONJUGATE_LINEAR, ZERO_MAP) and second in (LINEAR, ZERO_MAP)
+
+
+def classify_column(embedding: EmbeddingDiff, column: int) -> str:
+    rows = embedding.values[0].rows
+    return fold_column(classify_linearity(embedding, column, r)
+                       for r in range(1, rows + 1))
+
+
 def twistor_lift_condition(embedding: EmbeddingDiff) -> bool:
-    """Necessary condition for a holomorphic twistor lift: first column
-    conjugate-linear, second column linear (zero components permitted)."""
-    return (classify_column(embedding, 1) in (CONJUGATE_LINEAR, ZERO_MAP)
-            and classify_column(embedding, 2) in (LINEAR, ZERO_MAP))
+    """``fold_lift_condition`` of the embedding's two columns."""
+    return fold_lift_condition(classify_column(embedding, 1),
+                               classify_column(embedding, 2))
 
 
 # -- the flag of a negative line ----------------------------------------------
@@ -196,84 +214,63 @@ _FLAG_PAIRS = {
 }
 
 
-def _flag_generators(factors):
-    """The spanning vectors of each flag component, by component name."""
-    return {name: [_e_product(factors[i], factors[j]) for i, j in pairs]
-            for name, pairs in _FLAG_PAIRS.items()}
-
-
 def period_triple(v) -> tuple:
     """The flag of the negative line through v: (name, Subspace) pairs in W,
     in the order S2Lperp (Sym^2 of the orthocomplement), L2 (square of the
     line), LoLperp (mixed plane)."""
     vec, (u1, u2) = negative_line_basis(v)
-    return tuple((name, Subspace(6, gens))
-                 for name, gens in _flag_generators((vec, u1, u2)).items())
+    factors = (vec, u1, u2)
+    return tuple((name, Subspace(6, [_e_product(factors[i], factors[j])
+                                     for i, j in pairs]))
+                 for name, pairs in _FLAG_PAIRS.items())
 
 
 # -- horizontality along first-order curves ------------------------------------
 
-_FIBER_PARTS = ("L2", "S2Lperp")
+@functools.cache
+def e_map_certificate():
+    """Check h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 on
+    the 6 x 6 pairs of basis products, once per process.
+
+    E is ``_e_product`` and h the (2,1) form.  Both sides are bilinear in
+    (a, b), conjugate-bilinear in (c, d) and symmetric within each pair, so
+    agreement on the products e_i.e_j (i <= j) proves the identity on all of
+    C^{2,1}.  Returns None, or the first pair that disagrees as 1-based
+    ((i, j), (k, l), got, want).
+    """
+    basis = [unit_vector(3, k) for k in range(3)]
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    for i, j in pairs:
+        for k, l in pairs:
+            a, b, c, d = basis[i], basis[j], basis[k], basis[l]
+            got = herm_form(_e_product(a, b), _e_product(c, d), W_SIG)
+            want = (herm_form(a, c, BALL_SIG) * herm_form(b, d, BALL_SIG)
+                    + herm_form(a, d, BALL_SIG) * herm_form(b, c, BALL_SIG)
+                    ) * Fraction(1, 2)
+            if got != want:
+                return (i + 1, j + 1), (k + 1, l + 1), got, want
+    return None
 
 
-def _flag_motion(v0, w):
-    """The flag along the line curve: the spanning vectors at time zero of
-    all three components, and for the square of the line and Sym^2 of the
-    orthocomplement the derivatives of their spanning vectors.
+def horizontality_check(v0, w) -> bool:
+    """True iff the induced flag motion along the line curve v0 + t*w is
+    horizontal to first order: each derivative of one fiber part must be
+    orthogonal to the generators of the other.
 
-    The moving line is spanned by v0 + t*w; its orthocomplement basis gets
-    the first-order correction u_i + t*c_i*v0 with c_i = -h(u_i, w)/h(v0, v0),
-    which keeps it orthogonal to the moving line to first order.  A factor
-    pair (x, y) spans E(x.y) at time zero, and by the product rule its
-    derivative is E(x'.y) + E(x.y').  The mixed plane's own motion is the
-    base motion of the flag, so its derivatives are not needed.
+    The basis u_i of ``negative_line_basis`` moves as u_i + t*c_i*v0 with
+    c_i = -h(u_i, w)/h(v0, v0).  By the identity of ``e_map_certificate``,
+    with p_i = h(v0, u_i) and q_i = h(w, u_i), the square of the line gives
+    h_W(2 E(v0.w), E(u_i.u_j)) = p_i q_j + p_j q_i, and Sym^2 of the
+    orthocomplement gives h(v0, v0) (c_i conj(p_j) + c_j conj(p_i)), which is
+    -conj(p_i q_j + p_j q_i).  False whenever the certificate fails.
     """
     v0, w = _coerce_row(v0), _coerce_row(w)
     if len(w) != 3:
         raise ValueError("expected a vector in C^{2,1}")
     if herm_form(v0, w, BALL_SIG):
         raise ValueError("the curve direction must be orthogonal to the line")
-    vec, (u1, u2) = negative_line_basis(v0)
-    hvv = herm_form(vec, vec, BALL_SIG)
-    cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
-    factors = (vec, u1, u2)
-    velocities = (w,) + tuple(tuple(c * x for x in vec) for c in cs)
-    moved = {name: [tuple(p + q for p, q in
-                          zip(_e_product(velocities[i], factors[j]),
-                              _e_product(factors[i], velocities[j])))
-                    for i, j in _FLAG_PAIRS[name]]
-             for name in _FIBER_PARTS}
-    return _flag_generators(factors), moved
-
-
-def horizontality_residues(v0, w):
-    """First-order residues of the square-of-line and Sym^2 components.
-
-    Each residue is the derivative of a spanning vector reduced modulo that
-    component's subspace at time zero.  The mixed plane's own motion is the
-    base motion of the flag and carries no fiber component, so it does not
-    appear here.
-    """
-    gens, moved = _flag_motion(v0, w)
-    residues = {}
-    for name in _FIBER_PARTS:
-        span = Subspace(6, gens[name])
-        residues[name] = [span.residue(d) for d in moved[name]]
-    return residues
-
-
-def horizontality_check(v0, w) -> bool:
-    """True iff the induced flag motion is horizontal to first order.
-
-    The derivative of each fiber part must lie in (that part + mixed plane)
-    at time zero.  The flag parts are mutually orthogonal, non-degenerate
-    and span W, so that sum is the orthocomplement of the other fiber part:
-    the condition is h(d, g) = 0 for every derivative d of the square of the
-    line against the three generators g of Sym^2 of the orthocomplement,
-    and for the three derivatives of Sym^2 against the one generator of the
-    square of the line.
-    """
-    gens, moved = _flag_motion(v0, w)
-    return not any(herm_form(d, g, W_SIG)
-                   for name, other in (("L2", "S2Lperp"), ("S2Lperp", "L2"))
-                   for d in moved[name] for g in gens[other])
+    vec, basis = negative_line_basis(v0)
+    if e_map_certificate() is not None:
+        return False
+    p, q = ([herm_form(x, u, BALL_SIG) for u in basis] for x in (vec, w))
+    return not any(p[i] * q[j] + p[j] * q[i] for i, j in ((0, 0), (0, 1), (1, 1)))

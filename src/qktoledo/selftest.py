@@ -1,7 +1,7 @@
 """Fixed golden checks behind the ``selftest`` CLI verb.
 
 Each check recomputes one of the library's documented exact values (pullback
-constants, basis images, grading patterns, flag and horizontality facts) and
+constants, basis images, grading patterns, flag facts, the E-map identity) and
 compares it against the frozen expected result.  All comparisons are exact.
 """
 
@@ -17,10 +17,9 @@ from .embeddings import (E_BASIS_TENSORS, W_SIG, ball_tangent, make_embedding,
                          standard_quadruple, su21_p_matrix, sym_product,
                          sym_to_e_coords, sym_square_tangent_diff, w_form_tensor)
 from .toledo import composition_invariant, pullback_constant
-from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column, grading_mask,
-                      holomorphy_check_u3u1u2, horizontality_check,
-                      horizontality_residues, p_positions, period_triple,
-                      twistor_lift_condition, twistor_nonlift_check)
+from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column, e_map_certificate,
+                      grading_mask, holomorphy_check_u3u1u2, p_positions,
+                      period_triple, twistor_lift_condition, twistor_nonlift_check)
 
 CHECKS = []
 
@@ -312,25 +311,23 @@ def _period_triple_base():
                    ("positive", "positive", "negative"), "definiteness")
 
 
-@_check("horizontality of the base curve")
-def _horizontality_base():
-    v0, w = unit_vector(3, 2), unit_vector(3, 0)
-    if not horizontality_check(v0, w):
-        return False, "flag curve not horizontal"
-    residue = horizontality_residues(v0, w)["L2"][0]
-    span_e5 = Subspace(6, [unit_vector(6, 4)])
-    ok = span_e5.contains(residue) and any(x for x in residue)
-    return ok, f"L2 residue = {residue}"
+@_check("E-map identity on the basis pairs")
+def _e_map_identity():
+    failure = e_map_certificate()
+    if failure is None:
+        return True, ("h_W(E(a.b), E(c.d)) = (h(a,c)h(b,d) + h(a,d)h(b,c))/2 "
+                      "on all 36 basis pairs")
+    (i, j), (k, l), got, want = failure
+    return False, f"h_W(E(e{i}.e{j}), E(e{k}.e{l})): got {got}, want {want}"
 
 
 @_check("linearity classification of the totally real embedding")
 def _classify_totally_real():
     emb = make_embedding("totally_real")
-    ok = (classify_column(emb, 1) == "linear"
-          and classify_column(emb, 2) == "conjugate_linear"
-          and not twistor_lift_condition(emb))
-    return ok, (f"col1={classify_column(emb, 1)}, col2={classify_column(emb, 2)}, "
-                f"lift condition={twistor_lift_condition(emb)}")
+    col1, col2 = classify_column(emb, 1), classify_column(emb, 2)
+    condition = twistor_lift_condition(emb)
+    ok = col1 == "linear" and col2 == "conjugate_linear" and not condition
+    return ok, f"col1={col1}, col2={col2}, lift condition={condition}"
 
 
 def run_selftest():

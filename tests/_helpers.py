@@ -176,11 +176,41 @@ def leibniz_bplus_image(a):
     return Matrix(rows)
 
 
+def flag_motion(v0, w):
+    """The flag along the line curve v0 + t*w in E-coordinates: the spanning
+    vectors at time zero of all three components, and for the square of the
+    line and Sym^2 of the orthocomplement the derivatives of their spanning
+    vectors.
+
+    The orthocomplement basis u_i of ``negative_line_basis`` gets the
+    first-order correction u_i + t*c_i*v0 with c_i = -h(u_i, w)/h(v0, v0),
+    which keeps it orthogonal to the moving line.  A factor pair (x, y)
+    spans E(x.y) at time zero, and by the product rule its derivative is
+    E(x'.y) + E(x.y').  The mixed plane's own motion is the base motion of
+    the flag, so its derivatives are not needed.  E is looked up as
+    ``lifting._e_product`` on every call, so a patched E-map shows here.
+    """
+    e_product = lifting._e_product
+    vec, (u1, u2) = lifting.negative_line_basis(v0)
+    hvv = herm_form(vec, vec, BALL_SIG)
+    cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
+    factors = (vec, u1, u2)
+    velocities = (tuple(w),) + tuple(tuple(c * x for x in vec) for c in cs)
+    gens = {name: [e_product(factors[i], factors[j]) for i, j in pairs]
+            for name, pairs in lifting._FLAG_PAIRS.items()}
+    moved = {name: [tuple(p + q for p, q in
+                          zip(e_product(velocities[i], factors[j]),
+                              e_product(factors[i], velocities[j])))
+                    for i, j in lifting._FLAG_PAIRS[name]]
+             for name in ("L2", "S2Lperp")}
+    return gens, moved
+
+
 def jet_flag_motion(v0, w):
-    """Reference for ``lifting._flag_motion``: the three flag components of
-    the line curve v0 + t*w built from first-order jets, whose symmetric
-    products follow the Leibniz rule.  Per component: the span at time zero
-    and the derivatives of its spanning vectors."""
+    """Reference for ``flag_motion``: the three flag components of the line
+    curve v0 + t*w built from first-order jets, whose symmetric products
+    follow the Leibniz rule.  Per component: the span at time zero and the
+    derivatives of its spanning vectors."""
     hvv = herm_form(v0, v0, BALL_SIG)
     u1, u2 = Subspace(3, [v0]).perp(BALL_SIG).basis
 
@@ -202,16 +232,40 @@ def jet_flag_motion(v0, w):
             for name, vecs in curves.items()}
 
 
-def rref_horizontality_check(v0, w):
-    """Reference for ``horizontality_check``: each derivative of the square
-    of the line and of Sym^2 of the orthocomplement must lie in the span of
-    (that component + mixed plane) at time zero, decided by rref membership."""
-    gens, moved = lifting._flag_motion(v0, w)
+def _moves_inside(spans, moved):
+    """True iff each derivative of the square of the line and of Sym^2 of
+    the orthocomplement lies in the span of (that component + mixed plane)
+    at time zero, decided by rref membership; spans holds generator lists."""
     for name in ("L2", "S2Lperp"):
-        target = Subspace(6, gens[name] + gens["LoLperp"])
+        target = Subspace(6, spans[name] + spans["LoLperp"])
         if not all(target.contains(d) for d in moved[name]):
             return False
     return True
+
+
+def rref_horizontality_check(v0, w):
+    """Reference for ``horizontality_check``: span membership on the
+    E-coordinate flag motion of ``flag_motion``."""
+    return _moves_inside(*flag_motion(v0, w))
+
+
+def jet_horizontality_check(v0, w):
+    """Reference for ``horizontality_check``: span membership on the jet
+    flag motion of ``jet_flag_motion``, which builds E-coordinates from
+    tensors and never calls ``lifting._e_product``."""
+    motion = jet_flag_motion(v0, w)
+    return _moves_inside({name: list(span.basis) for name, (span, _) in motion.items()},
+                         {name: derivs for name, (_, derivs) in motion.items()})
+
+
+def orthogonality_horizontality_check(v0, w):
+    """Reference for ``horizontality_check``: the six 6-dim Hermitian
+    products of the E-coordinate flag motion, each derivative of one fiber
+    part against the generators of the other."""
+    gens, moved = flag_motion(v0, w)
+    return not any(herm_form(d, g, W_SIG)
+                   for name, other in (("L2", "S2Lperp"), ("S2Lperp", "L2"))
+                   for d in moved[name] for g in gens[other])
 
 
 def mutually_orthogonal(parts):

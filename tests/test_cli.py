@@ -130,6 +130,11 @@ def test_lift_check_json_deterministic(capsys):
      ("lift-check", "--domain", "u3u1u2", "--samples", "2", "--seed", "5")),
     ("period_triple.json",
      ("period-triple", "--vector", "1/2 + 1/3*i,-2/5,3", "--json")),
+    ("lift_check_u3u1u2_seed3.json",
+     ("lift-check", "--domain", "u3u1u2", "--samples", "20", "--seed", "3", "--json")),
+    *((f"classify_{embedding.replace('-', '_')}.json",
+       ("classify", "--embedding", embedding, "--json"))
+      for embedding in ("rho", "totally-real", "phi", "sym-square")),
 ])
 def test_stdout_matches_the_golden_file(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)

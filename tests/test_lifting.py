@@ -9,15 +9,17 @@ from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H,
                       classify_column, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
-                      horizontality_residues, iota_star_bplus, make_embedding,
+                      iota_star_bplus, make_embedding,
                       negative_line_basis, period_triple, su21_p_matrix,
                       sym_product, sym_to_e_coords, twistor_lift_condition,
                       twistor_nonlift_check, unit_vector)
 from qktoledo import lifting
-from qktoledo.lifting import _flag_motion
+from qktoledo.cli import main
+from qktoledo.selftest import run_selftest
 
-from _helpers import (jet_flag_motion, leibniz_bplus_image,
-                      mutually_orthogonal, rng, rand_field_elem,
+from _helpers import (flag_motion, jet_flag_motion, jet_horizontality_check,
+                      leibniz_bplus_image, mutually_orthogonal,
+                      orthogonality_horizontality_check, rng, rand_field_elem,
                       rand_fraction, rand_gauss, rand_nonzero_field_elem,
                       rand_nonzero_pair, rand_negative_vector,
                       rand_orthogonal_direction, rref_horizontality_check)
@@ -243,13 +245,16 @@ def test_period_triple_random_invariants():
 # -- horizontality ----------------------------------------------------------------
 
 def test_horizontality_base_cases():
-    # the e1 direction and its residue are a selftest registry check
     e3 = unit_vector(3, 2)
     assert horizontality_check(e3, unit_vector(3, 1))
     assert horizontality_check(e3, (ZERO, ZERO, ZERO))
-    res2 = horizontality_residues(e3, unit_vector(3, 1))
-    assert Subspace(6, [unit_vector(6, 5)]).contains(res2["L2"][0])
-    assert any(res2["L2"][0])
+    # along e1 the square of the line moves into span(E5), along e2 into
+    # span(E6): nonzero motions inside the mixed plane
+    for k, mixed in ((0, 4), (1, 5)):
+        gens, moved = flag_motion(e3, unit_vector(3, k))
+        residue = Subspace(6, gens["L2"]).residue(moved["L2"][0])
+        assert Subspace(6, [unit_vector(6, mixed)]).contains(residue)
+        assert any(residue)
 
 
 def test_flag_motion_matches_jet_oracle():
@@ -264,19 +269,40 @@ def test_flag_motion_matches_jet_oracle():
     moving = 0
     for v0, w in cases:
         want = jet_flag_motion(v0, w)
-        gens, moved = _flag_motion(v0, w)
+        gens, moved = flag_motion(v0, w)
         assert ({name: Subspace(6, vecs) for name, vecs in gens.items()}
                 == {name: span for name, (span, _) in want.items()})
         assert moved == {name: want[name][1] for name in ("L2", "S2Lperp")}
-        # orthogonality against rref membership in (component + mixed plane)
-        assert horizontality_check(v0, w) and rref_horizontality_check(v0, w)
+        # the C^{2,1} decision against jet and rref span membership and the
+        # six 6-dim orthogonality products
+        verdict = horizontality_check(v0, w)
+        assert verdict is True
+        assert jet_horizontality_check(v0, w) is verdict
+        assert rref_horizontality_check(v0, w) is verdict
+        assert orthogonality_horizontality_check(v0, w) is verdict
         moving += any(any(d) for d in moved["L2"])
     assert moving > 250
 
 
-def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch):
+def _h(x, y):
+    return herm_form(x, y, BALL_SIG)
+
+
+def test_e_map_identity_on_random_quadruples():
+    # h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 on random
+    # vectors, without the bilinearity argument of the basis certificate
+    r = rng(612)
+    assert lifting.e_map_certificate() is None
+    for _ in range(300):
+        a, b, c, d = (tuple(rand_field_elem(r) for _ in range(3)) for _ in range(4))
+        got = herm_form(lifting._e_product(a, b), lifting._e_product(c, d), W_SIG)
+        assert got == (_h(a, c) * _h(b, d) + _h(a, d) * _h(b, c)) * Fraction(1, 2)
+
+
+def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
     # dropping the 1/sqrt2 on E4 is a linear change of coordinates, which
-    # span membership cannot see; it breaks the orthogonality of the flag
+    # span membership cannot see; it breaks the E-map identity, so the
+    # certificate, the selftest and every u3u1u2 lift-check fail
     exact = lifting._e_product
 
     def unscaled_e4(x, y):
@@ -284,14 +310,29 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch):
         return coords[:3] + (coords[3] * SQRT2,) + coords[4:]
 
     monkeypatch.setattr(lifting, "_e_product", unscaled_e4)
-    r = rng(611)
-    failed = 0
-    for _ in range(100):
-        v0 = rand_negative_vector(r)
-        w = rand_orthogonal_direction(r, v0)
-        assert rref_horizontality_check(v0, w)
-        failed += not horizontality_check(v0, w)
-    assert failed >= 90
+    lifting.e_map_certificate.cache_clear()
+    try:
+        # E(e1.e2) = E4 now has square norm 1 instead of 1/2
+        assert lifting.e_map_certificate() == (
+            (1, 2), (1, 2), ONE, FieldElem(Fraction(1, 2)))
+        all_ok, results = run_selftest()
+        assert not all_ok
+        assert [detail for name, ok, detail in results if not ok] == [
+            "h_W(E(e1.e2), E(e1.e2)): got 1, want 1/2"]
+        capsys.readouterr()
+        assert main(["lift-check", "--domain", "u3u1u2", "--samples", "3",
+                     "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("horizontal=False") == 3
+        assert out.endswith("summary: FAIL\n")
+        r = rng(611)
+        for _ in range(100):
+            v0 = rand_negative_vector(r)
+            w = rand_orthogonal_direction(r, v0)
+            assert rref_horizontality_check(v0, w)
+            assert not horizontality_check(v0, w)
+    finally:
+        lifting.e_map_certificate.cache_clear()
 
 
 @pytest.mark.parametrize("bad", [0.5, "x"])
