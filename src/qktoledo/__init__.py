@@ -15,8 +15,7 @@ from .geometry import (TangentVec, complex_structure_j, kahler_form,
 from .embeddings import (EmbeddingDiff, BALL_SIG, W_SIG, E_BASIS_TENSORS,
                          ball_tangent, make_embedding,
                          standard_quadruple, su21_p_matrix, sym_product,
-                         sym_square_lie, sym_square_p_block,
-                         sym_square_tangent_diff, sym_to_e_coords,
+                         sym_square_lie, sym_square_p_block, sym_to_e_coords,
                          w_form_tensor, is_su21)
 from .toledo import (CONVENTION, CompositionReport, PullbackReport,
                      composition_invariant, pullback_constant)

@@ -16,8 +16,7 @@ import sys
 from fractions import Fraction
 
 from .scalars import FieldElem, parse_field_elem
-from .linalg import herm_form
-from .embeddings import BALL_SIG, W_SIG, make_embedding
+from .embeddings import W_SIG, make_embedding
 from .toledo import CONVENTION, pullback_constant
 from .lifting import (classify_linearity, fold_column, fold_lift_condition,
                       holomorphy_check_u3u1u2, horizontality_check,
@@ -106,9 +105,11 @@ def _random_negative_line(rng):
         v0 = (FieldElem(Fraction(rng.randint(-1, 1), 2), Fraction(rng.randint(-1, 1), 2)),
               FieldElem(Fraction(rng.randint(-1, 1), 2), Fraction(rng.randint(-1, 1), 2)),
               FieldElem(1))
-        if herm_form(v0, v0, BALL_SIG).real_sign() < 0:
+        try:
+            _, basis = negative_line_basis(v0)
             break
-    _, basis = negative_line_basis(v0)
+        except ValueError:  # v0 is not negative: draw again
+            continue
     acc = (FieldElem(0), FieldElem(0), FieldElem(0))
     for b in basis:
         coef = FieldElem(rng.randint(-2, 2), rng.randint(-2, 2))

@@ -20,8 +20,8 @@ For the symmetric square, W = Sym^2(C^{2,1}) carries the orthonormal basis
 Lie algebra homomorphism into su(4,2).  The bounded-domain chart identifies
 the base negative plane through the unnormalized vectors e3.e1, e3.e2, which
 rescales the off-diagonal blocks by 1/sqrt2; ``sym_square_p_block`` performs
-that extraction, and its closed form is ``sym_square_tangent_diff``.  The
-library computes with the closed forms (this one and
+that extraction, and its closed form is ``make_embedding("sym_square")``.
+The library computes with the closed forms (this one and
 ``lifting.iota_star_bplus``); the Leibniz differential is the reference the
 tests compare them against.
 """
@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import FieldElem, ZERO, ONE, I, SQRT2, HALF_SQRT2, _frozen, as_scalar
-from .linalg import Matrix, unit_vector
+from .scalars import FieldElem, ZERO, ONE, I, SQRT2, HALF_SQRT2, _frozen
+from .linalg import Matrix, _coerce_row, unit_vector
 from .geometry import TangentVec
 
 W_SIG = (1, 1, 1, 1, -1, -1)
@@ -76,7 +76,7 @@ E_BASIS_TENSORS = tuple(
 
 def su21_p_matrix(a1, a2) -> Matrix:
     """The symmetric-pair element of su(2,1) with top-right column (a1, a2)."""
-    a1, a2 = as_scalar(a1), as_scalar(a2)
+    a1, a2 = _coerce_row((a1, a2))
     return Matrix([
         [ZERO, ZERO, a1],
         [ZERO, ZERO, a2],
@@ -106,7 +106,7 @@ def sym_square_lie(m: Matrix) -> Matrix:
         t = Matrix(tensor)
         image = m @ t + t @ mt
         columns.append(sym_to_e_coords(image.entries))
-    return Matrix.from_columns(columns)
+    return Matrix(columns).transpose()
 
 
 def sym_square_p_block(lie_matrix: Matrix) -> Matrix:
@@ -121,18 +121,12 @@ def sym_square_p_block(lie_matrix: Matrix) -> Matrix:
 
 
 def _sym_square_rows(a):
+    """Closed form of the symmetric-square differential on the ball tangent:
+    for a = (a1, a2) the 4 x 2 block has rows (a1, 0), (0, a2),
+    (conj(a1), conj(a2)), (a2/sqrt2, a1/sqrt2)."""
     a1, a2 = a
     return ([a1, ZERO], [ZERO, a2], [a1.conj(), a2.conj()],
             [a2 * HALF_SQRT2, a1 * HALF_SQRT2])
-
-
-def sym_square_tangent_diff(a) -> TangentVec:
-    """Closed form of the symmetric-square differential on the ball tangent.
-
-    For a = (a1, a2) the 4 x 2 block has rows (a1, 0), (0, a2),
-    (conj(a1), conj(a2)), (a2/sqrt2, a1/sqrt2).
-    """
-    return TangentVec(_sym_square_rows([as_scalar(x) for x in a]))
 
 
 # -- the four embedding differentials ----------------------------------------
@@ -173,8 +167,8 @@ class EmbeddingDiff:
         return f"EmbeddingDiff(name={self.name!r}, n={self.n!r})"
 
     def __call__(self, x) -> TangentVec:
-        comps = [as_scalar(c) for c in x]
-        if len(comps) != self.n or any(c is NotImplemented for c in comps):
+        comps = _coerce_row(x)
+        if len(comps) != self.n:
             raise ValueError(f"expected a complex {self.n}-vector")
         return TangentVec(self.rows_of(comps))
 
@@ -208,4 +202,4 @@ def standard_quadruple(n=2):
 
 def ball_tangent(x) -> TangentVec:
     """A ball tangent vector as an n x 1 block (for the base Kahler form)."""
-    return TangentVec([[as_scalar(c)] for c in x])
+    return TangentVec([[c] for c in x])

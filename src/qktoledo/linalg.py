@@ -66,13 +66,6 @@ class Matrix:
         n = len(vals)
         return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns):
-        cols = [_coerce_row(c) for c in columns]
-        if not cols:
-            raise ValueError("no columns")
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
-
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]

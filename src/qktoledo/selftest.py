@@ -15,7 +15,7 @@ from .geometry import (TangentVec, kahler_form, metric_g0, omega4, omega_unit,
                        su2_action_check, to_quat, wedge_square_eval)
 from .embeddings import (E_BASIS_TENSORS, W_SIG, ball_tangent, make_embedding,
                          standard_quadruple, su21_p_matrix, sym_product,
-                         sym_to_e_coords, sym_square_tangent_diff, w_form_tensor)
+                         sym_to_e_coords, w_form_tensor)
 from .toledo import composition_invariant, pullback_constant
 from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column, e_map_certificate,
                       grading_mask, holomorphy_check_u3u1u2, p_positions,
@@ -131,21 +131,21 @@ def _rho_blocks():
 
 @_check("symmetric square quaternion coordinates, first basis vector")
 def _iota_quat_x():
-    img = sym_square_tangent_diff((ONE, ZERO))
+    img = make_embedding("sym_square")((ONE, ZERO))
     want = (Quat(ONE), Quat(), Quat(ONE), Quat(ZERO, HALF_SQRT2))
     return _expect(to_quat(img), want, "iota(e1)")
 
 
 @_check("symmetric square quaternion coordinates, second basis vector")
 def _iota_quat_z():
-    img = sym_square_tangent_diff((ZERO, ONE))
+    img = make_embedding("sym_square")((ZERO, ONE))
     want = (Quat(), QUAT_J, QUAT_J, Quat(HALF_SQRT2))
     return _expect(to_quat(img), want, "iota(e2)")
 
 
 @_check("symmetric square quaternion coordinates, fourth basis vector")
 def _iota_quat_w():
-    img = sym_square_tangent_diff((ZERO, I))
+    img = make_embedding("sym_square")((ZERO, I))
     want = (Quat(), QUAT_K, -QUAT_K, Quat(I * HALF_SQRT2))
     return _expect(to_quat(img), want, "iota(i e2)")
 

@@ -135,6 +135,7 @@ def test_lift_check_json_deterministic(capsys):
     *((f"classify_{embedding.replace('-', '_')}.json",
        ("classify", "--embedding", embedding, "--json"))
       for embedding in ("rho", "totally-real", "phi", "sym-square")),
+    ("selftest.txt", ("selftest",)),
 ])
 def test_stdout_matches_the_golden_file(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)

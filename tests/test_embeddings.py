@@ -7,7 +7,7 @@ from qktoledo import (FieldElem, Matrix, Quat,
                       W_SIG, complex_structure_j,
                       herm_form, is_su21, make_embedding,
                       pullback_constant, su21_p_matrix, sym_product,
-                      sym_square_lie, sym_square_tangent_diff, sym_to_e_coords,
+                      sym_square_lie, sym_to_e_coords,
                       to_quat, unit_vector, w_form_tensor)
 
 from _helpers import (rng, rand_complex_vec, rand_su21, rand_field_elem,
@@ -40,7 +40,7 @@ def test_phi_blocks():
 
 def test_sym_square_tangent_quat_coords():
     # the (1, 0), (0, 1) and (0, i) images are selftest registry checks
-    assert to_quat(sym_square_tangent_diff((I, ZERO))) == (
+    assert to_quat(make_embedding("sym_square")((I, ZERO))) == (
         Quat(I), Quat(), Quat(-I), Quat(ZERO, I * HALF_SQRT2))
 
 
@@ -143,14 +143,6 @@ def test_complex_linearity_of_rho_and_phi():
     x = (ONE, ZERO)
     ix = (I, ZERO)
     assert tot(ix) != complex_structure_j(tot(x))
-
-
-def test_sym_square_embedding_matches_closed_form():
-    emb = make_embedding("sym_square")
-    r = rng(408)
-    for _ in range(50):
-        a = rand_complex_vec(r, 2)
-        assert emb(a) == sym_square_tangent_diff(a)
 
 
 def test_make_embedding_validation():

@@ -1,5 +1,6 @@
 """Grading masks, twistor obstruction, linearity, flags and horizontality."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       JetScalar, Matrix, Subspace,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H,
-                      classify_column, classify_linearity, grading_mask,
+                      ball_tangent, classify_column, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
                       iota_star_bplus, make_embedding,
                       negative_line_basis, period_triple, su21_p_matrix,
@@ -341,10 +342,14 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
     lambda bad: horizontality_check((0, 0, 1), (bad, 0, 0)),
     lambda bad: twistor_nonlift_check((bad, 1)),
     lambda bad: iota_star_bplus((bad, 1)),
+    lambda bad: su21_p_matrix(bad, 0),
+    lambda bad: ball_tangent((bad, 1)),
+    lambda bad: make_embedding("sym_square")((bad, 1)),
+    lambda bad: make_embedding("rho")((bad, 1)),
 ], ids=["period_triple", "horizontality_check", "twistor_nonlift_check",
-        "iota_star_bplus"])
+        "iota_star_bplus", "su21_p_matrix", "ball_tangent", "sym_square", "rho"])
 def test_non_scalar_entries_raise_type_error(call, bad):
-    with pytest.raises(TypeError, match="is not a scalar"):
+    with pytest.raises(TypeError, match=re.escape(repr(bad)) + " is not a scalar"):
         call(bad)
 
 
