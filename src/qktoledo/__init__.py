@@ -13,16 +13,13 @@ from .geometry import (TangentVec, complex_structure_j, kahler_form,
                        metric_g0, omega4, omega_unit, su2_action_check,
                        to_quat, wedge_square_eval)
 from .embeddings import (EmbeddingDiff, BALL_SIG, W_SIG, E_BASIS_TENSORS,
-                         ball_tangent, make_embedding,
-                         standard_quadruple, su21_p_matrix, sym_product,
-                         sym_square_lie, sym_square_p_block, sym_to_e_coords,
-                         w_form_tensor, is_su21)
+                         make_embedding, standard_quadruple, su21_p_matrix,
+                         sym_product, sym_square_lie, sym_to_e_coords, is_su21)
 from .toledo import (CONVENTION, CompositionReport, PullbackReport,
                      composition_invariant, pullback_constant)
 from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column,
                       classify_linearity, grading_mask, holomorphy_check_u3u1u2,
                       horizontality_check, iota_star_bplus, negative_line_basis,
-                      p_positions, period_triple, twistor_lift_condition,
-                      twistor_nonlift_check)
+                      period_triple, twistor_lift_condition, twistor_nonlift_check)
 
 __version__ = "0.1.0"

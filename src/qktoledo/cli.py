@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .scalars import FieldElem, parse_field_elem
+from .scalars import FieldElem, ONE, ZERO, parse_field_elem
 from .embeddings import W_SIG, make_embedding
 from .toledo import CONVENTION, pullback_constant
 from .lifting import (classify_linearity, fold_column, fold_lift_condition,
@@ -99,18 +99,23 @@ def _random_pair(rng) -> tuple:
             return a
 
 
+# the Gaussian halves (a + b*i)/2 with a, b in -1..1, keyed by (a, b)
+_HALVES = {(a, b): FieldElem(Fraction(a, 2), Fraction(b, 2))
+           for a in (-1, 0, 1) for b in (-1, 0, 1)}
+
+
 def _random_negative_line(rng):
     """A negative vector for the (2,1) form plus a direction orthogonal to it."""
     while True:
-        v0 = (FieldElem(Fraction(rng.randint(-1, 1), 2), Fraction(rng.randint(-1, 1), 2)),
-              FieldElem(Fraction(rng.randint(-1, 1), 2), Fraction(rng.randint(-1, 1), 2)),
-              FieldElem(1))
+        v0 = (_HALVES[rng.randint(-1, 1), rng.randint(-1, 1)],
+              _HALVES[rng.randint(-1, 1), rng.randint(-1, 1)],
+              ONE)
         try:
             _, basis = negative_line_basis(v0)
             break
         except ValueError:  # v0 is not negative: draw again
             continue
-    acc = (FieldElem(0), FieldElem(0), FieldElem(0))
+    acc = (ZERO, ZERO, ZERO)
     for b in basis:
         coef = FieldElem(rng.randint(-2, 2), rng.randint(-2, 2))
         acc = tuple(x + coef * y for x, y in zip(acc, b))

@@ -19,11 +19,11 @@ For the symmetric square, W = Sym^2(C^{2,1}) carries the orthonormal basis
 ``sym_square_lie`` is the Leibniz-rule differential in this basis, an honest
 Lie algebra homomorphism into su(4,2).  The bounded-domain chart identifies
 the base negative plane through the unnormalized vectors e3.e1, e3.e2, which
-rescales the off-diagonal blocks by 1/sqrt2; ``sym_square_p_block`` performs
-that extraction, and its closed form is ``make_embedding("sym_square")``.
-The library computes with the closed forms (this one and
-``lifting.iota_star_bplus``); the Leibniz differential is the reference the
-tests compare them against.
+rescales the off-diagonal blocks by 1/sqrt2; the closed form of that
+extraction is ``make_embedding("sym_square")``.  The library computes with
+the closed forms (this one and ``lifting.iota_star_bplus``); the Leibniz
+differential is the reference the tests compare them against, through the
+extraction ``sym_square_p_block`` in ``tests/_helpers.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import FieldElem, ZERO, ONE, I, SQRT2, HALF_SQRT2, _frozen
+from .scalars import ZERO, ONE, I, SQRT2, HALF_SQRT2, _frozen
 from .linalg import Matrix, _coerce_row, unit_vector
 from .geometry import TangentVec
 
@@ -53,15 +53,6 @@ def sym_to_e_coords(grid):
     """Coordinates of a symmetric tensor in the orthonormal basis E1..E6."""
     return (grid[0][0], grid[1][1], grid[2][2],
             SQRT2 * grid[0][1], SQRT2 * grid[2][0], SQRT2 * grid[2][1])
-
-
-def w_form_tensor(s, t) -> FieldElem:
-    """Induced Hermitian form on Sym^2 evaluated on coefficient grids."""
-    acc = ZERO
-    for i in range(3):
-        for j in range(3):
-            acc = acc + BALL_SIG[i] * BALL_SIG[j] * (s[i][j] * t[i][j].conj())
-    return acc
 
 
 E_BASIS_TENSORS = tuple(
@@ -107,17 +98,6 @@ def sym_square_lie(m: Matrix) -> Matrix:
         image = m @ t + t @ mt
         columns.append(sym_to_e_coords(image.entries))
     return Matrix(columns).transpose()
-
-
-def sym_square_p_block(lie_matrix: Matrix) -> Matrix:
-    """Bounded-domain tangent block of a symmetric-square image.
-
-    Extracts the top-right 4 x 2 block and removes the sqrt2 that the
-    orthonormal E5, E6 carry relative to the chart's unnormalized e3.e1,
-    e3.e2; on p-part images this recovers the closed form below.
-    """
-    return Matrix([[lie_matrix[r, 4 + c] * HALF_SQRT2 for c in range(2)]
-                   for r in range(4)])
 
 
 def _sym_square_rows(a):
@@ -199,7 +179,3 @@ def standard_quadruple(n=2):
     return (unit_vector(n, 0), unit_vector(n, 0, I),
             unit_vector(n, 1), unit_vector(n, 1, I))
 
-
-def ball_tangent(x) -> TangentVec:
-    """A ball tangent vector as an n x 1 block (for the base Kahler form)."""
-    return TangentVec([[c] for c in x])

@@ -34,7 +34,7 @@ class TangentVec(Matrix):
     """p x q block A of a symmetric-pair tangent vector at the base point.
 
     A Matrix whose sums, negatives and scalar multiples stay tangent vectors;
-    it adds real scaling and the full symmetric-pair matrix.
+    it adds only real scaling.
     """
 
     __slots__ = ()
@@ -47,17 +47,6 @@ class TangentVec(Matrix):
         if not s.is_real():
             raise ValueError("scale by a non-real scalar; use complex_structure_j")
         return self * s
-
-    def su_matrix(self) -> Matrix:
-        """The full (p+q) x (p+q) matrix [[0, A], [A*, 0]]."""
-        p, q = self.rows, self.cols
-        astar = self.conj_transpose()
-        rows = []
-        for i in range(p):
-            rows.append([ZERO] * p + list(self.row(i)))
-        for i in range(q):
-            rows.append(list(astar.row(i)) + [ZERO] * q)
-        return Matrix(rows)
 
 
 def complex_structure_j(x: TangentVec) -> TangentVec:

@@ -52,12 +52,6 @@ def grading_mask(h) -> frozenset:
                      for c, hc in enumerate(hs) if hr > hc)
 
 
-def p_positions(size=6, split=4):
-    """Off-diagonal block positions of the (split, size-split) decomposition."""
-    return tuple((r, c) for r in range(1, size + 1) for c in range(1, size + 1)
-                 if (r <= split) != (c <= split))
-
-
 def iota_star_bplus(a) -> Matrix:
     """Symmetric-square image of the holomorphic tangent vector for a.
 

@@ -226,31 +226,6 @@ class Subspace:
                 x = [a - f * b if b else a for a, b in zip(x, row)]
         return tuple(x)
 
-    def contains(self, vector) -> bool:
-        return all(x.is_zero() for x in self.residue(vector))
-
-    def perp(self, sig) -> "Subspace":
-        """Orthocomplement with respect to the form with sign tuple sig."""
-        if len(sig) != self.ambient:
-            raise ValueError("signature does not match ambient dimension")
-        if not self.basis:
-            return Subspace(self.ambient, [unit_vector(self.ambient, i)
-                                           for i in range(self.ambient)])
-        constraints = [tuple(s * b.conj() for s, b in zip(sig, row))
-                       for row in self.basis]
-        reduced, pivots = _rref(constraints, self.ambient)
-        free = [c for c in range(self.ambient) if c not in pivots]
-        vectors = []
-        for f in free:
-            v = [ZERO] * self.ambient
-            v[f] = ONE
-            for row, p in zip(reduced, pivots):
-                v[p] = -row[f]
-            vectors.append(tuple(v))
-        if not vectors:
-            vectors = [tuple(ZERO for _ in range(self.ambient))]
-        return Subspace(self.ambient, vectors)
-
     def gram(self, sig) -> Matrix:
         if not self.basis:
             raise ValueError("gram matrix of the zero subspace")

@@ -155,12 +155,6 @@ class FieldElem:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     # -- structure maps -------------------------------------------------
 
     def conj(self) -> "FieldElem":
@@ -363,18 +357,6 @@ class Quat:
     def __neg__(self):
         return Quat(-self.z, -self.w)
 
-    def __sub__(self, other):
-        other = _as_quat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_quat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _as_quat(other)
         if other is NotImplemented:
@@ -399,11 +381,8 @@ class Quat:
         """Real (1-component) part, a real FieldElem."""
         return self.z.real_part()
 
-    def is_zero(self) -> bool:
-        return self.z.is_zero() and self.w.is_zero()
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.z or self.w)
 
     def __eq__(self, other):
         other = _as_quat(other)
@@ -462,18 +441,6 @@ class JetScalar:
     def __neg__(self):
         return JetScalar(-self.val, -self.deriv)
 
-    def __sub__(self, other):
-        other = _as_jet(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_jet(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _as_jet(other)
         if other is NotImplemented:
@@ -488,12 +455,6 @@ class JetScalar:
             raise ZeroDivisionError("jet with zero value part is not invertible")
         inv = self.val.inverse()
         return JetScalar(inv, -(inv * inv) * self.deriv)
-
-    def __truediv__(self, other):
-        other = _as_jet(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def conj(self) -> "JetScalar":
         # jets are taken along a real parameter, so conjugation acts per part

@@ -3,6 +3,9 @@
 Each check recomputes one of the library's documented exact values (pullback
 constants, basis images, grading patterns, flag facts, the E-map identity) and
 compares it against the frozen expected result.  All comparisons are exact.
+The helpers below (ball tangent blocks, the tensor form on Sym^2, the
+off-diagonal block positions, the full symmetric-pair matrix) serve only
+these checks, so the verbs other than ``selftest`` never compile them.
 """
 
 from __future__ import annotations
@@ -13,13 +16,46 @@ from .scalars import FieldElem, Quat, ZERO, ONE, I, HALF_SQRT2, QUAT_J, QUAT_K
 from .linalg import Matrix, Subspace, herm_form, unit_vector
 from .geometry import (TangentVec, kahler_form, metric_g0, omega4, omega_unit,
                        su2_action_check, to_quat, wedge_square_eval)
-from .embeddings import (E_BASIS_TENSORS, W_SIG, ball_tangent, make_embedding,
+from .embeddings import (BALL_SIG, E_BASIS_TENSORS, W_SIG, make_embedding,
                          standard_quadruple, su21_p_matrix, sym_product,
-                         sym_to_e_coords, w_form_tensor)
+                         sym_to_e_coords)
 from .toledo import composition_invariant, pullback_constant
 from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column, e_map_certificate,
-                      grading_mask, holomorphy_check_u3u1u2, p_positions,
-                      period_triple, twistor_lift_condition, twistor_nonlift_check)
+                      grading_mask, holomorphy_check_u3u1u2, period_triple,
+                      twistor_lift_condition, twistor_nonlift_check)
+
+
+def ball_tangent(x) -> TangentVec:
+    """A ball tangent vector as an n x 1 block (for the base Kahler form)."""
+    return TangentVec([[c] for c in x])
+
+
+def w_form_tensor(s, t) -> FieldElem:
+    """Induced Hermitian form on Sym^2 evaluated on coefficient grids."""
+    acc = ZERO
+    for i in range(3):
+        for j in range(3):
+            acc = acc + BALL_SIG[i] * BALL_SIG[j] * (s[i][j] * t[i][j].conj())
+    return acc
+
+
+def p_positions(size=6, split=4):
+    """Off-diagonal block positions of the (split, size-split) decomposition."""
+    return tuple((r, c) for r in range(1, size + 1) for c in range(1, size + 1)
+                 if (r <= split) != (c <= split))
+
+
+def su_matrix(x: TangentVec) -> Matrix:
+    """The full (p+q) x (p+q) matrix [[0, A], [A*, 0]] of the block A = x."""
+    p, q = x.rows, x.cols
+    astar = x.conj_transpose()
+    rows = []
+    for i in range(p):
+        rows.append([ZERO] * p + list(x.row(i)))
+    for i in range(q):
+        rows.append(list(astar.row(i)) + [ZERO] * q)
+    return Matrix(rows)
+
 
 CHECKS = []
 
@@ -118,9 +154,9 @@ def _rho_blocks():
                 rows.append([x for blk in brow for x in blk.row(r)])
         return Matrix(rows)
 
-    got_x = emb((ONE, ZERO)).su_matrix()
+    got_x = su_matrix(emb((ONE, ZERO)))
     want_x = block3(i2, z2, i2, z2)
-    got_y = emb((I, ZERO)).su_matrix()
+    got_y = su_matrix(emb((I, ZERO)))
     want_y = block3(i2 * I, z2, -(i2 * I), z2)
     if got_x != want_x:
         return False, "rho(e1) block matrix mismatch"

@@ -8,7 +8,7 @@ from itertools import permutations
 from qktoledo import (BALL_SIG, W_SIG, FieldElem, JetScalar, Matrix, Quat,
                       Subspace, TangentVec, ZERO, ONE, I, HALF_SQRT2,
                       herm_form, su21_p_matrix, sym_product, sym_square_lie,
-                      sym_square_p_block, sym_to_e_coords)
+                      sym_to_e_coords, unit_vector)
 from qktoledo import lifting
 
 
@@ -45,6 +45,44 @@ def matchings_oracle(form, vecs):
         total = total + perm_sign(perm) * (form(vecs[a], vecs[b])
                                            * form(vecs[c], vecs[d]))
     return total
+
+
+def contains(space, vector):
+    """True iff the vector lies in the Subspace: its residue vanishes."""
+    return not any(space.residue(vector))
+
+
+def perp(space, sig):
+    """Orthocomplement of the Subspace for the form with sign tuple sig, by
+    solving the rref of the constraints h(x, b) = 0 for the free columns."""
+    n = space.ambient
+    if len(sig) != n:
+        raise ValueError("signature does not match ambient dimension")
+    if not space.basis:
+        return Subspace(n, [unit_vector(n, i) for i in range(n)])
+    constraints = Subspace(n, [tuple(s * b.conj() for s, b in zip(sig, row))
+                               for row in space.basis])
+    vectors = []
+    for f in range(n):
+        if f in constraints.pivots:
+            continue
+        v = [ZERO] * n
+        v[f] = ONE
+        for row, p in zip(constraints.basis, constraints.pivots):
+            v[p] = -row[f]
+        vectors.append(tuple(v))
+    return Subspace(n, vectors or [(ZERO,) * n])
+
+
+def sym_square_p_block(lie_matrix):
+    """Bounded-domain tangent block of a symmetric-square image.
+
+    Extracts the top-right 4 x 2 block and removes the sqrt2 that the
+    orthonormal E5, E6 carry relative to the chart's unnormalized e3.e1,
+    e3.e2; on p-part images this recovers ``make_embedding("sym_square")``.
+    """
+    return Matrix([[lie_matrix[r, 4 + c] * HALF_SQRT2 for c in range(2)]
+                   for r in range(4)])
 
 
 def iv_sign(a, c):
@@ -156,7 +194,7 @@ def rand_orthogonal_direction(r, v0):
     """Direction in C^{2,1} orthogonal to v0: a Q(i) combination, with
     coordinates in -2..2, of the basis of the orthocomplement of v0."""
     acc = (ZERO, ZERO, ZERO)
-    for b in Subspace(3, [v0]).perp(BALL_SIG).basis:
+    for b in perp(Subspace(3, [v0]), BALL_SIG).basis:
         coef = rand_gauss(r, -2, 2)
         acc = tuple(x + coef * y for x, y in zip(acc, b))
     return acc
@@ -212,7 +250,7 @@ def jet_flag_motion(v0, w):
     follow the Leibniz rule.  Per component: the span at time zero and the
     derivatives of its spanning vectors."""
     hvv = herm_form(v0, v0, BALL_SIG)
-    u1, u2 = Subspace(3, [v0]).perp(BALL_SIG).basis
+    u1, u2 = perp(Subspace(3, [v0]), BALL_SIG).basis
 
     def jets(vals, derivs):
         return tuple(JetScalar(a, b) for a, b in zip(vals, derivs))
@@ -238,7 +276,7 @@ def _moves_inside(spans, moved):
     at time zero, decided by rref membership; spans holds generator lists."""
     for name in ("L2", "S2Lperp"):
         target = Subspace(6, spans[name] + spans["LoLperp"])
-        if not all(target.contains(d) for d in moved[name]):
+        if not all(contains(target, d) for d in moved[name]):
             return False
     return True
 

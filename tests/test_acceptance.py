@@ -7,17 +7,18 @@ a failed assertion is the fail line.
 from fractions import Fraction
 
 from qktoledo import (FieldElem, Matrix, Subspace, W_SIG,
-                      ZERO, ONE, ball_tangent, kahler_form, make_embedding,
+                      ZERO, ONE, kahler_form, make_embedding,
                       omega4, pullback_constant, standard_quadruple,
                       su2_action_check, su21_p_matrix,
-                      sym_square_lie, sym_square_p_block, twistor_nonlift_check,
+                      sym_square_lie, twistor_nonlift_check,
                       holomorphy_check_u3u1u2, horizontality_check,
                       wedge_square_eval)
+from qktoledo.selftest import ball_tangent
 
-from _helpers import (matchings_oracle, perm_det, rng, rand_complex_vec,
+from _helpers import (matchings_oracle, perm_det, perp, rng, rand_complex_vec,
                       rand_fraction, rand_gauss, rand_negative_vector,
                       rand_nonzero_pair, rand_orthogonal_direction, rand_su21,
-                      rand_tangent)
+                      rand_tangent, sym_square_p_block)
 
 QUAD = standard_quadruple(2)
 
@@ -159,11 +160,11 @@ def test_criterion_8_property_suites():
         s = Subspace(6, vecs)
         if s.dim == 0:
             continue
-        assert s.dim + s.perp(W_SIG).dim == 6
+        assert s.dim + perp(s, W_SIG).dim == 6
         if s.definiteness(W_SIG) == "degenerate":
             continue
         done += 1
-        assert s.perp(W_SIG).perp(W_SIG) == s
+        assert perp(perp(s, W_SIG), W_SIG) == s
         n_plus, n_minus, n_zero = s.inertia(W_SIG)
         assert n_zero == 0 and n_plus + n_minus == s.dim
     _report(8, "alternation/multilinearity (500), matchings oracle (200), "

@@ -136,6 +136,11 @@ def test_lift_check_json_deterministic(capsys):
        ("classify", "--embedding", embedding, "--json"))
       for embedding in ("rho", "totally-real", "phi", "sym-square")),
     ("selftest.txt", ("selftest",)),
+    *((f"pullback_{embedding.replace('-', '_')}.txt",
+       ("pullback", "--embedding", embedding))
+      for embedding in ("rho", "totally-real", "phi", "sym-square")),
+    ("pullback_rho_n3.json", ("pullback", "--embedding", "rho", "--n", "3", "--json")),
+    ("selftest.json", ("selftest", "--json")),
 ])
 def test_stdout_matches_the_golden_file(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)

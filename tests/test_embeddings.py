@@ -8,7 +8,8 @@ from qktoledo import (FieldElem, Matrix, Quat,
                       herm_form, is_su21, make_embedding,
                       pullback_constant, su21_p_matrix, sym_product,
                       sym_square_lie, sym_to_e_coords,
-                      to_quat, unit_vector, w_form_tensor)
+                      to_quat, unit_vector)
+from qktoledo.selftest import w_form_tensor
 
 from _helpers import (rng, rand_complex_vec, rand_su21, rand_field_elem,
                       rand_real_field_elem)

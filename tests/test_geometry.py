@@ -4,9 +4,10 @@ import pytest
 
 from qktoledo import (FieldElem, Matrix, Quat, TangentVec,
                       ZERO, ONE, I, QUAT_UNITS,
-                      ball_tangent, complex_structure_j, kahler_form,
+                      complex_structure_j, kahler_form,
                       make_embedding, metric_g0, omega4, omega_unit,
                       standard_quadruple, to_quat, wedge_square_eval)
+from qktoledo.selftest import ball_tangent, su_matrix
 
 from _helpers import matchings_oracle, rng, rand_tangent, rand_complex_vec
 
@@ -19,7 +20,7 @@ def test_full_tangent_matrix_lies_in_su_p_q():
     r = rng(300)
     form = Matrix.diagonal([1, 1, 1, 1, -1, -1])
     for _ in range(50):
-        m = rand_tangent(r, 4).su_matrix()
+        m = su_matrix(rand_tangent(r, 4))
         assert (m.conj_transpose() @ form + form @ m).is_zero()
         assert m.trace() == ZERO
 

@@ -204,6 +204,14 @@ def test_equal_values_hash_equal():
         jets = rationals + [JetScalar(q), x, JetScalar(x), JetScalar(x, x)]
         assert _hash_contract_holds(quats) >= 4
         assert _hash_contract_holds(jets) >= 4
+    # a tangent vector equals the plain matrix with its entries
+    m, t = Matrix([[1, 0], [0, 1]]), TangentVec([[1, 0], [0, 1]])
+    assert m == t and hash(m) == hash(t) and len({m, t}) == 1
+    # a subspace is its rref basis, whichever spanning set built it
+    s = Subspace(2, [(ONE, ZERO), (ZERO, ONE)])
+    s2 = Subspace(2, [(ONE, ONE), (ONE, -ONE)])
+    assert s == s2 and hash(s) == hash(s2)
+    assert len({s: "e1, e2", s2: "e1 + e2, e1 - e2"}) == 1
 
 
 def test_values_refuse_assignment_and_deletion():
