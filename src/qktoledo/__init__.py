@@ -17,9 +17,9 @@ from .embeddings import (EmbeddingDiff, BALL_SIG, W_SIG, E_BASIS_TENSORS,
                          sym_product, sym_square_lie, sym_to_e_coords, is_su21)
 from .toledo import (CONVENTION, CompositionReport, PullbackReport,
                      composition_invariant, pullback_constant)
-from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column,
-                      classify_linearity, grading_mask, holomorphy_check_u3u1u2,
-                      horizontality_check, iota_star_bplus, negative_line_basis,
-                      period_triple, twistor_lift_condition, twistor_nonlift_check)
+from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify, classify_linearity,
+                      grading_mask, holomorphy_check_u3u1u2, horizontality_check,
+                      iota_star_bplus, negative_line_basis, period_triple,
+                      twistor_nonlift_check)
 
 __version__ = "0.1.0"

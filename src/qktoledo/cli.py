@@ -18,8 +18,7 @@ from fractions import Fraction
 from .scalars import FieldElem, ONE, ZERO, parse_field_elem
 from .embeddings import W_SIG, make_embedding
 from .toledo import CONVENTION, pullback_constant
-from .lifting import (classify_linearity, fold_column, fold_lift_condition,
-                      holomorphy_check_u3u1u2, horizontality_check,
+from .lifting import (classify, holomorphy_check_u3u1u2, horizontality_check,
                       negative_line_basis, period_triple, twistor_nonlift_check)
 
 _CLI_EMBEDDINGS = {
@@ -90,10 +89,10 @@ def _cmd_pullback(args) -> int:
     return 0
 
 
-def _random_pair(rng) -> tuple:
-    """Nonzero a in Q(i)^2 with small integer coordinates."""
+def _random_pair(rng, bound=3) -> tuple:
+    """Nonzero a in Q(i)^2 with integer coordinates in -bound..bound."""
     while True:
-        a = tuple(FieldElem(rng.randint(-3, 3), rng.randint(-3, 3))
+        a = tuple(FieldElem(rng.randint(-bound, bound), rng.randint(-bound, bound))
                   for _ in range(2))
         if any(a):
             return a
@@ -116,8 +115,8 @@ def _random_negative_line(rng):
         except ValueError:  # v0 is not negative: draw again
             continue
     acc = (ZERO, ZERO, ZERO)
-    for b in basis:
-        coef = FieldElem(rng.randint(-2, 2), rng.randint(-2, 2))
+    # nonzero coefficients, so that the direction is nonzero and the line moves
+    for coef, b in zip(_random_pair(rng, 2), basis):
         acc = tuple(x + coef * y for x, y in zip(acc, b))
     return v0, acc
 
@@ -172,23 +171,20 @@ def _cmd_lift_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    embedding = make_embedding(_CLI_EMBEDDINGS[args.embedding])
-    rows = embedding.values[0].rows
-    components = [{"column": col, "row": row,
-                   "verdict": classify_linearity(embedding, col, row)}
-                  for col in (1, 2) for row in range(1, rows + 1)]
-    columns = {str(col): fold_column(item["verdict"] for item in components
-                                     if item["column"] == col) for col in (1, 2)}
-    condition = fold_lift_condition(columns["1"], columns["2"])
+    components, (first, second), condition = classify(
+        make_embedding(_CLI_EMBEDDINGS[args.embedding]))
     if args.json:
-        _emit_json({"embedding": args.embedding, "components": components,
-                    "columns": columns, "twistor_lift_condition": condition})
+        _emit_json({"embedding": args.embedding,
+                    "components": [{"column": col, "row": row, "verdict": verdict}
+                                   for col, row, verdict in components],
+                    "columns": {"1": first, "2": second},
+                    "twistor_lift_condition": condition})
         return 0
     print(f"embedding: {args.embedding}")
-    for item in components:
-        print(f"  column {item['column']}, component {item['row']}: {item['verdict']}")
-    print(f"column 1 overall: {columns['1']}")
-    print(f"column 2 overall: {columns['2']}")
+    for col, row, verdict in components:
+        print(f"  column {col}, component {row}: {verdict}")
+    print(f"column 1 overall: {first}")
+    print(f"column 2 overall: {second}")
     status = "holds" if condition else "fails"
     print(f"twistor lift necessary condition (col 1 conjugate-linear, "
           f"col 2 linear): {status}")

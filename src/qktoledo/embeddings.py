@@ -2,7 +2,7 @@
 
 The ball B = SU(n,1)/S(U(n)xU(1)) sits inside X = SU(2n,2)/S(U(2n)xU(2)) in
 four ways, each differential an R-linear map from C^n to 2n x 2 blocks given
-by its closed form; the real Jacobian ``values`` is derived on first use:
+by its closed form, with no stored Jacobian:
 
 * ``rho``          row pairs (x_k, 0), (0, x_k): the holomorphic diagonal;
 * ``totally_real`` row pairs (x_k, 0), (0, conj(x_k));
@@ -29,9 +29,8 @@ extraction ``sym_square_p_block`` in ``tests/_helpers.py``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
-from .scalars import ZERO, ONE, I, SQRT2, HALF_SQRT2, _frozen
+from .scalars import ZERO, I, SQRT2, HALF_SQRT2, _frozen
 from .linalg import Matrix, _coerce_row, unit_vector
 from .geometry import TangentVec
 
@@ -78,7 +77,7 @@ def su21_p_matrix(a1, a2) -> Matrix:
 def is_su21(m: Matrix) -> bool:
     if (m.rows, m.cols) != (3, 3):
         return False
-    if not m.trace().is_zero():
+    if m.trace():
         return False
     return (m.conj_transpose() @ _ETA + _ETA @ m).is_zero()
 
@@ -123,8 +122,10 @@ _ROW_MAPS = {
 class EmbeddingDiff:
     """R-linear differential from C^n to 2n x 2 blocks, given by its
     closed-form row map ``rows_of`` from a complex n-vector to the rows of
-    its image.  Immutable; ``values`` is cached in the instance dict."""
+    its image.  An immutable value of its name, n and row map; it caches
+    nothing."""
 
+    __slots__ = ("name", "n", "rows_of")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, name: str, n: int, rows_of):
@@ -151,12 +152,6 @@ class EmbeddingDiff:
         if len(comps) != self.n:
             raise ValueError(f"expected a complex {self.n}-vector")
         return TangentVec(self.rows_of(comps))
-
-    @cached_property
-    def values(self) -> tuple:
-        """The real Jacobian: the images of e_1..e_n, i*e_1..i*e_n."""
-        return tuple(self(unit_vector(self.n, k, s))
-                     for s in (ONE, I) for k in range(self.n))
 
 
 def make_embedding(name: str, n=2) -> EmbeddingDiff:

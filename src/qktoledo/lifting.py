@@ -29,7 +29,10 @@ The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
 in the E-basis, so (1, 5) is the E1-row, E5-column entry; an empty tuple
 means the image is in the pattern.  ``period_triple`` returns the flag as
-(name, Subspace) pairs named S2Lperp, L2 and LoLperp.
+(name, Subspace) pairs named S2Lperp, L2 and LoLperp.  ``classify`` is the
+one linearity classification of a differential: it evaluates the map on the
+real basis once and returns every component verdict, the two column verdicts
+and the twistor-lift condition.
 """
 
 from __future__ import annotations
@@ -113,25 +116,15 @@ LINEAR, CONJUGATE_LINEAR, ZERO_MAP, NEITHER = (
     "linear", "conjugate_linear", "zero", "neither")
 
 
-def _check_index(value, what: str, top: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or not 1 <= value <= top:
-        raise ValueError(f"{what} must be in 1..{top}, got {value!r}")
-
-
-def classify_linearity(embedding: EmbeddingDiff, column: int, row: int) -> str:
-    """Classify one scalar component of a differential (1-based column, row).
+def classify_linearity(alphas, betas) -> str:
+    """Classify one scalar component of a differential L from its values
+    alphas on e_1..e_n and betas on i*e_1..i*e_n.
 
     Tests L(i e_k) = i L(e_k) (linear) and L(i e_k) = -i L(e_k)
     (conjugate-linear) across the domain basis; identically zero components
     report "zero".
     """
-    n, first = embedding.n, embedding.values[0]
-    _check_index(column, "column", first.cols)
-    _check_index(row, "row", first.rows)
-    alphas = [embedding.values[k][row - 1, column - 1] for k in range(n)]
-    betas = [embedding.values[n + k][row - 1, column - 1] for k in range(n)]
-    if all(x.is_zero() for x in alphas + betas):
+    if not any(alphas) and not any(betas):
         return ZERO_MAP
     if all(b == I * a for a, b in zip(alphas, betas)):
         return LINEAR
@@ -140,7 +133,7 @@ def classify_linearity(embedding: EmbeddingDiff, column: int, row: int) -> str:
     return NEITHER
 
 
-def fold_column(verdicts) -> str:
+def _fold_column(verdicts) -> str:
     """The verdict of a column from the verdicts of its components."""
     verdicts = set(verdicts)
     if verdicts == {ZERO_MAP}:
@@ -152,23 +145,25 @@ def fold_column(verdicts) -> str:
     return NEITHER
 
 
-def fold_lift_condition(first: str, second: str) -> bool:
-    """Necessary condition for a holomorphic twistor lift from the two
-    column verdicts: first column conjugate-linear, second column linear
-    (zero components permitted)."""
-    return first in (CONJUGATE_LINEAR, ZERO_MAP) and second in (LINEAR, ZERO_MAP)
+def classify(embedding: EmbeddingDiff) -> tuple:
+    """Linearity classification of a differential with two columns.
 
-
-def classify_column(embedding: EmbeddingDiff, column: int) -> str:
-    rows = embedding.values[0].rows
-    return fold_column(classify_linearity(embedding, column, r)
-                       for r in range(1, rows + 1))
-
-
-def twistor_lift_condition(embedding: EmbeddingDiff) -> bool:
-    """``fold_lift_condition`` of the embedding's two columns."""
-    return fold_lift_condition(classify_column(embedding, 1),
-                               classify_column(embedding, 2))
+    Returns (components, columns, condition): the verdict of every
+    component as a 1-based (column, row, verdict) triple in column-major
+    order, the verdicts of the two columns, and the necessary condition for
+    a holomorphic twistor lift, first column conjugate-linear and second
+    column linear (zero components permitted).
+    """
+    n = embedding.n
+    images = [embedding(unit_vector(n, k, s)) for s in (ONE, I) for k in range(n)]
+    components = tuple(
+        (col, row, classify_linearity([x[row - 1, col - 1] for x in images[:n]],
+                                      [x[row - 1, col - 1] for x in images[n:]]))
+        for col in (1, 2) for row in range(1, images[0].rows + 1))
+    first, second = columns = tuple(
+        _fold_column(v for c, _, v in components if c == col) for col in (1, 2))
+    condition = first in (CONJUGATE_LINEAR, ZERO_MAP) and second in (LINEAR, ZERO_MAP)
+    return components, columns, condition
 
 
 # -- the flag of a negative line ----------------------------------------------

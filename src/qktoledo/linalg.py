@@ -123,7 +123,7 @@ class Matrix:
         return t
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.entries for x in r)
+        return not any(x for r in self.entries for x in r)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -265,7 +265,7 @@ class Subspace:
             inv = d.inverse()
             for i in active:
                 fi = g[i][pivot]
-                if fi.is_zero():
+                if not fi:
                     continue
                 for j in active:
                     g[i][j] = g[i][j] - fi * inv * g[pivot][j]

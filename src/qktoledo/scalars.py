@@ -141,7 +141,7 @@ class FieldElem:
 
     def inverse(self) -> "FieldElem":
         """Multiplicative inverse, rationalizing the i-part then the sqrt2-part."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of 0 in Q(i, sqrt2)")
         norm = self * self.conj()        # real: (p + q*sqrt2) / den
         p, q, den = norm.na, norm.nc, norm.den
@@ -163,9 +163,6 @@ class FieldElem:
     def real_part(self) -> "FieldElem":
         """The a + c*sqrt2 part (real part as a complex number)."""
         return _raw(self.na, 0, self.nc, 0, self.den)
-
-    def is_zero(self) -> bool:
-        return not (self.na or self.nb or self.nc or self.nd)
 
     def __bool__(self):
         return bool(self.na or self.nb or self.nc or self.nd)
@@ -392,7 +389,7 @@ class Quat:
 
     def __hash__(self):
         # a quaternion with w = 0 equals its scalar z, so it hashes alike
-        return hash(self.z) if self.w.is_zero() else hash((self.z, self.w))
+        return hash(self.z) if not self.w else hash((self.z, self.w))
 
     def __repr__(self):
         return f"({self.z}) + ({self.w})*j"
@@ -451,7 +448,7 @@ class JetScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "JetScalar":
-        if self.val.is_zero():
+        if not self.val:
             raise ZeroDivisionError("jet with zero value part is not invertible")
         inv = self.val.inverse()
         return JetScalar(inv, -(inv * inv) * self.deriv)
@@ -468,7 +465,7 @@ class JetScalar:
 
     def __hash__(self):
         # a jet with zero derivative equals its value, so it hashes alike
-        if self.deriv.is_zero():
+        if not self.deriv:
             return hash(self.val)
         return hash((self.val, self.deriv))
 

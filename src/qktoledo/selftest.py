@@ -20,9 +20,9 @@ from .embeddings import (BALL_SIG, E_BASIS_TENSORS, W_SIG, make_embedding,
                          standard_quadruple, su21_p_matrix, sym_product,
                          sym_to_e_coords)
 from .toledo import composition_invariant, pullback_constant
-from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify_column, e_map_certificate,
+from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify, e_map_certificate,
                       grading_mask, holomorphy_check_u3u1u2, period_triple,
-                      twistor_lift_condition, twistor_nonlift_check)
+                      twistor_nonlift_check)
 
 
 def ball_tangent(x) -> TangentVec:
@@ -359,9 +359,7 @@ def _e_map_identity():
 
 @_check("linearity classification of the totally real embedding")
 def _classify_totally_real():
-    emb = make_embedding("totally_real")
-    col1, col2 = classify_column(emb, 1), classify_column(emb, 2)
-    condition = twistor_lift_condition(emb)
+    _, (col1, col2), condition = classify(make_embedding("totally_real"))
     ok = col1 == "linear" and col2 == "conjugate_linear" and not condition
     return ok, f"col1={col1}, col2={col2}, lift condition={condition}"
 

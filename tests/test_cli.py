@@ -107,6 +107,16 @@ def test_lift_check_u3u1u2(capsys):
     assert out.count("holomorphic=True, horizontal=True") == 4
 
 
+def test_lift_check_u3u1u2_never_draws_a_zero_direction(capsys):
+    # seed 0 once drew both orthocomplement coefficients 0 at sample 28; a
+    # zero direction leaves the line still and makes horizontality vacuous
+    code, out, _ = run_cli(capsys, "lift-check", "--domain", "u3u1u2",
+                           "--samples", "29", "--seed", "0")
+    assert code == 0
+    assert out.count("horizontal=True") == 29
+    assert "w=(0, 0, 0)" not in out
+
+
 def test_lift_check_json_deterministic(capsys):
     args = ("lift-check", "--domain", "twistor", "--samples", "6",
             "--seed", "11", "--json")
@@ -141,6 +151,9 @@ def test_lift_check_json_deterministic(capsys):
       for embedding in ("rho", "totally-real", "phi", "sym-square")),
     ("pullback_rho_n3.json", ("pullback", "--embedding", "rho", "--n", "3", "--json")),
     ("selftest.json", ("selftest", "--json")),
+    *((f"classify_{embedding.replace('-', '_')}.txt",
+       ("classify", "--embedding", embedding))
+      for embedding in ("rho", "totally-real", "phi", "sym-square")),
 ])
 def test_stdout_matches_the_golden_file(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)

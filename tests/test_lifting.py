@@ -8,11 +8,11 @@ import pytest
 from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       JetScalar, Matrix, Subspace,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H,
-                      classify_column, classify_linearity, grading_mask,
+                      classify, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
                       iota_star_bplus, make_embedding,
                       negative_line_basis, period_triple, su21_p_matrix,
-                      sym_product, sym_to_e_coords, twistor_lift_condition,
+                      sym_product, sym_to_e_coords,
                       twistor_nonlift_check, unit_vector)
 from qktoledo import lifting
 from qktoledo.cli import main
@@ -91,10 +91,10 @@ def test_iota_star_block_structure():
         # diagonal blocks vanish: the image is purely off-diagonal
         for i in range(4):
             for j in range(4):
-                assert image[i, j].is_zero()
+                assert not image[i, j]
         for i in range(4, 6):
             for j in range(4, 6):
-                assert image[i, j].is_zero()
+                assert not image[i, j]
 
 
 def test_twistor_nonlift_golden():
@@ -111,38 +111,35 @@ def test_holomorphy_random():
 
 # -- linearity classification ---------------------------------------------------
 
+def _verdicts(components):
+    """{(column, row): verdict} of ``classify``'s component triples."""
+    return {(col, row): verdict for col, row, verdict in components}
+
+
 def test_classify_rho():
-    rho = make_embedding("rho")
-    for col in (1, 2):
-        assert classify_column(rho, col) == "linear"
-        for row in range(1, 5):
-            assert classify_linearity(rho, col, row) in ("linear", "zero")
-    assert not twistor_lift_condition(rho)
+    components, columns, condition = classify(make_embedding("rho"))
+    assert [(col, row) for col, row, _ in components] == \
+        [(col, row) for col in (1, 2) for row in range(1, 5)]   # column-major
+    assert set(_verdicts(components).values()) == {"linear", "zero"}
+    assert columns == ("linear", "linear")
+    assert not condition
 
 
 def test_classify_sym_square():
-    iota = make_embedding("sym_square")
-    assert classify_linearity(iota, 1, 1) == "linear"            # a1
-    assert classify_linearity(iota, 1, 3) == "conjugate_linear"  # conj(a1)
-    assert classify_linearity(iota, 1, 2) == "zero"
-    assert classify_column(iota, 1) == "neither"
-    assert not twistor_lift_condition(iota)
+    components, columns, condition = classify(make_embedding("sym_square"))
+    verdicts = _verdicts(components)
+    assert verdicts[1, 1] == "linear"            # a1
+    assert verdicts[1, 3] == "conjugate_linear"  # conj(a1)
+    assert verdicts[1, 2] == "zero"
+    assert columns == ("neither", "neither")
+    assert not condition
 
 
 def test_classify_phi():
-    phi = make_embedding("phi")
-    assert classify_column(phi, 1) == "linear"
-    assert classify_column(phi, 2) == "zero"
-    assert not twistor_lift_condition(phi)
-    # columns run over 1..2 and rows over 1..4; nothing wraps around, and
-    # only a plain int is an index (True is not column 1)
-    for column in (0, 3, True, 1.5, "1"):
-        with pytest.raises(ValueError):
-            classify_column(phi, column)
-    for column, row in ((1, 0), (1, 5), (True, 1), (1, True), (1.5, 1),
-                        ("1", 1), (1, 1.5), (1, "1")):
-        with pytest.raises(ValueError):
-            classify_linearity(phi, column, row)
+    components, columns, condition = classify(make_embedding("phi"))
+    assert len(components) == 8
+    assert columns == ("linear", "zero")
+    assert not condition
 
 
 def _synthetic_rows(x):
@@ -156,10 +153,11 @@ def _synthetic_embedding():
 
 
 def test_classify_synthetic_round_trip():
-    emb = _synthetic_embedding()
-    assert classify_column(emb, 1) == "conjugate_linear"
-    assert classify_column(emb, 2) == "linear"
-    assert twistor_lift_condition(emb)
+    components, columns, condition = classify(_synthetic_embedding())
+    assert components == ((1, 1, "conjugate_linear"), (1, 2, "conjugate_linear"),
+                          (2, 1, "linear"), (2, 2, "linear"))
+    assert columns == ("conjugate_linear", "linear")
+    assert condition
 
 
 def test_conjugate_linearity_matches_real_block_criterion():
@@ -172,9 +170,9 @@ def test_conjugate_linearity_matches_real_block_criterion():
             betas = [-I * a for a in alphas]       # conjugate-linear by construction
         else:
             betas = [rand_gauss(r) for _ in range(n)]
-        ctest = all(b == -I * a for a, b in zip(alphas, betas))
+        verdict = classify_linearity(alphas, betas)
         blocks = all(b.a == a.b and b.b == -a.a for a, b in zip(alphas, betas))
-        assert ctest == blocks
+        assert (verdict in ("conjugate_linear", "zero")) == blocks
 
 
 # -- flags of negative lines -----------------------------------------------------

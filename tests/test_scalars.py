@@ -98,7 +98,7 @@ def test_quat_conj_antihomomorphism_and_norm():
         assert (p * q).conj() == q.conj() * p.conj()
         assert (p * q).norm() == p.norm() * q.norm()
         n = q.conj() * q
-        assert n.w.is_zero() and n.z.is_real()
+        assert not n.w and n.z.is_real()
 
 
 def test_jets():
