@@ -8,7 +8,10 @@ element [[0, A], [A*, 0]].  Conventions fixed here and used everywhere:
 * quaternionic coordinates (q = 2 only): row m of A = (x_m, y_m) becomes the
   quaternion x_m + y_m*j, i.e. the identification q = x + y*j;
 * the 2-forms omega_u(X, Y) = Re(q_X . conj(q_Y) u) for u in {i, j, k}, with
-  q . conj(p) = sum_m q_m conj(p_m);
+  q . conj(p) = sum_m q_m conj(p_m).  This pairing is Tr(Y* X) + s*j with
+  s = sum_m (w_X z_Y - z_X w_Y) over the rows (z, w), so omega_i =
+  Re(i Tr(Y* X)), omega_j = -Re s and omega_k = Re(i s) are read off two
+  complex sums; the quaternion product is the tests' oracle for them;
 * the square of a 2-form alpha is evaluated by the three-term expansion
 
       alpha(X,Y)alpha(Z,W) - alpha(X,Z)alpha(Y,W) + alpha(X,W)alpha(Y,Z)
@@ -61,11 +64,28 @@ def _check_same_shape(*vecs):
             raise ValueError("tangent vectors have mismatched shapes")
 
 
+def _check_quaternionic(*vecs):
+    _check_same_shape(*vecs)
+    if vecs[0].cols != 2:
+        raise ValueError("quaternionic coordinates need exactly 2 columns")
+
+
+def _hermitian(x: TangentVec, y: TangentVec) -> FieldElem:
+    """Tr(Y* X) = sum of x_ab conj(y_ab) over all entries, of any width."""
+    return sum((a * b.conj() for row_x, row_y in zip(x.entries, y.entries)
+                for a, b in zip(row_x, row_y)), ZERO)
+
+
+def _symplectic(x: TangentVec, y: TangentVec) -> FieldElem:
+    """s = sum_m (w_X z_Y - z_X w_Y) over the rows (z, w) of 2-column blocks."""
+    return sum((w_x * z_y - z_x * w_y
+                for (z_x, w_x), (z_y, w_y) in zip(x.entries, y.entries)), ZERO)
+
+
 def metric_g0(x: TangentVec, y: TangentVec) -> FieldElem:
     """g0(X, Y) = 4 Re Tr(B* A); real, symmetric, positive definite."""
     _check_same_shape(x, y)
-    t = (y.conj_transpose() @ x).trace()
-    return (t * 4).real_part()
+    return (_hermitian(x, y) * 4).real_part()
 
 
 def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
@@ -73,27 +93,24 @@ def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
     return metric_g0(complex_structure_j(x), y)
 
 
-def _pairing(qs, ps) -> Quat:
-    """Standard quaternionic Hermitian pairing sum_m q_m conj(p_m)."""
-    acc = Quat()
-    for q, p in zip(qs, ps):
-        acc = acc + q * p.conj()
-    return acc
-
-
 def to_quat(x: TangentVec) -> tuple:
     """Identify a 2n x 2 block (x | y) with the quaternion vector x + y*j,
     returned as a tuple of Quat."""
-    if x.cols != 2:
-        raise ValueError("quaternionic coordinates need exactly 2 columns")
+    _check_quaternionic(x)
     return tuple(Quat(z, w) for z, w in x.entries)
+
+
+_UNIT_FORMS = {
+    "i": lambda x, y: (_hermitian(x, y) * I).real_part(),
+    "j": lambda x, y: -_symplectic(x, y).real_part(),
+    "k": lambda x, y: (_symplectic(x, y) * I).real_part(),
+}
 
 
 def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:
     """omega_u(X, Y) = Re(q_X . conj(q_Y) u); antisymmetric, real-valued."""
-    _check_same_shape(x, y)
-    pairing = _pairing(to_quat(x), to_quat(y))
-    return (pairing * QUAT_UNITS[unit]).re()
+    _check_quaternionic(x, y)
+    return _UNIT_FORMS[unit](x, y)
 
 
 def wedge_square_eval(form, x, y, z, w):
@@ -104,24 +121,11 @@ def wedge_square_eval(form, x, y, z, w):
 
 
 def omega4(x: TangentVec, y: TangentVec, z: TangentVec, w: TangentVec) -> FieldElem:
-    """The quaternionic 4-form omega_i^2 + omega_j^2 + omega_k^2.
-
-    The six quaternionic pairings are computed once and reused across the
-    three unit 2-forms; the value agrees with composing wedge_square_eval
-    and omega_unit directly.
-    """
-    _check_same_shape(x, y, z, w)
-    qx, qy, qz, qw = (to_quat(v) for v in (x, y, z, w))
-    pair = {
-        "xy": _pairing(qx, qy), "zw": _pairing(qz, qw),
-        "xz": _pairing(qx, qz), "yw": _pairing(qy, qw),
-        "xw": _pairing(qx, qw), "yz": _pairing(qy, qz),
-    }
+    """The quaternionic 4-form omega_i^2 + omega_j^2 + omega_k^2."""
+    _check_quaternionic(x, y, z, w)
     total = ZERO
-    for unit in QUAT_UNITS.values():
-        f = {key: (p * unit).re() for key, p in pair.items()}
-        total = total + (f["xy"] * f["zw"] - f["xz"] * f["yw"]
-                         + f["xw"] * f["yz"])
+    for form in _UNIT_FORMS.values():
+        total = total + wedge_square_eval(form, x, y, z, w)
     return total
 
 

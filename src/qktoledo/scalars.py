@@ -370,14 +370,6 @@ class Quat:
     def conj(self) -> "Quat":
         return Quat(self.z.conj(), -self.w)
 
-    def norm(self) -> FieldElem:
-        """conj(q)*q as a real FieldElem."""
-        return self.z * self.z.conj() + self.w * self.w.conj()
-
-    def re(self) -> FieldElem:
-        """Real (1-component) part, a real FieldElem."""
-        return self.z.real_part()
-
     def __bool__(self):
         return bool(self.z or self.w)
 

@@ -39,10 +39,10 @@ def w_form_tensor(s, t) -> FieldElem:
     return acc
 
 
-def p_positions(size=6, split=4):
-    """Off-diagonal block positions of the (split, size-split) decomposition."""
-    return tuple((r, c) for r in range(1, size + 1) for c in range(1, size + 1)
-                 if (r <= split) != (c <= split))
+def p_positions():
+    """Off-diagonal block positions of the (4, 2) decomposition of 6 x 6."""
+    return tuple((r, c) for r in range(1, 7) for c in range(1, 7)
+                 if (r <= 4) != (c <= 4))
 
 
 def su_matrix(x: TangentVec) -> Matrix:

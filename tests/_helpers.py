@@ -6,9 +6,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from qktoledo import (BALL_SIG, W_SIG, FieldElem, JetScalar, Matrix, Quat,
-                      Subspace, TangentVec, ZERO, ONE, I, HALF_SQRT2,
+                      Subspace, TangentVec, ZERO, ONE, I, HALF_SQRT2, QUAT_UNITS,
                       herm_form, su21_p_matrix, sym_product, sym_square_lie,
-                      sym_to_e_coords, unit_vector)
+                      sym_to_e_coords, to_quat, unit_vector)
 from qktoledo import lifting
 
 
@@ -45,6 +45,20 @@ def matchings_oracle(form, vecs):
         total = total + perm_sign(perm) * (form(vecs[a], vecs[b])
                                            * form(vecs[c], vecs[d]))
     return total
+
+
+def quat_omega_unit(x, y, unit):
+    """omega_u(X, Y) = Re(q_X . conj(q_Y) u) through the quaternion product,
+    with q . conj(p) = sum_m q_m conj(p_m)."""
+    pairing = Quat()
+    for q, p in zip(to_quat(x), to_quat(y)):
+        pairing = pairing + q * p.conj()
+    return (pairing * QUAT_UNITS[unit]).z.real_part()
+
+
+def trace_metric(x, y):
+    """g0(X, Y) = 4 Re Tr(Y* X) through the matrix product and trace."""
+    return ((y.conj_transpose() @ x).trace() * 4).real_part()
 
 
 def contains(space, vector):

@@ -23,20 +23,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_pullback_human(capsys):
-    code, out, _ = run_cli(capsys, "pullback", "--embedding", "sym-square")
-    assert code == 0
-    assert "ratio_to_OmegaB2: 11/64" in out
-    assert "omega_on_basis: 11/4" in out
-    assert "convention:" in out
-
-
-def test_pullback_totally_real(capsys):
-    code, out, _ = run_cli(capsys, "pullback", "--embedding", "totally-real")
-    assert code == 0
-    assert "ratio_to_OmegaB2: 0" in out
-
-
 def test_pullback_json(capsys):
     code, out, _ = run_cli(capsys, "pullback", "--embedding", "rho", "--json")
     assert code == 0
@@ -88,15 +74,6 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["pullback", "--embedding", "rho", "--frequency", "9"])
     assert err.value.code == 2
-
-
-def test_lift_check_twistor(capsys):
-    code, out, _ = run_cli(capsys, "lift-check", "--domain", "twistor",
-                           "--samples", "5", "--seed", "7")
-    assert code == 0
-    assert out.count("member=false") == 5
-    assert "summary: PASS" in out
-    assert "seed: 7" in out
 
 
 def test_lift_check_u3u1u2(capsys):
@@ -161,22 +138,6 @@ def test_stdout_matches_the_golden_file(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
-def test_classify_table(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--embedding", "totally-real")
-    assert code == 0
-    assert "column 1 overall: linear" in out
-    assert "column 2 overall: conjugate_linear" in out
-    assert "fails" in out
-
-
-def test_classify_json(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--embedding", "sym-square", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["columns"]["1"] == "neither"
-    assert payload["twistor_lift_condition"] is False
-
-
 def test_period_triple_base(capsys):
     code, out, _ = run_cli(capsys, "period-triple", "--vector", "0,0,1")
     assert code == 0
@@ -228,21 +189,6 @@ def test_period_triple_positive_vector_fails(capsys):
     code, out, err = run_cli(capsys, "period-triple", "--vector", "1,0,0")
     assert code == 1
     assert "negative" in err
-
-
-def test_selftest_passes(capsys):
-    code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    assert "selftest: PASS" in out
-    assert "FAIL" not in out
-
-
-def test_selftest_json(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["summary"] == "PASS"
-    assert all(check["pass"] for check in payload["checks"])
 
 
 def _fresh_python(*args):

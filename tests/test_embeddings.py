@@ -5,7 +5,7 @@ import pytest
 from qktoledo import (FieldElem, Matrix, Quat,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2,
                       W_SIG, complex_structure_j,
-                      herm_form, is_su21, make_embedding,
+                      herm_form, is_su21, make_embedding, standard_quadruple,
                       su21_p_matrix, sym_product,
                       sym_square_lie, sym_to_e_coords, to_quat)
 from qktoledo.selftest import w_form_tensor
@@ -143,3 +143,7 @@ def test_make_embedding_validation():
     for n in (0, 2.5, "2", True, False):
         with pytest.raises(ValueError):
             make_embedding("rho", n)
+    with pytest.raises(ValueError, match="expected a complex 3-vector"):
+        make_embedding("rho", 3)((ONE, ZERO))
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        standard_quadruple(1)

@@ -9,7 +9,8 @@ from qktoledo import (FieldElem, Matrix, Quat, TangentVec,
                       standard_quadruple, to_quat, wedge_square_eval)
 from qktoledo.selftest import ball_tangent, su_matrix
 
-from _helpers import matchings_oracle, rng, rand_tangent, rand_complex_vec
+from _helpers import (matchings_oracle, quat_omega_unit, rng, rand_tangent,
+                      rand_complex_vec, trace_metric)
 
 RHO = make_embedding("rho")
 TOT = make_embedding("totally_real")
@@ -34,6 +35,8 @@ def test_complex_structure():
         assert complex_structure_j(complex_structure_j(y)) == -y
     # J carries the first diagonal basis image to the second
     assert complex_structure_j(RHO((ONE, ZERO))) == RHO((I, ZERO))
+    with pytest.raises(ValueError, match="use complex_structure_j"):
+        x.scale(I)
 
 
 def test_metric_values():
@@ -41,16 +44,23 @@ def test_metric_values():
     assert metric_g0(e11, e11) == FieldElem(4)
     x, y = ball_tangent(QUAD[0]), ball_tangent(QUAD[1])
     assert metric_g0(x, y) == ZERO
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        metric_g0(x, e11)
 
 
 def test_metric_symmetric_positive_j_invariant():
     r = rng(302)
     for _ in range(100):
         x, y = rand_tangent(r, 4), rand_tangent(r, 4)
-        assert metric_g0(x, y) == metric_g0(y, x)
+        assert metric_g0(x, y) == metric_g0(y, x) == trace_metric(x, y)
         assert metric_g0(complex_structure_j(x), complex_structure_j(y)) == metric_g0(x, y)
         if not x.is_zero():
             assert metric_g0(x, x).real_sign() > 0
+    # the pairing reads every entry, so blocks of any width agree too
+    for cols in (1, 3):
+        for _ in range(20):
+            x, y = rand_tangent(r, 3, cols), rand_tangent(r, 3, cols)
+            assert metric_g0(x, y) == trace_metric(x, y)
 
 
 def test_kahler_form_values_and_antisymmetry():
@@ -72,8 +82,13 @@ def test_wedge_alternation_on_repeat():
 def test_to_quat_examples_and_round_trip():
     zero = TangentVec.zeros(4, 2)
     assert to_quat(zero) == (Quat(),) * 4
-    with pytest.raises(ValueError):
-        to_quat(ball_tangent((ONE, ZERO)))
+    ball = ball_tangent((ONE, ZERO))
+    for call in (lambda: to_quat(ball), lambda: omega_unit(ball, ball, "j"),
+                 lambda: omega4(ball, ball, ball, ball)):
+        with pytest.raises(ValueError, match="exactly 2 columns"):
+            call()
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        omega4(zero, zero, zero, TangentVec.zeros(2, 2))
     r = rng(306)
     for _ in range(50):
         x = rand_tangent(r, 4)
@@ -93,9 +108,10 @@ def test_omega_unit_values():
     assert omega_unit(x, y, "k") == ZERO
     r = rng(307)
     for _ in range(100):
-        u = rand_tangent(r, 4)
+        u, v = rand_tangent(r, 4), rand_tangent(r, 4)
         for unit in ("i", "j", "k"):
             assert omega_unit(u, u, unit) == ZERO
+            assert omega_unit(u, v, unit) == quat_omega_unit(u, v, unit)
     # all three 2-forms vanish identically on totally real images
     for _ in range(50):
         u = TOT(rand_complex_vec(r, 2))
@@ -110,7 +126,7 @@ def test_omega4_vs_unit_oracles():
         vecs = [rand_tangent(r, 4) for _ in range(4)]
         total = ZERO
         for unit in ("i", "j", "k"):
-            form = lambda u, v: omega_unit(u, v, unit)
+            form = lambda u, v: quat_omega_unit(u, v, unit)
             total = total + matchings_oracle(form, vecs)
         assert omega4(*vecs) == total
 

@@ -357,6 +357,13 @@ def test_horizontality_preconditions():
         horizontality_check(unit_vector(3, 0), unit_vector(3, 1))   # positive line
     with pytest.raises(ValueError):
         horizontality_check(unit_vector(3, 2), unit_vector(3, 2))   # not orthogonal
+    # vectors of C^2 are not vectors of C^{2,1}
+    with pytest.raises(ValueError, match="expected a vector in C"):
+        negative_line_basis((ZERO, ONE))
+    with pytest.raises(ValueError, match="expected a vector in C"):
+        horizontality_check(unit_vector(3, 2), (ONE, ZERO))
+    with pytest.raises(ValueError, match="does not match the signature"):
+        horizontality_check((ZERO, ONE), unit_vector(3, 0))
 
 
 def test_residue_class_independent_of_first_order_family():

@@ -19,6 +19,11 @@ def test_matrix_basics():
         Matrix([[ONE, ZERO]]).trace()
     with pytest.raises(ValueError):
         Matrix([[ONE]]) @ Matrix([[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])
+    for rows in ([], [[]]):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            Matrix(rows)
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix([[ONE, ZERO], [ONE]])
 
 
 def test_matrix_rows_of_any_scalar_kind():
