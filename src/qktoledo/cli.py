@@ -35,35 +35,55 @@ _MAX_SAMPLES = 10_000
 _MAX_N = 100
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qktoledo",
-        description="Exact quaternionic pullback constants and period-domain checks.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("pullback", help="pullback constants of the 4-form")
+def _embedding_arg(p) -> None:
     p.add_argument("--embedding", required=True, choices=sorted(_CLI_EMBEDDINGS))
-    p.add_argument("--n", type=int, default=2, help="ball dimension (default 2)")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("lift-check", help="seeded holomorphic lifting checks")
+
+def _pullback_args(p) -> None:
+    _embedding_arg(p)
+    p.add_argument("--n", type=int, default=2, help="ball dimension (default 2)")
+
+
+def _lift_check_args(p) -> None:
     p.add_argument("--domain", required=True, choices=["twistor", "u3u1u2"])
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("classify", help="linearity classification of a differential")
-    p.add_argument("--embedding", required=True, choices=sorted(_CLI_EMBEDDINGS))
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("period-triple", help="flag of a negative line in C^{2,1}")
+def _period_triple_args(p) -> None:
     p.add_argument("--vector", required=True,
                    help='comma-separated exact components, e.g. "0,0,1" or "1/2,i,1"')
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("selftest", help="re-run every golden exact check")
-    p.add_argument("--json", action="store_true")
 
+# verb -> (help, function adding its arguments before the common --json)
+_VERBS = {
+    "pullback": ("pullback constants of the 4-form", _pullback_args),
+    "lift-check": ("seeded holomorphic lifting checks", _lift_check_args),
+    "classify": ("linearity classification of a differential", _embedding_arg),
+    "period-triple": ("flag of a negative line in C^{2,1}", _period_triple_args),
+    "selftest": ("re-run every golden exact check", lambda p: None),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv: when argv[0] names a verb, only that verb's
+    subparser is built (the others cannot be reached); otherwise all five."""
+    parser = argparse.ArgumentParser(
+        prog="qktoledo",
+        description="Exact quaternionic pullback constants and period-domain checks.")
+    if argv and argv[0] in _VERBS:
+        verbs = (argv[0],)
+        # keeps the top-level usage line that of the full parser
+        sub = parser.add_subparsers(dest="verb", required=True,
+                                    metavar="{" + ",".join(_VERBS) + "}")
+    else:
+        verbs = _VERBS
+        sub = parser.add_subparsers(dest="verb", required=True)
+    for verb in verbs:
+        help_text, add_args = _VERBS[verb]
+        p = sub.add_parser(verb, help=help_text)
+        add_args(p)
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -239,7 +259,9 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.verb == "pullback":
         if args.n < 2:

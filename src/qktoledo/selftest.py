@@ -226,6 +226,33 @@ def _omega_i_totally_real():
     return True, "omega_i = 0 on sampled totally real pairs"
 
 
+# omega_j and omega_k are nonzero on this pair, so a pairing that is not
+# antisymmetric fails the checks below
+_SKEW_PAIR = (
+    TangentVec([[ONE, FieldElem(2)], [I, ZERO], [ZERO, ZERO], [ZERO, ZERO]]),
+    TangentVec([[ZERO, FieldElem(1, 1)], [ONE, FieldElem(2)], [ZERO, ZERO],
+                [ZERO, ZERO]]),
+)
+
+
+def _omega_unit_skew(unit, want):
+    x, y = _SKEW_PAIR
+    got = (omega_unit(x, y, unit), omega_unit(y, x, unit))
+    ok = got == (FieldElem(want), FieldElem(-want))
+    return ok, (f"omega_{unit}(X, Y), omega_{unit}(Y, X): got {got[0]}, {got[1]}, "
+                f"want {want}, {-want}")
+
+
+@_check("j-component 2-form on an antisymmetric pair")
+def _omega_j_skew():
+    return _omega_unit_skew("j", 1)
+
+
+@_check("k-component 2-form on an antisymmetric pair")
+def _omega_k_skew():
+    return _omega_unit_skew("k", 3)
+
+
 @_check("holomorphic pullback identity")
 def _pullback_identity():
     imgs = _quad_images("rho")

@@ -9,7 +9,8 @@ from qktoledo import (BALL_SIG, W_SIG, FieldElem, JetScalar, Matrix, Quat,
                       Subspace, TangentVec, ZERO, ONE, I, HALF_SQRT2, QUAT_UNITS,
                       herm_form, su21_p_matrix, sym_product, sym_square_lie,
                       sym_to_e_coords, to_quat, unit_vector)
-from qktoledo import lifting
+from qktoledo import lifting, wedge_square_eval
+from qktoledo.geometry import _SU2_GENERATORS
 
 
 def rng(seed):
@@ -54,6 +55,19 @@ def quat_omega_unit(x, y, unit):
     for q, p in zip(to_quat(x), to_quat(y)):
         pairing = pairing + q * p.conj()
     return (pairing * QUAT_UNITS[unit]).z.real_part()
+
+
+def invariant_omega4(x, y, z, w):
+    """sum_u omega_u ^ omega_u with omega_u(X, Y) = Re Tr(Y* X A_u) over the
+    su(2) generators A_u of ``geometry._SU2_GENERATORS``.  The isotropy
+    group S(U(4) x U(2)), acting on blocks by A -> U A V*, preserves it,
+    unlike the chart form ``omega4``."""
+    total = ZERO
+    for gen in _SU2_GENERATORS.values():
+        def form(p, q, gen=gen):
+            return (q.conj_transpose() @ p @ gen).trace().real_part()
+        total = total + wedge_square_eval(form, x, y, z, w)
+    return total
 
 
 def trace_metric(x, y):

@@ -1,6 +1,6 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,014 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,021 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr):
 
 * ops 0..119 of each benchmark workload at seed 3 (``perfbench/workloads.py``);
@@ -9,7 +9,19 @@ prints, for each, the argv and the sha256 of its (exit code, stdout, stderr):
 * ``classify`` of each embedding, ``selftest`` and six named
   ``period-triple`` vectors (two accepted, two rejected, two usage errors);
 
-each in text form and with ``--json``.  Compare two trees with
+each in text form and with ``--json``; then seven argv that reach the
+top-level parser's own paths (no argv, an unknown verb, a leading flag,
+``--``, an extra token, an unknown flag, a bad ``--samples``), each as is.
+
+argparse wraps usage lines at ``$COLUMNS``, so the width is pinned to 80
+columns while digesting and the environment restored afterwards.  The
+output is committed as ``tests/golden/argv_digest.txt`` and
+``tests/test_cli.py`` diffs against it; a change that alters output on
+purpose regenerates it with
+
+    PYTHONPATH=src python tests/argv_digest.py > tests/golden/argv_digest.txt
+
+and never drops an argv to make a diff go away.  Compare two trees with
 
     PYTHONPATH=<old>/src python tests/argv_digest.py > old.txt
     PYTHONPATH=<new>/src python tests/argv_digest.py > new.txt
@@ -23,8 +35,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -43,6 +57,17 @@ PERIOD_VECTORS = {
     "two components (usage error)": "1,2",
     "unparsable (usage error)": "1,x,1",
 }
+
+# argv that the top-level parser handles itself, digested as they are
+PARSER_EDGE_ARGVS = (
+    (),
+    ("frobnicate",),
+    ("--json", "pullback", "--embedding", "rho"),
+    ("--", "pullback", "--embedding", "rho"),
+    ("pullback", "--embedding", "rho", "extra"),
+    ("pullback", "--embedding", "rho", "--frequency", "9"),
+    ("lift-check", "--domain", "twistor", "--samples", "0"),
+)
 
 
 def json_argvs():
@@ -68,6 +93,7 @@ def argvs():
     for argv in json_argvs():
         yield tuple(a for a in argv if a != "--json")
         yield argv
+    yield from PARSER_EDGE_ARGVS
 
 
 def digest(argv) -> str:
@@ -81,6 +107,12 @@ def digest(argv) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def digest_lines():
+    """One line per argv: the digest, two spaces, the argv."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        return [f"{digest(argv)}  {' '.join(argv)}".rstrip() for argv in argvs()]
+
+
 if __name__ == "__main__":
-    for argv in argvs():
-        print(f"{digest(argv)}  {' '.join(argv)}")
+    for line in digest_lines():
+        print(line)

@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -10,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from qktoledo import CONVENTION, make_embedding, pullback_constant
-from qktoledo.cli import main
+from qktoledo.cli import build_parser, main
+
+from argv_digest import digest_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -136,6 +141,45 @@ def test_stdout_matches_the_golden_file(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()
+
+
+_VERB_NAMES = ("pullback", "lift-check", "classify", "period-triple", "selftest")
+_TOKEN_POOL = _VERB_NAMES + (
+    "pull", "--embedding", "--n", "--domain", "--samples", "--seed", "--vector",
+    "--json", "-h", "--", "rho", "sym-square", "twistor", "u3u1u2", "3", "0",
+    "-2", "x", "0,0,1", "1,x", "frobnicate", "--frequency", "-q")
+
+
+def _parse_outcome(parser, argv):
+    """The namespace or exit code of parsing, its stdout and stderr, and the
+    top-level usage line that main's own usage errors print."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue(), parser.format_usage()
+
+
+def test_single_verb_parser_matches_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    r = random.Random(16)
+    outcomes = set()
+    for _ in range(400):
+        first = r.choice(_VERB_NAMES if r.random() < 0.6 else _TOKEN_POOL)
+        argv = [first] + [r.choice(_TOKEN_POOL) for _ in range(r.randint(0, 6))]
+        got = _parse_outcome(build_parser(argv), argv)
+        assert got == _parse_outcome(build_parser(), argv), argv
+        outcomes.add(got[0] if isinstance(got[0], int) else "namespace")
+    assert outcomes == {"namespace", 0, 2}
+
+
+def test_argv_digest_matches_the_golden_file():
+    want = (GOLDEN / "argv_digest.txt").read_text().splitlines()
+    got = digest_lines()
+    changed = [line.split("  ", 1)[-1] for line in set(got) - set(want)]
+    assert got == want, f"{len(changed)} argv changed output: {changed[:10]}"
 
 
 def test_period_triple_base(capsys):

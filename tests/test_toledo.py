@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qktoledo import (FieldElem, composition_invariant,
-                      make_embedding, omega4, pullback_constant,
-                      standard_quadruple)
+from qktoledo import (FieldElem, Matrix, TangentVec, ONE, ZERO, I, HALF_SQRT2,
+                      composition_invariant, make_embedding, omega4,
+                      pullback_constant, standard_quadruple)
 
-from _helpers import perm_det, rng, rand_fraction
+from _helpers import invariant_omega4, perm_det, rng, rand_fraction
 
 EMBEDDINGS = ("rho", "sym_square", "phi", "totally_real")
 
@@ -19,6 +19,64 @@ def test_pullback_ratios():
     for name in EMBEDDINGS:
         rep = pullback_constant(make_embedding(name))
         assert rep.ratio * 16 == rep.omega_value
+
+
+def _mix_rows(a, b):
+    """The 4 x 4 unitary sending rows (a, b) to (h*a - h*b, h*a + h*b)."""
+    m = [[ONE if r == c else ZERO for c in range(4)] for r in range(4)]
+    m[a][a], m[a][b], m[b][a], m[b][b] = HALF_SQRT2, -HALF_SQRT2, HALF_SQRT2, HALF_SQRT2
+    return Matrix(m)
+
+
+_I4, _I2 = Matrix.identity(4), Matrix.identity(2)
+_U = Matrix([[HALF_SQRT2, HALF_SQRT2 * I, ZERO, ZERO],
+             [HALF_SQRT2 * I, HALF_SQRT2, ZERO, ZERO],
+             [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
+_V = Matrix([[HALF_SQRT2, HALF_SQRT2 * I], [HALF_SQRT2 * I, HALF_SQRT2]])
+_P = Matrix.diagonal([I, ONE, ONE, ONE])
+# P.H13.P.H12 has determinant -1; the central phase (1 + i)/sqrt2, whose
+# fourth power is -1, puts it in SU(4)
+_U_MIXED = (_P @ _mix_rows(0, 2) @ _P @ _mix_rows(0, 1)) * (HALF_SQRT2 * (ONE + I))
+
+# elements (U, V) of K = S(U(4) x U(2)), acting on a block by A -> U A V*
+K_ELEMENTS = {"identity": (_I4, _I2), "U": (_U, _I2), "V": (_I4, _V),
+              "U and V": (_U, _V), "P.H13.P.H12": (_U_MIXED, _I2)}
+
+# the pullback constants of the K-invariant form, relative to Omega_B^2 = 16
+INVARIANT_RATIOS = {"rho": 0, "totally_real": Fraction(1, 4),
+                    "phi": Fraction(1, 16), "sym_square": Fraction(-3, 64)}
+
+
+def _moved_images(name, k):
+    """Images of the standard quadruple under k composed with the embedding."""
+    u, v = K_ELEMENTS[k]
+    emb = make_embedding(name)
+    return [TangentVec((u @ emb(x) @ v.conj_transpose()).entries)
+            for x in standard_quadruple(2)]
+
+
+@pytest.mark.parametrize("k", K_ELEMENTS)
+def test_k_elements_lie_in_the_isotropy_group(k):
+    u, v = K_ELEMENTS[k]
+    assert u @ u.conj_transpose() == _I4
+    assert v @ v.conj_transpose() == _I2
+    assert perm_det(u.entries) * perm_det(v.entries) == ONE
+
+
+@pytest.mark.parametrize("k", K_ELEMENTS)
+def test_invariant_oracle_gives_one_constant_through_every_k(k):
+    for name, ratio in INVARIANT_RATIOS.items():
+        assert invariant_omega4(*_moved_images(name, k)) == FieldElem(ratio * 16), name
+
+
+def test_omega4_is_the_chart_form_and_not_k_invariant():
+    # a known fact, pinned: the printed constants are those of the chart
+    # form x + y*j, and U moves the symmetric square's 11/64 to 19/64
+    moved = {name: omega4(*_moved_images(name, "U")) / 16 for name in EMBEDDINGS}
+    assert moved == {"rho": FieldElem(Fraction(1, 4)),
+                     "sym_square": FieldElem(Fraction(19, 64)),
+                     "phi": FieldElem(Fraction(1, 16)), "totally_real": ZERO}
+    assert pullback_constant(make_embedding("sym_square")).ratio == FieldElem(Fraction(11, 64))
 
 
 def test_ratios_pairwise_distinct():
