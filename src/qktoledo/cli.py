@@ -55,16 +55,6 @@ def _period_triple_args(p) -> None:
                    help='comma-separated exact components, e.g. "0,0,1" or "1/2,i,1"')
 
 
-# verb -> (help, function adding its arguments before the common --json)
-_VERBS = {
-    "pullback": ("pullback constants of the 4-form", _pullback_args),
-    "lift-check": ("seeded holomorphic lifting checks", _lift_check_args),
-    "classify": ("linearity classification of a differential", _embedding_arg),
-    "period-triple": ("flag of a negative line in C^{2,1}", _period_triple_args),
-    "selftest": ("re-run every golden exact check", lambda p: None),
-}
-
-
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for argv: when argv[0] names a verb, only that verb's
     subparser is built (the others cannot be reached); otherwise all five."""
@@ -80,7 +70,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         verbs = _VERBS
         sub = parser.add_subparsers(dest="verb", required=True)
     for verb in verbs:
-        help_text, add_args = _VERBS[verb]
+        help_text, add_args, _ = _VERBS[verb]
         p = sub.add_parser(verb, help=help_text)
         add_args(p)
         p.add_argument("--json", action="store_true")
@@ -91,7 +81,13 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
-def _cmd_pullback(args) -> int:
+def _cmd_pullback(args, parser) -> int:
+    if args.n < 2:
+        parser.error("--n must be at least 2")
+    if args.n > _MAX_N:
+        parser.error(f"--n must be at most {_MAX_N}")
+    if args.embedding == "sym-square" and args.n != 2:
+        parser.error("sym-square is defined for --n 2 only")
     name = _CLI_EMBEDDINGS[args.embedding]
     embedding = make_embedding(name, args.n)
     report = pullback_constant(embedding)
@@ -145,7 +141,11 @@ def _fmt_vec(vec) -> str:
     return "(" + ", ".join(str(x) for x in vec) + ")"
 
 
-def _cmd_lift_check(args) -> int:
+def _cmd_lift_check(args, parser) -> int:
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.samples > _MAX_SAMPLES:
+        parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     rng = random.Random(args.seed)
     samples = []
     all_ok = True
@@ -190,7 +190,7 @@ def _cmd_lift_check(args) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, parser) -> int:
     components, (first, second), condition = classify(
         make_embedding(_CLI_EMBEDDINGS[args.embedding]))
     if args.json:
@@ -242,7 +242,7 @@ def _cmd_period_triple(args, parser) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, parser) -> int:
     # imported here so that the other verbs do not compile the golden checks
     from .selftest import run_selftest
     all_ok, results = run_selftest()
@@ -258,30 +258,26 @@ def _cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
+# verb -> (help, function adding its arguments before the common --json,
+# handler called with the parsed args and the parser)
+_VERBS = {
+    "pullback": ("pullback constants of the 4-form", _pullback_args, _cmd_pullback),
+    "lift-check": ("seeded holomorphic lifting checks", _lift_check_args,
+                   _cmd_lift_check),
+    "classify": ("linearity classification of a differential", _embedding_arg,
+                 _cmd_classify),
+    "period-triple": ("flag of a negative line in C^{2,1}", _period_triple_args,
+                      _cmd_period_triple),
+    "selftest": ("re-run every golden exact check", lambda p: None, _cmd_selftest),
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    if args.verb == "pullback":
-        if args.n < 2:
-            parser.error("--n must be at least 2")
-        if args.n > _MAX_N:
-            parser.error(f"--n must be at most {_MAX_N}")
-        if args.embedding == "sym-square" and args.n != 2:
-            parser.error("sym-square is defined for --n 2 only")
-        return _cmd_pullback(args)
-    if args.verb == "lift-check":
-        if args.samples < 1:
-            parser.error("--samples must be at least 1")
-        if args.samples > _MAX_SAMPLES:
-            parser.error(f"--samples must be at most {_MAX_SAMPLES}")
-        return _cmd_lift_check(args)
-    if args.verb == "classify":
-        return _cmd_classify(args)
-    if args.verb == "period-triple":
-        return _cmd_period_triple(args, parser)
-    return _cmd_selftest(args)
+    return _VERBS[args.verb][2](args, parser)
 
 
 def run() -> None:

@@ -88,11 +88,6 @@ def metric_g0(x: TangentVec, y: TangentVec) -> FieldElem:
     return (_hermitian(x, y) * 4).real_part()
 
 
-def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
-    """Omega0(X, Y) = g0(JX, Y); antisymmetric and real."""
-    return metric_g0(complex_structure_j(x), y)
-
-
 def to_quat(x: TangentVec) -> tuple:
     """Identify a 2n x 2 block (x | y) with the quaternion vector x + y*j,
     returned as a tuple of Quat."""
@@ -105,6 +100,13 @@ _UNIT_FORMS = {
     "j": lambda x, y: -_symplectic(x, y).real_part(),
     "k": lambda x, y: (_symplectic(x, y) * I).real_part(),
 }
+
+
+def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
+    """Omega0(X, Y) = g0(JX, Y) = 4 Re(i Tr(Y* X)), that is 4 omega_i, read
+    off the same i-pairing for blocks of any width; antisymmetric and real."""
+    _check_same_shape(x, y)
+    return _UNIT_FORMS["i"](x, y) * 4
 
 
 def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:

@@ -122,7 +122,8 @@ def classify_linearity(alphas, betas) -> str:
 
     Tests L(i e_k) = i L(e_k) (linear) and L(i e_k) = -i L(e_k)
     (conjugate-linear) across the domain basis; identically zero components
-    report "zero".
+    report "zero".  Given the values of several components at once, it
+    classifies them together: a zero component satisfies both identities.
     """
     if not any(alphas) and not any(betas):
         return ZERO_MAP
@@ -133,35 +134,27 @@ def classify_linearity(alphas, betas) -> str:
     return NEITHER
 
 
-def _fold_column(verdicts) -> str:
-    """The verdict of a column from the verdicts of its components."""
-    verdicts = set(verdicts)
-    if verdicts == {ZERO_MAP}:
-        return ZERO_MAP
-    if verdicts <= {LINEAR, ZERO_MAP}:
-        return LINEAR
-    if verdicts <= {CONJUGATE_LINEAR, ZERO_MAP}:
-        return CONJUGATE_LINEAR
-    return NEITHER
-
-
 def classify(embedding: EmbeddingDiff) -> tuple:
     """Linearity classification of a differential with two columns.
 
     Returns (components, columns, condition): the verdict of every
     component as a 1-based (column, row, verdict) triple in column-major
-    order, the verdicts of the two columns, and the necessary condition for
-    a holomorphic twistor lift, first column conjugate-linear and second
-    column linear (zero components permitted).
+    order, the verdicts of the two columns (each over the values of all its
+    rows), and the necessary condition for a holomorphic twistor lift, first
+    column conjugate-linear and second column linear (zero components
+    permitted).
     """
     n = embedding.n
     images = [embedding(unit_vector(n, k, s)) for s in (ONE, I) for k in range(n)]
-    components = tuple(
-        (col, row, classify_linearity([x[row - 1, col - 1] for x in images[:n]],
-                                      [x[row - 1, col - 1] for x in images[n:]]))
-        for col in (1, 2) for row in range(1, images[0].rows + 1))
-    first, second = columns = tuple(
-        _fold_column(v for c, _, v in components if c == col) for col in (1, 2))
+    all_rows = range(images[0].rows)
+
+    def verdict(col, rows):
+        return classify_linearity([x[r, col] for x in images[:n] for r in rows],
+                                  [x[r, col] for x in images[n:] for r in rows])
+
+    components = tuple((col + 1, row + 1, verdict(col, (row,)))
+                       for col in (0, 1) for row in all_rows)
+    first, second = columns = tuple(verdict(col, all_rows) for col in (0, 1))
     condition = first in (CONJUGATE_LINEAR, ZERO_MAP) and second in (LINEAR, ZERO_MAP)
     return components, columns, condition
 

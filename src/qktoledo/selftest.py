@@ -72,15 +72,27 @@ def _expect(actual, expected, label):
     return ok, f"{label}: got {actual}, want {expected}"
 
 
+def _golden(name, label, want, compute):
+    """Register the check name: compute() must equal the golden value want."""
+    _check(name)(lambda: _expect(compute(), want, label))
+
+
+def _span_e(*ks) -> Subspace:
+    """The span of the E-basis vectors with 0-based indices ks."""
+    return Subspace(6, [unit_vector(6, k) for k in ks])
+
+
 def _quad_images(name):
     emb = make_embedding(name)
     return [emb(x) for x in standard_quadruple(2)]
 
 
-@_check("signature form on E5")
-def _w_form_e5():
-    e5 = unit_vector(6, 4)
-    return _expect(herm_form(e5, e5, W_SIG), FieldElem(-1), "h(E5, E5)")
+def _quat_image(name, x):
+    return to_quat(make_embedding(name)(x))
+
+
+_golden("signature form on E5", "h(E5, E5)", FieldElem(-1),
+        lambda: herm_form(unit_vector(6, 4), unit_vector(6, 4), W_SIG))
 
 
 @_check("E-basis orthonormal in the tensor form")
@@ -94,50 +106,22 @@ def _e_basis_orthonormal():
     return True, "tensor form of E1..E6 is diag(1,1,1,1,-1,-1)"
 
 
-@_check("mixed plane is negative definite")
-def _mixed_negative():
-    s = Subspace(6, [unit_vector(6, 4), unit_vector(6, 5)])
-    return _expect(s.definiteness(W_SIG), "negative", "span(E5, E6)")
-
-
-@_check("Sym^2 orthocomplement is positive definite")
-def _s2perp_positive():
-    s = Subspace(6, [unit_vector(6, 0), unit_vector(6, 1), unit_vector(6, 3)])
-    return _expect(s.definiteness(W_SIG), "positive", "span(E1, E2, E4)")
-
-
-@_check("ball metric normalization")
-def _ball_metric():
-    u = ball_tangent((ONE, ZERO))
-    return _expect(metric_g0(u, u), FieldElem(4), "g_B(u, u), u = (1, 0)")
-
-
-@_check("base Kahler form on the first basis pair")
-def _omega_b_xy():
-    x = ball_tangent((ONE, ZERO))
-    y = ball_tangent((I, ZERO))
-    return _expect(kahler_form(x, y), FieldElem(4), "Omega_B(X, Y)")
-
-
-@_check("base Kahler form on the second basis pair")
-def _omega_b_zw():
-    z = ball_tangent((ZERO, ONE))
-    w = ball_tangent((ZERO, I))
-    return _expect(kahler_form(z, w), FieldElem(4), "Omega_B(Z, W)")
-
-
-@_check("base Kahler form squared on the quadruple")
-def _omega_b_squared():
-    quad = [ball_tangent(x) for x in standard_quadruple(2)]
-    return _expect(wedge_square_eval(kahler_form, *quad), FieldElem(16),
-                   "Omega_B^2(X, Y, Z, W)")
-
-
-@_check("diagonal embedding quaternion coordinates")
-def _rho_quat():
-    img = make_embedding("rho")((ONE, ZERO))
-    want = (Quat(ONE), QUAT_J, Quat(), Quat())
-    return _expect(to_quat(img), want, "rho(e1)")
+_golden("mixed plane is negative definite", "span(E5, E6)", "negative",
+        lambda: _span_e(4, 5).definiteness(W_SIG))
+_golden("Sym^2 orthocomplement is positive definite", "span(E1, E2, E4)",
+        "positive", lambda: _span_e(0, 1, 3).definiteness(W_SIG))
+_golden("ball metric normalization", "g_B(u, u), u = (1, 0)", FieldElem(4),
+        lambda: metric_g0(ball_tangent((ONE, ZERO)), ball_tangent((ONE, ZERO))))
+_golden("base Kahler form on the first basis pair", "Omega_B(X, Y)", FieldElem(4),
+        lambda: kahler_form(ball_tangent((ONE, ZERO)), ball_tangent((I, ZERO))))
+_golden("base Kahler form on the second basis pair", "Omega_B(Z, W)", FieldElem(4),
+        lambda: kahler_form(ball_tangent((ZERO, ONE)), ball_tangent((ZERO, I))))
+_golden("base Kahler form squared on the quadruple", "Omega_B^2(X, Y, Z, W)",
+        FieldElem(16), lambda: wedge_square_eval(
+            kahler_form, *map(ball_tangent, standard_quadruple(2))))
+_golden("diagonal embedding quaternion coordinates", "rho(e1)",
+        (Quat(ONE), QUAT_J, Quat(), Quat()),
+        lambda: _quat_image("rho", (ONE, ZERO)))
 
 
 @_check("diagonal embedding block matrices")
@@ -165,53 +149,34 @@ def _rho_blocks():
     return True, "rho basis images match the explicit block matrices"
 
 
-@_check("symmetric square quaternion coordinates, first basis vector")
-def _iota_quat_x():
-    img = make_embedding("sym_square")((ONE, ZERO))
-    want = (Quat(ONE), Quat(), Quat(ONE), Quat(ZERO, HALF_SQRT2))
-    return _expect(to_quat(img), want, "iota(e1)")
+_golden("symmetric square quaternion coordinates, first basis vector", "iota(e1)",
+        (Quat(ONE), Quat(), Quat(ONE), Quat(ZERO, HALF_SQRT2)),
+        lambda: _quat_image("sym_square", (ONE, ZERO)))
+_golden("symmetric square quaternion coordinates, second basis vector", "iota(e2)",
+        (Quat(), QUAT_J, QUAT_J, Quat(HALF_SQRT2)),
+        lambda: _quat_image("sym_square", (ZERO, ONE)))
+_golden("symmetric square quaternion coordinates, fourth basis vector", "iota(i e2)",
+        (Quat(), QUAT_K, -QUAT_K, Quat(I * HALF_SQRT2)),
+        lambda: _quat_image("sym_square", (ZERO, I)))
 
 
-@_check("symmetric square quaternion coordinates, second basis vector")
-def _iota_quat_z():
-    img = make_embedding("sym_square")((ZERO, ONE))
-    want = (Quat(), QUAT_J, QUAT_J, Quat(HALF_SQRT2))
-    return _expect(to_quat(img), want, "iota(e2)")
-
-
-@_check("symmetric square quaternion coordinates, fourth basis vector")
-def _iota_quat_w():
-    img = make_embedding("sym_square")((ZERO, I))
-    want = (Quat(), QUAT_K, -QUAT_K, Quat(I * HALF_SQRT2))
-    return _expect(to_quat(img), want, "iota(i e2)")
-
-
-@_check("Leibniz expansion on the mixed basis vector")
 def _leibniz_mixed():
     x = su21_p_matrix(ONE, ZERO)
     t = Matrix(sym_product(unit_vector(3, 2), unit_vector(3, 0)))
-    image = x @ t + t @ x.transpose()
-    got = sym_to_e_coords(image.entries)
-    want = (ONE, ZERO, ONE, ZERO, ZERO, ZERO)
-    return _expect(got, want, "d iota(X)(e3 . e1) in E-coordinates")
+    return sym_to_e_coords((x @ t + t @ x.transpose()).entries)
 
 
-@_check("4-form on the diagonal embedding")
-def _omega_rho():
-    return _expect(omega4(*_quad_images("rho")), FieldElem(4),
-                   "omega on rho images")
+_golden("Leibniz expansion on the mixed basis vector",
+        "d iota(X)(e3 . e1) in E-coordinates", (ONE, ZERO, ONE, ZERO, ZERO, ZERO),
+        _leibniz_mixed)
 
-
-@_check("4-form on the symmetric square")
-def _omega_sym_square():
-    return _expect(omega4(*_quad_images("sym_square")), FieldElem(Fraction(11, 4)),
-                   "omega on sym_square images")
-
-
-@_check("4-form on the totally real embedding")
-def _omega_totally_real():
-    return _expect(omega4(*_quad_images("totally_real")), ZERO,
-                   "omega on totally_real images")
+# the three embeddings whose 4-form and pullback ratio are golden rows; each
+# row binds its embedding as a lambda default
+for _name, _title, _omega in (("rho", "diagonal embedding", 4),
+                              ("sym_square", "symmetric square", Fraction(11, 4)),
+                              ("totally_real", "totally real embedding", 0)):
+    _golden(f"4-form on the {_title}", f"omega on {_name} images", FieldElem(_omega),
+            lambda name=_name: omega4(*_quad_images(name)))
 
 
 @_check("i-component 2-form vanishes on totally real images")
@@ -243,14 +208,8 @@ def _omega_unit_skew(unit, want):
                 f"want {want}, {-want}")
 
 
-@_check("j-component 2-form on an antisymmetric pair")
-def _omega_j_skew():
-    return _omega_unit_skew("j", 1)
-
-
-@_check("k-component 2-form on an antisymmetric pair")
-def _omega_k_skew():
-    return _omega_unit_skew("k", 3)
+_check("j-component 2-form on an antisymmetric pair")(lambda: _omega_unit_skew("j", 1))
+_check("k-component 2-form on an antisymmetric pair")(lambda: _omega_unit_skew("k", 3))
 
 
 @_check("holomorphic pullback identity")
@@ -259,21 +218,6 @@ def _pullback_identity():
     lhs = wedge_square_eval(kahler_form, *imgs)
     rhs = omega4(*imgs) * 16
     return _expect(lhs, rhs, "Omega0^2 vs 16*omega on rho images")
-
-
-@_check("adjoint action is right multiplication by i")
-def _su2_i():
-    return _su2_unit("i")
-
-
-@_check("adjoint action is right multiplication by j")
-def _su2_j():
-    return _su2_unit("j")
-
-
-@_check("adjoint action is right multiplication by k")
-def _su2_k():
-    return _su2_unit("k")
 
 
 def _su2_unit(unit):
@@ -290,22 +234,15 @@ def _su2_unit(unit):
     return True, f"right multiplication by {unit} realized"
 
 
-@_check("pullback ratio of the diagonal embedding")
-def _ratio_rho():
-    rep = pullback_constant(make_embedding("rho"))
-    return _expect(rep.ratio, FieldElem(Fraction(1, 4)), "ratio(rho)")
+_check("adjoint action is right multiplication by i")(lambda: _su2_unit("i"))
+_check("adjoint action is right multiplication by j")(lambda: _su2_unit("j"))
+_check("adjoint action is right multiplication by k")(lambda: _su2_unit("k"))
 
-
-@_check("pullback ratio of the symmetric square")
-def _ratio_sym_square():
-    rep = pullback_constant(make_embedding("sym_square"))
-    return _expect(rep.ratio, FieldElem(Fraction(11, 64)), "ratio(sym_square)")
-
-
-@_check("pullback ratio of the totally real embedding")
-def _ratio_totally_real():
-    rep = pullback_constant(make_embedding("totally_real"))
-    return _expect(rep.ratio, ZERO, "ratio(totally_real)")
+for _name, _title, _ratio in (("rho", "diagonal embedding", Fraction(1, 4)),
+                              ("sym_square", "symmetric square", Fraction(11, 64)),
+                              ("totally_real", "totally real embedding", 0)):
+    _golden(f"pullback ratio of the {_title}", f"ratio({_name})", FieldElem(_ratio),
+            lambda name=_name: pullback_constant(make_embedding(name)).ratio)
 
 
 @_check("pullback ratio of the frozen-factor embedding")
@@ -323,52 +260,39 @@ def _composition():
     return ok, f"value = {rep.value}, below bound = {rep.below_source_bound}"
 
 
-@_check("twistor grading pattern")
-def _twistor_pattern():
-    want = {(r, 6) for r in range(1, 5)} | {(5, c) for c in range(1, 5)} | {(5, 6)}
-    got = set(grading_mask(TWISTOR_H))
-    return _expect(got, want, "twistor holomorphic pattern")
-
-
-@_check("flag grading pattern on the off-diagonal blocks")
-def _flag_pattern():
+def _flag_positions():
     mask = grading_mask(PERIOD_FLAG_H)
-    got = {pos for pos in p_positions() if pos in mask}
-    want = {(1, 5), (1, 6), (2, 5), (2, 6), (4, 5), (4, 6), (5, 3), (6, 3)}
-    return _expect(got, want, "flag holomorphic pattern on p-positions")
+    return {pos for pos in p_positions() if pos in mask}
 
 
-@_check("twistor obstruction for a = (1, 0)")
-def _twistor_10():
-    violations = twistor_nonlift_check((ONE, ZERO))
-    ok = violations == ((1, 5, ONE),)
-    return ok, f"member={not violations}, violations={violations}"
+_golden("twistor grading pattern", "twistor holomorphic pattern",
+        {(r, 6) for r in range(1, 5)} | {(5, c) for c in range(1, 5)} | {(5, 6)},
+        lambda: set(grading_mask(TWISTOR_H)))
+_golden("flag grading pattern on the off-diagonal blocks",
+        "flag holomorphic pattern on p-positions",
+        {(1, 5), (1, 6), (2, 5), (2, 6), (4, 5), (4, 6), (5, 3), (6, 3)},
+        _flag_positions)
 
 
-@_check("twistor obstruction for a = (0, 1)")
-def _twistor_01():
-    violations = twistor_nonlift_check((ZERO, ONE))
-    ok = violations == ((4, 5, HALF_SQRT2), (6, 3, ONE))
-    return ok, f"member={not violations}, violations={violations}"
+def _twistor(a, want):
+    violations = twistor_nonlift_check(a)
+    return violations == want, f"member={not violations}, violations={violations}"
 
 
-@_check("flag holomorphy for a = (1, 0)")
-def _holomorphy_10():
-    return holomorphy_check_u3u1u2((ONE, ZERO)), "image inside the flag pattern"
-
-
-@_check("flag holomorphy for a = (0, 1)")
-def _holomorphy_01():
-    return holomorphy_check_u3u1u2((ZERO, ONE)), "image inside the flag pattern"
+_check("twistor obstruction for a = (1, 0)")(
+    lambda: _twistor((ONE, ZERO), ((1, 5, ONE),)))
+_check("twistor obstruction for a = (0, 1)")(
+    lambda: _twistor((ZERO, ONE), ((4, 5, HALF_SQRT2), (6, 3, ONE))))
+_check("flag holomorphy for a = (1, 0)")(
+    lambda: (holomorphy_check_u3u1u2((ONE, ZERO)), "image inside the flag pattern"))
+_check("flag holomorphy for a = (0, 1)")(
+    lambda: (holomorphy_check_u3u1u2((ZERO, ONE)), "image inside the flag pattern"))
 
 
 @_check("flag of the base negative line")
 def _period_triple_base():
     got = tuple(s for _, s in period_triple(unit_vector(3, 2)))
-    want = (Subspace(6, [unit_vector(6, 0), unit_vector(6, 1), unit_vector(6, 3)]),
-            Subspace(6, [unit_vector(6, 2)]),
-            Subspace(6, [unit_vector(6, 4), unit_vector(6, 5)]))
-    if got != want:
+    if got != (_span_e(0, 1, 3), _span_e(2), _span_e(4, 5)):
         return False, f"triple mismatch: {got}"
     return _expect(tuple(s.definiteness(W_SIG) for s in got),
                    ("positive", "positive", "negative"), "definiteness")

@@ -75,6 +75,20 @@ def trace_metric(x, y):
     return ((y.conj_transpose() @ x).trace() * 4).real_part()
 
 
+def fold_column(verdicts):
+    """The verdict of a column folded from the verdicts of its components:
+    zero when all are zero, linear (conjugate-linear) when each is linear
+    (conjugate-linear) or zero, and neither otherwise."""
+    verdicts = set(verdicts)
+    if verdicts == {"zero"}:
+        return "zero"
+    if verdicts <= {"linear", "zero"}:
+        return "linear"
+    if verdicts <= {"conjugate_linear", "zero"}:
+        return "conjugate_linear"
+    return "neither"
+
+
 def contains(space, vector):
     """True iff the vector lies in the Subspace: its residue vanishes."""
     return not any(space.residue(vector))

@@ -9,8 +9,8 @@ from qktoledo import (FieldElem, Matrix, Quat, TangentVec,
                       standard_quadruple, to_quat, wedge_square_eval)
 from qktoledo.selftest import ball_tangent, su_matrix
 
-from _helpers import (matchings_oracle, quat_omega_unit, rng, rand_tangent,
-                      rand_complex_vec, trace_metric)
+from _helpers import (matchings_oracle, quat_omega_unit, rng, rand_field_elem,
+                      rand_tangent, rand_complex_vec, trace_metric)
 
 RHO = make_embedding("rho")
 TOT = make_embedding("totally_real")
@@ -71,6 +71,22 @@ def test_kahler_form_values_and_antisymmetry():
         assert kahler_form(u, u) == ZERO
         assert kahler_form(u, v) == -kahler_form(v, u)
         assert kahler_form(u, v).is_real()
+
+
+def test_kahler_form_is_g0_of_jx_and_four_omega_i():
+    # Omega0 = g0(JX, Y) by definition; on 2-column blocks it is 4 omega_i
+    r = rng(305)
+    for cols in (1, 2):
+        for rows in (1, 2, 3, 5):
+            for _ in range(10):
+                x, y = (TangentVec([[rand_field_elem(r) for _ in range(cols)]
+                                    for _ in range(rows)]) for _ in range(2))
+                assert kahler_form(x, y) == metric_g0(complex_structure_j(x), y)
+                if cols == 2:
+                    assert kahler_form(x, y) == omega_unit(x, y, "i") * 4
+    for other in (TangentVec.zeros(3, 2), TangentVec.zeros(2, 1)):
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            kahler_form(TangentVec.zeros(2, 2), other)
 
 
 def test_wedge_alternation_on_repeat():

@@ -18,7 +18,7 @@ from qktoledo import lifting
 from qktoledo.cli import main
 from qktoledo.selftest import ball_tangent, run_selftest
 
-from _helpers import (contains, flag_motion, jet_flag_motion,
+from _helpers import (contains, flag_motion, fold_column, jet_flag_motion,
                       jet_horizontality_check, leibniz_bplus_image,
                       mutually_orthogonal, orthogonality_horizontality_check,
                       perp, rng, rand_field_elem,
@@ -158,6 +158,46 @@ def test_classify_synthetic_round_trip():
                           (2, 1, "linear"), (2, 2, "linear"))
     assert columns == ("conjugate_linear", "linear")
     assert condition
+
+
+def _random_entry_map(r, n):
+    """A scalar component x -> 0, c x_k, c conj(x_k) or c x_k + d conj(x_k),
+    chosen at random with nonzero coefficients c, d."""
+    kind, k = r.choice(("zero", "linear", "conjugate_linear", "neither")), r.randrange(n)
+    c, d = rand_nonzero_field_elem(r), rand_nonzero_field_elem(r)
+    return {"zero": lambda x: ZERO,
+            "linear": lambda x: c * x[k],
+            "conjugate_linear": lambda x: c * x[k].conj(),
+            "neither": lambda x: c * x[k] + d * x[k].conj()}[kind]
+
+
+def _random_embedding(r):
+    """A synthetic EmbeddingDiff whose 2n x 2 entries are random entry maps;
+    one column in three is forced all zero."""
+    n = r.randint(1, 3)
+    zero_col = r.choice((0, 1, None, None, None, None))
+    maps = [[(lambda x: ZERO) if col == zero_col else _random_entry_map(r, n)
+             for col in (0, 1)] for _ in range(2 * n)]
+    return EmbeddingDiff("synthetic", n,
+                         lambda x: [[f(x) for f in row] for row in maps])
+
+
+def test_column_verdicts_match_the_fold_of_component_verdicts():
+    # the old per-component fold is the oracle of the column verdicts
+    r = rng(607)
+    embeddings = [make_embedding(name) for name in
+                  ("rho", "sym_square", "totally_real", "phi")]
+    embeddings += [_synthetic_embedding()] + [_random_embedding(r) for _ in range(300)]
+    seen, mixed = set(), False
+    for emb in embeddings:
+        components, columns, _ = classify(emb)
+        for col, verdict in zip((1, 2), columns):
+            parts = {v for c, _, v in components if c == col}
+            assert verdict == fold_column(parts), (emb, col, parts)
+            mixed = mixed or {"linear", "conjugate_linear"} <= parts
+        seen.update(columns)
+    assert seen == {"linear", "conjugate_linear", "zero", "neither"}
+    assert mixed
 
 
 def test_conjugate_linearity_matches_real_block_criterion():
