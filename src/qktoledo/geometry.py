@@ -4,7 +4,8 @@ A tangent vector at the base point is the p x q block A of the symmetric-pair
 element [[0, A], [A*, 0]].  Conventions fixed here and used everywhere:
 
 * complex structure: J(A) = i*A;
-* metric: g0(X, Y) = 4 Re Tr(B* A), Kahler form Omega0(X, Y) = g0(JX, Y);
+* metric: g0(X, Y) = 4 Re Tr(B* A), Kahler form Omega0(X, Y) = g0(JX, Y)
+  = 4 Re(i Tr(Y* X)), which is 4 omega_i (below) on 2-column blocks;
 * quaternionic coordinates (q = 2 only): row m of A = (x_m, y_m) becomes the
   quaternion x_m + y_m*j, i.e. the identification q = x + y*j;
 * the 2-forms omega_u(X, Y) = Re(q_X . conj(q_Y) u) for u in {i, j, k}, with
@@ -103,8 +104,9 @@ _UNIT_FORMS = {
 
 
 def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
-    """Omega0(X, Y) = g0(JX, Y) = 4 Re(i Tr(Y* X)), that is 4 omega_i, read
-    off the same i-pairing for blocks of any width; antisymmetric and real."""
+    """Omega0 = 4 omega_i: Omega0(X, Y) = g0(JX, Y) = 4 Re(i Tr(Y* X)), read
+    off the i-pairing of omega_i for blocks of any width; antisymmetric and
+    real."""
     _check_same_shape(x, y)
     return _UNIT_FORMS["i"](x, y) * 4
 
