@@ -163,7 +163,8 @@ def test_classify_synthetic_round_trip():
 def _random_entry_map(r, n):
     """A scalar component x -> 0, c x_k, c conj(x_k) or c x_k + d conj(x_k),
     chosen at random with nonzero coefficients c, d."""
-    kind, k = r.choice(("zero", "linear", "conjugate_linear", "neither")), r.randrange(n)
+    kind = r.choice(("zero", "linear", "conjugate_linear", "neither"))
+    k = r.randrange(n)
     c, d = rand_nonzero_field_elem(r), rand_nonzero_field_elem(r)
     return {"zero": lambda x: ZERO,
             "linear": lambda x: c * x[k],
