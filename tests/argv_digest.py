@@ -1,10 +1,11 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,021 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,027 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr):
 
 * ops 0..119 of each benchmark workload at seed 3 (``perfbench/workloads.py``);
-* ``pullback`` of each embedding at ``--n 3`` and ``--n 16``;
+* ``pullback`` of each embedding at ``--n 3`` and ``--n 16``, and of the
+  three general-n embeddings at ``--n 100``, the largest the CLI accepts;
 * ``lift-check`` of both domains at seeds 0..3 with 15 samples;
 * ``classify`` of each embedding, ``selftest`` and six named
   ``period-triple`` vectors (two accepted, two rejected, two usage errors);
@@ -48,6 +49,8 @@ from qktoledo.cli import main  # noqa: E402
 
 SEED = 3
 OPS_PER_WORKLOAD = 120
+# the embeddings defined for every n, digested at the CLI's largest --n
+MAX_N_EMBEDDINGS = ("rho", "totally-real", "phi")
 
 PERIOD_VECTORS = {
     "base point": "0,0,1",
@@ -78,6 +81,8 @@ def json_argvs():
     for embedding in EMBEDDINGS:
         for n in (3, 16):
             yield ("pullback", "--embedding", embedding, "--n", str(n), "--json")
+    for embedding in MAX_N_EMBEDDINGS:
+        yield ("pullback", "--embedding", embedding, "--n", "100", "--json")
     for domain in ("twistor", "u3u1u2"):
         for seed in range(4):
             yield ("lift-check", "--domain", domain, "--samples", "15",
