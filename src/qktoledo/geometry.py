@@ -12,7 +12,10 @@ element [[0, A], [A*, 0]].  Conventions fixed here and used everywhere:
   q . conj(p) = sum_m q_m conj(p_m).  This pairing is Tr(Y* X) + s*j with
   s = sum_m (w_X z_Y - z_X w_Y) over the rows (z, w), so omega_i =
   Re(i Tr(Y* X)), omega_j = -Re s and omega_k = Re(i s) are read off two
-  complex sums; the quaternion product is the tests' oracle for them;
+  complex sums; the quaternion product is the tests' oracle for them.  Both
+  sums skip a term with a zero factor (the embedded basis quadruple is
+  nonzero only in its first four rows), and omega4 computes each once per
+  pair of its quadruple;
 * the square of a 2-form alpha is evaluated by the three-term expansion
 
       alpha(X,Y)alpha(Z,W) - alpha(X,Z)alpha(Y,W) + alpha(X,W)alpha(Y,Z)
@@ -29,6 +32,8 @@ q = x + j*y swaps which embedding carries the extreme constant.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .scalars import (FieldElem, Quat, ZERO, I, QUAT_UNITS, as_scalar)
 from .linalg import Matrix
@@ -72,15 +77,22 @@ def _check_quaternionic(*vecs):
 
 
 def _hermitian(x: TangentVec, y: TangentVec) -> FieldElem:
-    """Tr(Y* X) = sum of x_ab conj(y_ab) over all entries, of any width."""
+    """Tr(Y* X) = sum of x_ab conj(y_ab) over the entries, of any width, where
+    both factors are nonzero."""
     return sum((a * b.conj() for row_x, row_y in zip(x.entries, y.entries)
-                for a, b in zip(row_x, row_y)), ZERO)
+                for a, b in zip(row_x, row_y) if a and b), ZERO)
 
 
 def _symplectic(x: TangentVec, y: TangentVec) -> FieldElem:
-    """s = sum_m (w_X z_Y - z_X w_Y) over the rows (z, w) of 2-column blocks."""
-    return sum((w_x * z_y - z_x * w_y
-                for (z_x, w_x), (z_y, w_y) in zip(x.entries, y.entries)), ZERO)
+    """s = sum_m (w_X z_Y - z_X w_Y) over the rows (z, w) of 2-column blocks;
+    a term with a zero factor is skipped."""
+    acc = ZERO
+    for (z_x, w_x), (z_y, w_y) in zip(x.entries, y.entries):
+        if w_x and z_y:
+            acc = acc + w_x * z_y
+        if z_x and w_y:
+            acc = acc - z_x * w_y
+    return acc
 
 
 def metric_g0(x: TangentVec, y: TangentVec) -> FieldElem:
@@ -96,10 +108,11 @@ def to_quat(x: TangentVec) -> tuple:
     return tuple(Quat(z, w) for z, w in x.entries)
 
 
+# each unit form as (its complex pairing, how the form reads that pairing)
 _UNIT_FORMS = {
-    "i": lambda x, y: (_hermitian(x, y) * I).real_part(),
-    "j": lambda x, y: -_symplectic(x, y).real_part(),
-    "k": lambda x, y: (_symplectic(x, y) * I).real_part(),
+    "i": (_hermitian, lambda h: (h * I).real_part()),
+    "j": (_symplectic, lambda s: -s.real_part()),
+    "k": (_symplectic, lambda s: (s * I).real_part()),
 }
 
 
@@ -108,13 +121,15 @@ def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
     off the i-pairing of omega_i for blocks of any width; antisymmetric and
     real."""
     _check_same_shape(x, y)
-    return _UNIT_FORMS["i"](x, y) * 4
+    pairing, read = _UNIT_FORMS["i"]
+    return read(pairing(x, y)) * 4
 
 
 def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:
     """omega_u(X, Y) = Re(q_X . conj(q_Y) u); antisymmetric, real-valued."""
     _check_quaternionic(x, y)
-    return _UNIT_FORMS[unit](x, y)
+    pairing, read = _UNIT_FORMS[unit]
+    return read(pairing(x, y))
 
 
 def wedge_square_eval(form, x, y, z, w):
@@ -125,11 +140,16 @@ def wedge_square_eval(form, x, y, z, w):
 
 
 def omega4(x: TangentVec, y: TangentVec, z: TangentVec, w: TangentVec) -> FieldElem:
-    """The quaternionic 4-form omega_i^2 + omega_j^2 + omega_k^2."""
+    """The quaternionic 4-form omega_i^2 + omega_j^2 + omega_k^2; both
+    pairings of each of the six pairs, keyed by slot index, are computed once."""
     _check_quaternionic(x, y, z, w)
+    vecs = (x, y, z, w)
+    pairings = {(a, b): {p: p(vecs[a], vecs[b]) for p in (_hermitian, _symplectic)}
+                for a, b in combinations(range(4), 2)}
     total = ZERO
-    for form in _UNIT_FORMS.values():
-        total = total + wedge_square_eval(form, x, y, z, w)
+    for pairing, read in _UNIT_FORMS.values():
+        total = total + wedge_square_eval(
+            lambda a, b: read(pairings[a, b][pairing]), 0, 1, 2, 3)
     return total
 
 

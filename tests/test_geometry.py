@@ -1,5 +1,7 @@
 """Complex structure, metric, quaternionic coordinates and the 4-form."""
 
+from itertools import chain
+
 import pytest
 
 from qktoledo import (FieldElem, Matrix, Quat, TangentVec,
@@ -10,7 +12,8 @@ from qktoledo import (FieldElem, Matrix, Quat, TangentVec,
 from qktoledo.selftest import ball_tangent, su_matrix
 
 from _helpers import (matchings_oracle, quat_omega_unit, rng, rand_field_elem,
-                      rand_tangent, rand_complex_vec, trace_metric)
+                      rand_nonzero_field_elem, rand_tangent, rand_complex_vec,
+                      trace_metric)
 
 RHO = make_embedding("rho")
 TOT = make_embedding("totally_real")
@@ -145,6 +148,38 @@ def test_omega4_vs_unit_oracles():
             form = lambda u, v: quat_omega_unit(u, v, unit)
             total = total + matchings_oracle(form, vecs)
         assert omega4(*vecs) == total
+
+
+def _sparse_block(r, n):
+    """A 2n x 2 block whose entries are each zero with probability 1/2."""
+    return TangentVec([[rand_nonzero_field_elem(r) if r.random() < 0.5 else ZERO
+                        for _ in range(2)] for _ in range(2 * n)])
+
+
+def test_zero_skipping_pairings_match_the_oracles_on_sparse_blocks():
+    # the pairings skip terms with a zero factor; the oracles read every entry
+    r = rng(313)
+    seen = set()
+    for n in range(1, 6):
+        for _ in range(20):
+            vecs = [_sparse_block(r, n) for _ in range(4)]
+            x, y = vecs[:2]
+            for a, b in zip(chain(*x.entries), chain(*y.entries)):
+                if not a and b:
+                    seen.add("zero in x only")
+                if a and not b:
+                    seen.add("zero in y only")
+            if any(not any(row) for row in x.entries + y.entries):
+                seen.add("zero row")
+            for unit in ("i", "j", "k"):
+                assert omega_unit(x, y, unit) == quat_omega_unit(x, y, unit)
+            assert kahler_form(x, y) == metric_g0(complex_structure_j(x), y)
+            total = ZERO
+            for unit in ("i", "j", "k"):
+                form = lambda u, v: quat_omega_unit(u, v, unit)
+                total = total + matchings_oracle(form, vecs)
+            assert omega4(*vecs) == total
+    assert seen == {"zero in x only", "zero in y only", "zero row"}
 
 
 def test_right_multiplications_square_and_anticommute():

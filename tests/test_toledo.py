@@ -21,6 +21,18 @@ def test_pullback_ratios():
         assert rep.ratio * 16 == rep.omega_value
 
 
+@pytest.mark.parametrize("n", (2, 3, 16, 17, 100))
+def test_pullback_at_the_size_bounds(n):
+    # n = 2 and 100 are the CLI's bounds on --n, 16 the largest the benchmark
+    # draws; the images are nonzero only in their first four rows at every n
+    for name, omega, omega0sq, ratio in (("rho", 4, 64, Fraction(1, 4)),
+                                         ("totally_real", 0, 0, 0),
+                                         ("phi", 1, 16, Fraction(1, 16))):
+        rep = pullback_constant(make_embedding(name, n))
+        assert (rep.omega_value, rep.omega0sq_value, rep.ratio) == (
+            FieldElem(omega), FieldElem(omega0sq), FieldElem(ratio))
+
+
 def _mix_rows(a, b):
     """The 4 x 4 unitary sending rows (a, b) to (h*a - h*b, h*a + h*b)."""
     m = [[ONE if r == c else ZERO for c in range(4)] for r in range(4)]
