@@ -310,6 +310,11 @@ def _classify_totally_real():
     return ok, f"col1={col1}, col2={col2}, lift condition={condition}"
 
 
+# phi's second column is identically zero, so a wrong zero verdict shows here
+_golden("column verdicts of the frozen-factor embedding", "classify(phi) columns",
+        ("linear", "zero"), lambda: classify(make_embedding("phi"))[1])
+
+
 def run_selftest():
     """Run all golden checks; returns (all_ok, [(name, ok, detail), ...])."""
     results = []
