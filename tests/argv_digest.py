@@ -1,14 +1,19 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,027 argv in process through ``qktoledo.cli.main`` and
-prints, for each, the argv and the sha256 of its (exit code, stdout, stderr):
+Runs a fixed set of 1,033 argv in process through ``qktoledo.cli.main`` and
+prints, for each, the argv and the sha256 of its (exit code, stdout, stderr);
+an argv that raises is digested with the exception's type name in place of
+the exit code:
 
 * ops 0..119 of each benchmark workload at seed 3 (``perfbench/workloads.py``);
 * ``pullback`` of each embedding at ``--n 3`` and ``--n 16``, and of the
   three general-n embeddings at ``--n 100``, the largest the CLI accepts;
-* ``lift-check`` of both domains at seeds 0..3 with 15 samples;
-* ``classify`` of each embedding, ``selftest`` and six named
-  ``period-triple`` vectors (two accepted, two rejected, two usage errors);
+* ``lift-check`` of both domains at seeds 0..3 with 15 samples, and of
+  ``u3u1u2`` at seed 4 with 200 samples;
+* ``classify`` of each embedding, ``selftest`` and eight named
+  ``period-triple`` vectors (four accepted, two of them with full
+  Q(i, sqrt2) entries over unequal denominators; two rejected; two usage
+  errors);
 
 each in text form and with ``--json``; then seven argv that reach the
 top-level parser's own paths (no argv, an unknown verb, a leading flag,
@@ -55,6 +60,8 @@ MAX_N_EMBEDDINGS = ("rho", "totally-real", "phi")
 PERIOD_VECTORS = {
     "base point": "0,0,1",
     "golden": "1/2 + 1/3*i,-2/5,3",
+    "sqrt2 last coordinate": "1/2,0,sqrt2",
+    "full entries, unequal denominators": "1/3*i - 1/5*sqrt2,2/7,3 + 1/2*i*sqrt2",
     "positive (rejected)": "1,0,0",
     "null (rejected)": "1,0,1",
     "two components (usage error)": "1,2",
@@ -87,6 +94,8 @@ def json_argvs():
         for seed in range(4):
             yield ("lift-check", "--domain", domain, "--samples", "15",
                    "--seed", str(seed), "--json")
+    yield ("lift-check", "--domain", "u3u1u2", "--samples", "200", "--seed", "4",
+           "--json")
     for embedding in EMBEDDINGS:
         yield ("classify", "--embedding", embedding, "--json")
     yield ("selftest", "--json")
@@ -108,6 +117,8 @@ def digest(argv) -> str:
             code = main(list(argv))
         except SystemExit as exc:       # argparse usage errors
             code = exc.code
+        except Exception as exc:        # a crash is recorded, not fatal
+            code = type(exc).__name__
     payload = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
     return hashlib.sha256(payload).hexdigest()
 

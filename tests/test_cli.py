@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from qktoledo import CONVENTION, make_embedding, pullback_constant
 from qktoledo.cli import build_parser, main
 
+import argv_digest
 from argv_digest import digest_lines
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,6 +182,16 @@ def test_argv_digest_matches_the_golden_file():
     got = digest_lines()
     changed = [line.split("  ", 1)[-1] for line in set(got) - set(want)]
     assert got == want, f"{len(changed)} argv changed output: {changed[:10]}"
+
+
+def test_argv_digest_records_a_crash_by_its_type_name(monkeypatch):
+    def crash(argv):
+        print("partial")
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(argv_digest, "main", crash)
+    want = hashlib.sha256(b"ZeroDivisionError\0partial\n\0").hexdigest()
+    assert argv_digest.digest(("pullback",)) == want
 
 
 def test_period_triple_base(capsys):
