@@ -166,6 +166,7 @@ def negative_line_basis(v):
 
     v is negative, so v2 != 0, and h(x, v) = x0 conj(v0) + x1 conj(v1)
     - x2 conj(v2) vanishes on (1, 0, conj(v0/v2)) and (0, 1, conj(v1/v2)).
+    Both third coordinates are read off the one inverse of conj(v2).
     """
     vec = _coerce_row(v)
     if len(vec) != 3:
@@ -173,7 +174,8 @@ def negative_line_basis(v):
     if herm_form(vec, vec, BALL_SIG).real_sign() >= 0:
         raise ValueError("the vector must be negative for the (2,1) form")
     v0, v1, v2 = vec
-    return vec, ((ONE, ZERO, (v0 / v2).conj()), (ZERO, ONE, (v1 / v2).conj()))
+    inv = v2.conj().inverse()
+    return vec, ((ONE, ZERO, v0.conj() * inv), (ZERO, ONE, v1.conj() * inv))
 
 
 def _e_product(x, y):
@@ -244,7 +246,10 @@ def horizontality_check(v0, w) -> bool:
     with p_i = h(v0, u_i) and q_i = h(w, u_i), the square of the line gives
     h_W(2 E(v0.w), E(u_i.u_j)) = p_i q_j + p_j q_i, and Sym^2 of the
     orthocomplement gives h(v0, v0) (c_i conj(p_j) + c_j conj(p_i)), which is
-    -conj(p_i q_j + p_j q_i).  False whenever the certificate fails.
+    -conj(p_i q_j + p_j q_i).  The p_i are evaluated on every sample; when
+    all of them vanish, as the orthocomplement basis makes them, every
+    product is zero and the q_i are not computed.  False whenever the
+    certificate fails.
     """
     v0, w = _coerce_row(v0), _coerce_row(w)
     if len(w) != 3:
@@ -254,5 +259,8 @@ def horizontality_check(v0, w) -> bool:
     vec, basis = negative_line_basis(v0)
     if e_map_certificate() is not None:
         return False
-    p, q = ([herm_form(x, u, BALL_SIG) for u in basis] for x in (vec, w))
+    p = [herm_form(vec, u, BALL_SIG) for u in basis]
+    if not any(p):
+        return True
+    q = [herm_form(w, u, BALL_SIG) for u in basis]
     return not any(p[i] * q[j] + p[j] * q[i] for i, j in ((0, 0), (0, 1), (1, 1)))

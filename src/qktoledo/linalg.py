@@ -5,14 +5,15 @@ vectors), which is the canonical basis of a subspace: subspace equality is
 basis-tuple equality, and reduction modulo a subspace is well defined.
 
 A Hermitian form diag(s_1, ..., s_n) is given by its sign tuple, e.g.
-(1, 1, -1) for C^{2,1}.  Definiteness of the restricted form is decided by
+(1, 1, -1) for C^{2,1}, and ``herm_form`` evaluates it on FieldElem rows as
+an integer kernel over the coordinates of the entries.  Definiteness of the restricted form is decided by
 exact congruence elimination of the Gram matrix (Sylvester inertia).  A
 subspace meeting its own orthocomplement reports "degenerate".
 """
 
 from __future__ import annotations
 
-from .scalars import FieldElem, ZERO, ONE, _frozen, as_scalar
+from .scalars import FieldElem, ZERO, ONE, _frozen, _raw, as_scalar
 
 
 def _coerce_row(row):
@@ -155,17 +156,40 @@ def herm_form(u, v, sig):
     """h(u, v) = sum_k s_k u_k conj(v_k) for the sign tuple sig = (s_1, ...):
     linear in u, conjugate-linear in v.
 
-    Generic over the scalar type (FieldElem or JetScalar entries).
+    An integer kernel on FieldElem rows (int and Fraction entries are
+    coerced): each term x conj(y) is read off the coordinates of x and y,
+    a term with a zero factor is skipped, and the four numerators add up
+    over one denominator, so the sum builds a single FieldElem.
     """
+    u, v = _coerce_row(u), _coerce_row(v)
     if len(u) != len(sig) or len(v) != len(sig):
         raise ValueError("vector length does not match the signature")
-    acc = None
+    na = nb = nc = nd = 0
+    den = 1
     for s, x, y in zip(sig, u, v):
-        term = x * y.conj()
+        a1, b1, c1, d1 = x.na, x.nb, x.nc, x.nd
+        if not (a1 or b1 or c1 or d1):
+            continue
+        a2, b2, c2, d2 = y.na, y.nb, y.nc, y.nd
+        if not (a2 or b2 or c2 or d2):
+            continue
+        # x * conj(y), with conj(y) = a2 - b2*i + c2*sqrt2 - d2*i*sqrt2
+        ta = a1 * a2 + b1 * b2 + 2 * (c1 * c2 + d1 * d2)
+        tb = b1 * a2 - a1 * b2 + 2 * (d1 * c2 - c1 * d2)
+        tc = a1 * c2 + c1 * a2 + b1 * d2 + d1 * b2
+        td = d1 * a2 - a1 * d2 + b1 * c2 - c1 * b2
         if s < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else ZERO
+            ta, tb, tc, td = -ta, -tb, -tc, -td
+        tden = x.den * y.den
+        if tden != den:
+            na, nb, nc, nd = na * tden, nb * tden, nc * tden, nd * tden
+            ta, tb, tc, td = ta * den, tb * den, tc * den, td * den
+            den *= tden
+        na += ta
+        nb += tb
+        nc += tc
+        nd += td
+    return _raw(na, nb, nc, nd, den)
 
 
 def _rref(vectors, ambient):

@@ -75,6 +75,20 @@ def trace_metric(x, y):
     return ((y.conj_transpose() @ x).trace() * 4).real_part()
 
 
+def generic_herm_form(u, v, sig):
+    """Reference for ``herm_form``: sum_k s_k u_k conj(v_k) through the
+    scalar type's own operators, so it also takes JetScalar entries."""
+    if len(u) != len(sig) or len(v) != len(sig):
+        raise ValueError("vector length does not match the signature")
+    acc = None
+    for s, x, y in zip(sig, u, v):
+        term = x * y.conj()
+        if s < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else ZERO
+
+
 def fold_column(verdicts):
     """The verdict of a column folded from the verdicts of its components:
     zero when all are zero, linear (conjugate-linear) when each is linear

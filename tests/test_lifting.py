@@ -18,7 +18,8 @@ from qktoledo import lifting
 from qktoledo.cli import main
 from qktoledo.selftest import ball_tangent, run_selftest
 
-from _helpers import (contains, flag_motion, fold_column, jet_flag_motion,
+from _helpers import (contains, flag_motion, fold_column, generic_herm_form,
+                      jet_flag_motion,
                       jet_horizontality_check, leibniz_bplus_image,
                       mutually_orthogonal, orthogonality_horizontality_check,
                       perp, rng, rand_field_elem,
@@ -429,7 +430,7 @@ def test_residue_class_independent_of_first_order_family():
                                   for a, b, d in zip(u, correction, drift)))
         for fam in (u_t, u_t_pert):
             for vec in fam:
-                assert herm_form(vec, v_t, BALL_SIG) == JetScalar(0, 0)
+                assert generic_herm_form(vec, v_t, BALL_SIG) == JetScalar(0, 0)
         pairs = [(0, 0), (0, 1), (1, 1)]
         spans = [tuple(j.val for j in sym_to_e_coords(sym_product(u_t[i], u_t[j])))
                  for i, j in pairs]

@@ -7,8 +7,8 @@ import pytest
 from qktoledo import (BALL_SIG, W_SIG, FieldElem, Matrix, Subspace, herm_form,
                       unit_vector, ZERO, ONE, I, SQRT2, su21_p_matrix)
 
-from _helpers import (contains, iv_sign, perm_det, perp, rng, rand_gauss,
-                      rand_field_elem)
+from _helpers import (contains, generic_herm_form, iv_sign, perm_det, perp, rng,
+                      rand_gauss, rand_field_elem, rand_fraction)
 
 
 def test_matrix_basics():
@@ -60,6 +60,53 @@ def test_herm_form_conjugate_symmetry():
         u = tuple(rand_field_elem(r) for _ in range(3))
         v = tuple(rand_field_elem(r) for _ in range(3))
         assert herm_form(u, v, BALL_SIG) == herm_form(v, u, BALL_SIG).conj()
+
+
+def _sparse_vector(r, n, max_den):
+    """n full-field entries whose coordinates have denominators up to
+    max_den, unequal in general, each entry zero with probability 1/2."""
+    return tuple(ZERO if r.random() < 0.5 else
+                 FieldElem(*(rand_fraction(r, max_den=max_den) for _ in range(4)))
+                 for _ in range(n))
+
+
+def test_herm_form_matches_the_generic_oracle():
+    r = rng(206)
+    seen = {"zero only in u": 0, "zero only in v": 0,
+            "equal denominators": 0, "unequal denominators": 0}
+    for n, sigs in ((3, (BALL_SIG, (-1,) * 3)), (6, (W_SIG, (-1,) * 6))):
+        for _ in range(150):
+            # with max_den 2 most entries share the denominator 2
+            max_den = r.choice((2, 9))
+            u, v = _sparse_vector(r, n, max_den), _sparse_vector(r, n, max_den)
+            for sig in sigs:
+                got = herm_form(u, v, sig)
+                assert type(got) is FieldElem
+                assert got == generic_herm_form(u, v, sig)
+                assert got == herm_form(v, u, sig).conj()
+            for x, y in zip(u, v):
+                seen["zero only in u"] += not x and bool(y)
+                seen["zero only in v"] += bool(x) and not y
+                if x and y:
+                    seen["equal denominators" if x.den == y.den
+                         else "unequal denominators"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_herm_form_coerces_rows_and_rejects_bad_ones():
+    half = Fraction(1, 2)
+    u, v = (1, half, 0), (I, 2, -3)
+    want = generic_herm_form(tuple(map(FieldElem, u)), (I, FieldElem(2), FieldElem(-3)),
+                             BALL_SIG)
+    assert herm_form(u, v, BALL_SIG) == want == ONE - I
+    with pytest.raises(TypeError, match="is not a scalar"):
+        herm_form((ONE, 0.5, ZERO), unit_vector(3, 0), BALL_SIG)
+    with pytest.raises(TypeError, match="is not a scalar"):
+        herm_form(unit_vector(3, 0), (ONE, ZERO, 1.0), BALL_SIG)
+    with pytest.raises(ValueError, match="does not match the signature"):
+        herm_form(unit_vector(3, 0), unit_vector(3, 0), W_SIG)
+    with pytest.raises(ValueError, match="does not match the signature"):
+        herm_form(unit_vector(6, 0), unit_vector(3, 0), W_SIG)
 
 
 def test_perp_examples():
