@@ -277,6 +277,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv)
     args = parser.parse_args(argv)
+    # argparse parses "--opt=--" into an empty list, which no verb expects
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     return _VERBS[args.verb][2](args, parser)
 
 

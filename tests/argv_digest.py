@@ -1,6 +1,6 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,033 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,038 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr);
 an argv that raises is digested with the exception's type name in place of
 the exit code:
@@ -15,9 +15,10 @@ the exit code:
   Q(i, sqrt2) entries over unequal denominators; two rejected; two usage
   errors);
 
-each in text form and with ``--json``; then seven argv that reach the
+each in text form and with ``--json``; then twelve argv that reach the
 top-level parser's own paths (no argv, an unknown verb, a leading flag,
-``--``, an extra token, an unknown flag, a bad ``--samples``), each as is.
+``--``, an extra token, an unknown flag, a bad ``--samples``, and five
+options given as ``--opt=--``), each as is.
 
 argparse wraps usage lines at ``$COLUMNS``, so the width is pinned to 80
 columns while digesting and the environment restored afterwards.  The
@@ -77,6 +78,12 @@ PARSER_EDGE_ARGVS = (
     ("pullback", "--embedding", "rho", "extra"),
     ("pullback", "--embedding", "rho", "--frequency", "9"),
     ("lift-check", "--domain", "twistor", "--samples", "0"),
+    # "--opt=--" parses into an empty list
+    ("period-triple", "--vector=--"),
+    ("pullback", "--embedding", "rho", "--n=--"),
+    ("classify", "--embedding=--"),
+    ("lift-check", "--domain", "twistor", "--seed=--"),
+    ("lift-check", "--domain=--", "--samples", "1", "--json"),
 )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -239,6 +240,35 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
         main(list(argv))
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+# the arguments each verb needs besides the option under test
+_REQUIRED = {"pullback": ("--embedding", "rho"), "lift-check": ("--domain", "twistor"),
+             "classify": ("--embedding", "rho"), "period-triple": ("--vector", "0,0,1"),
+             "selftest": ()}
+
+
+def test_every_option_given_double_dash_is_a_usage_error(capsys):
+    # argparse parses "--opt=--" into an empty list; no verb may run on it
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_REQUIRED)
+    tried = []
+    for verb, verb_parser in sub.choices.items():
+        for action in verb_parser._actions:
+            for opt in action.option_strings:
+                if not opt.startswith("--"):
+                    continue
+                argv = [verb, *_REQUIRED[verb], f"{opt}=--"]
+                with pytest.raises(SystemExit) as err:
+                    main(argv)
+                out, stderr = capsys.readouterr()
+                assert err.value.code == 2, argv
+                assert out == "" and "Traceback" not in stderr, argv
+                assert f"argument {opt}" in stderr or f"/{opt}:" in stderr, stderr
+                tried.append(opt)
+    assert {"--vector", "--n", "--embedding", "--seed", "--samples", "--domain",
+            "--json", "--help"} <= set(tried)
 
 
 def test_period_triple_positive_vector_fails(capsys):
