@@ -21,8 +21,8 @@ from .embeddings import (BALL_SIG, E_BASIS_TENSORS, W_SIG, make_embedding,
                          sym_to_e_coords)
 from .toledo import composition_invariant, pullback_constant
 from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify, e_map_certificate,
-                      grading_mask, holomorphy_check_u3u1u2, period_triple,
-                      twistor_nonlift_check)
+                      grading_mask, holomorphy_check_u3u1u2, negative_line_basis,
+                      period_triple, twistor_nonlift_check)
 
 
 def ball_tangent(x) -> TangentVec:
@@ -293,6 +293,16 @@ def _period_triple_base():
                    ("positive", "positive", "negative"), "definiteness")
 
 
+# conjugation fixes the base point (0, 0, 1), so this row is the one that
+# sees a dropped conj in the basis or in the Hermitian form
+_golden("orthocomplement basis of a non-real negative line",
+        "negative_line_basis(1/2 + 1/3*i, -2/5, 3)",
+        ((ONE, ZERO, FieldElem(Fraction(1, 6), Fraction(-1, 9))),
+         (ZERO, ONE, FieldElem(Fraction(-2, 15)))),
+        lambda: negative_line_basis((FieldElem(Fraction(1, 2), Fraction(1, 3)),
+                                     FieldElem(Fraction(-2, 5)), FieldElem(3)))[1])
+
+
 @_check("E-map identity on the basis pairs")
 def _e_map_identity():
     failure = e_map_certificate()
@@ -316,11 +326,17 @@ _golden("column verdicts of the frozen-factor embedding", "classify(phi) columns
 
 
 def run_selftest():
-    """Run all golden checks; returns (all_ok, [(name, ok, detail), ...])."""
+    """Run all golden checks; returns (all_ok, [(name, ok, detail), ...]).
+
+    A check that raises fails, with the exception as its detail.
+    """
     results = []
     all_ok = True
     for name, fn in CHECKS:
-        ok, detail = fn()
+        try:
+            ok, detail = fn()
+        except Exception as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, ok, detail))
         all_ok = all_ok and ok
     return all_ok, results
