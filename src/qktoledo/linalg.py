@@ -6,9 +6,10 @@ basis-tuple equality, and reduction modulo a subspace is well defined.
 
 A Hermitian form diag(s_1, ..., s_n) is given by its sign tuple, e.g.
 (1, 1, -1) for C^{2,1}, and ``herm_form`` evaluates it on FieldElem rows as
-an integer kernel over the coordinates of the entries.  Definiteness of the restricted form is decided by
-exact congruence elimination of the Gram matrix (Sylvester inertia).  A
-subspace meeting its own orthocomplement reports "degenerate".
+an integer kernel over the coordinates of the entries.  Definiteness of the
+restricted form is decided by exact congruence elimination of the Gram
+matrix (Sylvester inertia).  A subspace meeting its own orthocomplement
+reports "degenerate".
 """
 
 from __future__ import annotations
