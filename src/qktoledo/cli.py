@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .scalars import FieldElem, ONE, ZERO, parse_field_elem
+from .scalars import FieldElem, ONE, parse_field_elem
 from .embeddings import W_SIG, make_embedding
 from .toledo import CONVENTION, pullback_constant
 from .lifting import (classify, holomorphy_check_u3u1u2, horizontality_check,
@@ -130,11 +130,10 @@ def _random_negative_line(rng):
             break
         except ValueError:  # v0 is not negative: draw again
             continue
-    acc = (ZERO, ZERO, ZERO)
-    # nonzero coefficients, so that the direction is nonzero and the line moves
-    for coef, b in zip(_random_pair(rng, 2), basis):
-        acc = tuple(x + coef * y for x, y in zip(acc, b))
-    return v0, acc
+    # w = c1*u1 + c2*u2 for the basis shape (1, 0, *), (0, 1, *); nonzero
+    # coefficients, so that the direction is nonzero and the line moves
+    (c1, c2), (u1, u2) = _random_pair(rng, 2), basis
+    return v0, (c1, c2, c1 * u1[2] + c2 * u2[2])
 
 
 def _fmt_vec(vec) -> str:

@@ -28,11 +28,15 @@ orthogonality of the ``negative_line_basis`` vectors u_i to v0, which
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
 in the E-basis, so (1, 5) is the E1-row, E5-column entry; an empty tuple
-means the image is in the pattern.  ``period_triple`` returns the flag as
-(name, Subspace) pairs named S2Lperp, L2 and LoLperp.  ``classify`` is the
-one linearity classification of a differential: it evaluates the map on the
-real basis once and returns every component verdict, the two column verdicts
-and the twistor-lift condition.
+means the image is in the pattern.  Both pattern checks read
+``_IOTA_SUPPORT``, the six nonzero entries of the image, and evaluate only
+the entries outside the grading mask: three for the twistor grading, none
+for the flag grading.  ``iota_star_bplus`` builds the dense matrix from the
+same table.  ``period_triple`` returns the flag as (name, Subspace) pairs
+named S2Lperp, L2 and LoLperp.  ``classify`` is the one linearity
+classification of a differential: it evaluates the map on the real basis
+once and returns every component verdict, the two column verdicts and the
+twistor-lift condition.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ def grading_mask(h) -> frozenset:
                      for c, hc in enumerate(hs) if hr > hc)
 
 
+# The support of the image iota_star_bplus(a), as 1-based ((row, col), k,
+# halve) in row-major order: the entry is a_k, or a_k/sqrt2 when halve is
+# set, and every other entry is zero.
+_IOTA_SUPPORT = (((1, 5), 1, False), ((2, 6), 2, False), ((4, 5), 2, True),
+                 ((4, 6), 1, True), ((5, 3), 1, False), ((6, 3), 2, False))
+
+
 def iota_star_bplus(a) -> Matrix:
     """Symmetric-square image of the holomorphic tangent vector for a.
 
@@ -63,35 +74,27 @@ def iota_star_bplus(a) -> Matrix:
     bounded-domain chart normalization: the diagonal blocks vanish, the
     top-right 4 x 2 block has rows (a1, 0), (0, a2), (0, 0),
     (a2/sqrt2, a1/sqrt2), and the bottom-left 2 x 4 block has rows
-    (0, 0, a1, 0), (0, 0, a2, 0).
+    (0, 0, a1, 0), (0, 0, a2, 0).  Built from ``_IOTA_SUPPORT``.
     """
-    a1, a2 = _coerce_row(a)
-    z = ZERO
-    return Matrix([
-        [z, z, z, z, a1, z],
-        [z, z, z, z, z, a2],
-        [z, z, z, z, z, z],
-        [z, z, z, z, a2 * HALF_SQRT2, a1 * HALF_SQRT2],
-        [z, z, a1, z, z, z],
-        [z, z, a2, z, z, z],
-    ])
-
-
-# 1-based (row, col) positions of the 6 x 6 image outside each grading mask,
-# in row-major order
-_TWISTOR_OFF, _FLAG_OFF = (
-    tuple((r, c) for r in range(1, 7) for c in range(1, 7) if (r, c) not in mask)
-    for mask in map(grading_mask, (TWISTOR_H, PERIOD_FLAG_H)))
+    rows = [[ZERO] * 6 for _ in range(6)]
+    for r, c, x in _pattern_violations(a, _IOTA_SUPPORT):
+        rows[r - 1][c - 1] = x
+    return Matrix(rows)
 
 
 def _pattern_violations(a, off) -> tuple:
-    """Nonzero entries of the image for a at the positions off.
+    """Nonzero entries of the image for a at the support entries off, as
+    1-based (row, col, value) triples in the order of off."""
+    a1, a2 = _coerce_row(a)
+    return tuple((r, c, x * HALF_SQRT2 if halve else x)
+                 for (r, c), k, halve in off if (x := a1 if k == 1 else a2))
 
-    1-based (row, col, value) triples in the order of off.
-    """
-    entries = iota_star_bplus(a).entries
-    return tuple((r, c, value) for r, c in off
-                 if (value := entries[r - 1][c - 1]))
+
+# the support entries outside each grading mask; the flag set is empty, so
+# the image always lies in the flag pattern
+_TWISTOR_OFF, _FLAG_OFF = (
+    tuple(entry for entry in _IOTA_SUPPORT if entry[0] not in mask)
+    for mask in map(grading_mask, (TWISTOR_H, PERIOD_FLAG_H)))
 
 
 def twistor_nonlift_check(a) -> tuple:

@@ -1,6 +1,6 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,038 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,040 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr);
 an argv that raises is digested with the exception's type name in place of
 the exit code:
@@ -8,8 +8,8 @@ the exit code:
 * ops 0..119 of each benchmark workload at seed 3 (``perfbench/workloads.py``);
 * ``pullback`` of each embedding at ``--n 3`` and ``--n 16``, and of the
   three general-n embeddings at ``--n 100``, the largest the CLI accepts;
-* ``lift-check`` of both domains at seeds 0..3 with 15 samples, and of
-  ``u3u1u2`` at seed 4 with 200 samples;
+* ``lift-check`` of both domains at seeds 0..3 with 15 samples, and at
+  seed 4 with 200 samples;
 * ``classify`` of each embedding, ``selftest`` and eight named
   ``period-triple`` vectors (four accepted, two of them with full
   Q(i, sqrt2) entries over unequal denominators; two rejected; two usage
@@ -101,8 +101,9 @@ def json_argvs():
         for seed in range(4):
             yield ("lift-check", "--domain", domain, "--samples", "15",
                    "--seed", str(seed), "--json")
-    yield ("lift-check", "--domain", "u3u1u2", "--samples", "200", "--seed", "4",
-           "--json")
+    for domain in ("twistor", "u3u1u2"):
+        yield ("lift-check", "--domain", domain, "--samples", "200", "--seed", "4",
+               "--json")
     for embedding in EMBEDDINGS:
         yield ("classify", "--embedding", embedding, "--json")
     yield ("selftest", "--json")

@@ -7,7 +7,7 @@ import pytest
 
 from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       JetScalar, Matrix, Subspace,
-                      ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H,
+                      ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H, TWISTOR_H,
                       classify, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
                       iota_star_bplus, make_embedding,
@@ -108,6 +108,43 @@ def test_holomorphy_random():
     assert holomorphy_check_u3u1u2((ZERO, ZERO))
     for _ in range(100):
         assert holomorphy_check_u3u1u2(rand_nonzero_pair(r))
+
+
+def _scan_outside(image, h):
+    """Row-major scan of a 6 x 6 image for the nonzero entries outside the
+    grading mask of h, as 1-based (row, col, value) triples."""
+    mask = grading_mask(h)
+    return tuple((r, c, image[r - 1, c - 1]) for r in range(1, 7)
+                 for c in range(1, 7)
+                 if (r, c) not in mask and image[r - 1, c - 1])
+
+
+def test_image_support_lies_in_the_flag_mask():
+    assert lifting._FLAG_OFF == ()
+
+
+def test_pattern_checks_match_a_dense_scan_of_the_leibniz_image():
+    r = rng(606)
+    # the CLI's Gaussian integers, pairs with one zero component, and full
+    # Q(i, sqrt2) entries
+    inputs = [(rand_gauss(r), rand_gauss(r)) for _ in range(40)]
+    for _ in range(20):
+        x = rand_nonzero_field_elem(r)
+        inputs += [(x, ZERO), (ZERO, x)]
+    inputs += [(rand_field_elem(r), rand_field_elem(r)) for _ in range(40)]
+    for a in inputs:
+        image = leibniz_bplus_image(a)
+        assert twistor_nonlift_check(a) == _scan_outside(image, TWISTOR_H)
+        assert _scan_outside(image, PERIOD_FLAG_H) == ()
+        assert holomorphy_check_u3u1u2(a)
+
+
+@pytest.mark.parametrize("a", [(ONE,), (ONE, ZERO, ONE)], ids=["one", "three"])
+@pytest.mark.parametrize("call", [iota_star_bplus, twistor_nonlift_check,
+                                  holomorphy_check_u3u1u2])
+def test_wrong_length_pair_raises_value_error(call, a):
+    with pytest.raises(ValueError):
+        call(a)
 
 
 # -- linearity classification ---------------------------------------------------
@@ -382,13 +419,14 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
     lambda bad: period_triple((bad, 0, 1)),
     lambda bad: horizontality_check((0, 0, 1), (bad, 0, 0)),
     lambda bad: twistor_nonlift_check((bad, 1)),
+    lambda bad: holomorphy_check_u3u1u2((bad, 1)),
     lambda bad: iota_star_bplus((bad, 1)),
     lambda bad: su21_p_matrix(bad, 0),
     lambda bad: ball_tangent((bad, 1)),
     lambda bad: make_embedding("sym_square")((bad, 1)),
     lambda bad: make_embedding("rho")((bad, 1)),
 ], ids=["period_triple", "horizontality_check", "twistor_nonlift_check",
-        "iota_star_bplus", "su21_p_matrix", "ball_tangent", "sym_square", "rho"])
+        "holomorphy_check_u3u1u2", "iota_star_bplus", "su21_p_matrix", "ball_tangent", "sym_square", "rho"])
 def test_non_scalar_entries_raise_type_error(call, bad):
     with pytest.raises(TypeError, match=re.escape(repr(bad)) + " is not a scalar"):
         call(bad)
