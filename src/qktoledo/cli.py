@@ -34,6 +34,14 @@ _CLI_EMBEDDINGS = {
 _MAX_SAMPLES = 10_000
 _MAX_N = 100
 
+# Upper bound on the bit length of each parsed --vector component's common
+# denominator and numerators.  The largest integer period-triple prints has
+# at most about 3.0 decimal digits per input bit (full-field vectors: four
+# coordinates per component over its own common denominator), so the cap
+# prints at most about 3,100 digits, a margin of 1.4 below CPython's
+# 4,300-digit limit on int-to-str conversion, in about a second.
+_MAX_VECTOR_BITS = 1024
+
 
 def _embedding_arg(p) -> None:
     p.add_argument("--embedding", required=True, choices=sorted(_CLI_EMBEDDINGS))
@@ -64,11 +72,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if argv and argv[0] in _VERBS:
         verbs = (argv[0],)
         # keeps the top-level usage line that of the full parser
-        sub = parser.add_subparsers(dest="verb", required=True,
-                                    metavar="{" + ",".join(_VERBS) + "}")
+        metavar = "{" + ",".join(_VERBS) + "}"
     else:
-        verbs = _VERBS
-        sub = parser.add_subparsers(dest="verb", required=True)
+        verbs, metavar = _VERBS, None
+    # with prog given, argparse formats no usage line to derive it
+    sub = parser.add_subparsers(dest="verb", required=True, prog=parser.prog,
+                                metavar=metavar)
     for verb in verbs:
         help_text, add_args, _ = _VERBS[verb]
         p = sub.add_parser(verb, help=help_text)
@@ -78,7 +87,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _cmd_pullback(args, parser) -> int:
@@ -217,6 +226,11 @@ def _cmd_period_triple(args, parser) -> int:
         parser.error(f"cannot parse --vector: {exc}")
     if len(components) != 3:
         parser.error(f"--vector needs 3 components, got {len(components)}")
+    for k, c in enumerate(components, 1):
+        if max(n.bit_length() for n in (c.na, c.nb, c.nc, c.nd, c.den)) \
+                > _MAX_VECTOR_BITS:
+            parser.error(f"--vector component {k} exceeds {_MAX_VECTOR_BITS} bits "
+                         "in its common denominator or a numerator")
     try:
         parts = period_triple(components)
     except ValueError as exc:

@@ -11,11 +11,12 @@ element [[0, A], [A*, 0]].  Conventions fixed here and used everywhere:
 * the 2-forms omega_u(X, Y) = Re(q_X . conj(q_Y) u) for u in {i, j, k}, with
   q . conj(p) = sum_m q_m conj(p_m).  This pairing is Tr(Y* X) + s*j with
   s = sum_m (w_X z_Y - z_X w_Y) over the rows (z, w), so omega_i =
-  Re(i Tr(Y* X)), omega_j = -Re s and omega_k = Re(i s) are read off two
-  complex sums; the quaternion product is the tests' oracle for them.  Both
-  sums skip a term with a zero factor (the embedded basis quadruple is
-  nonzero only in its first four rows), and omega4 computes each once per
-  pair of its quadruple;
+  Re(i Tr(Y* X)), omega_j = -Re s and omega_k = Re(i s) are read off the
+  integer coordinates of two complex sums; the quaternion product is the
+  tests' oracle for them.  ``unit_wedge_squares`` builds one pairing table
+  for a quadruple: both sums of each of its six pairs, once, over the rows
+  where some block is nonzero (the embedded basis quadruple is nonzero only
+  in its first four rows), skipping terms with a zero factor;
 * the square of a 2-form alpha is evaluated by the three-term expansion
 
       alpha(X,Y)alpha(Z,W) - alpha(X,Z)alpha(Y,W) + alpha(X,W)alpha(Y,Z)
@@ -34,8 +35,9 @@ q = x + j*y swaps which embedding carries the extreme constant.
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
-from .scalars import (FieldElem, Quat, ZERO, I, QUAT_UNITS, as_scalar)
+from .scalars import FieldElem, Quat, ZERO, I, QUAT_UNITS, _raw, as_scalar
 from .linalg import Matrix
 
 
@@ -83,18 +85,6 @@ def _hermitian(x: TangentVec, y: TangentVec) -> FieldElem:
                 for a, b in zip(row_x, row_y) if a and b), ZERO)
 
 
-def _symplectic(x: TangentVec, y: TangentVec) -> FieldElem:
-    """s = sum_m (w_X z_Y - z_X w_Y) over the rows (z, w) of 2-column blocks;
-    a term with a zero factor is skipped."""
-    acc = ZERO
-    for (z_x, w_x), (z_y, w_y) in zip(x.entries, y.entries):
-        if w_x and z_y:
-            acc = acc + w_x * z_y
-        if z_x and w_y:
-            acc = acc - z_x * w_y
-    return acc
-
-
 def metric_g0(x: TangentVec, y: TangentVec) -> FieldElem:
     """g0(X, Y) = 4 Re Tr(B* A); real, symmetric, positive definite."""
     _check_same_shape(x, y)
@@ -108,28 +98,87 @@ def to_quat(x: TangentVec) -> tuple:
     return tuple(Quat(z, w) for z, w in x.entries)
 
 
-# each unit form as (its complex pairing, how the form reads that pairing)
-_UNIT_FORMS = {
-    "i": (_hermitian, lambda h: (h * I).real_part()),
-    "j": (_symplectic, lambda s: -s.real_part()),
-    "k": (_symplectic, lambda s: (s * I).real_part()),
-}
-
-
 def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
-    """Omega0 = 4 omega_i: Omega0(X, Y) = g0(JX, Y) = 4 Re(i Tr(Y* X)), read
-    off the i-pairing of omega_i for blocks of any width; antisymmetric and
-    real."""
+    """Omega0 = 4 omega_i: Omega0(X, Y) = g0(JX, Y) = 4 Re(i Tr(Y* X)), for
+    blocks of any width; antisymmetric and real.  It goes through the
+    FieldElem pairing, not the integer kernel of ``unit_wedge_squares``, so
+    it checks Omega0^2 = 16 omega_i^2 independently."""
     _check_same_shape(x, y)
-    pairing, read = _UNIT_FORMS["i"]
-    return read(pairing(x, y)) * 4
+    return (_hermitian(x, y) * I).real_part() * 4
+
+
+def _mul(x, y) -> tuple:
+    """Integer coordinates of x*y for coordinate 4-tuples x, y of Q(i, sqrt2)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    # sqrt2*sqrt2 = 2, i*i = -1, (i*sqrt2)^2 = -2
+    return (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _im_conj_mul(x, y) -> tuple:
+    """The i and i*sqrt2 coordinates of conj(x)*y for coordinate 4-tuples."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * b2 - b1 * a2 + 2 * (c1 * d2 - d1 * c2),
+            a1 * d2 - d1 * a2 + c1 * b2 - b1 * c2)
+
+
+def _support_rows(vecs) -> tuple:
+    """The 2-column blocks' rows where at least one block is nonzero (the
+    union of their supports), as coordinate 4-tuples over one common
+    denominator with None for a zero entry, and that denominator."""
+    support = sorted({k for v in vecs for k, (z, w) in enumerate(v.entries)
+                      if z or w})
+    rows = [[v.entries[k] for k in support] for v in vecs]
+    den = lcm(*(e.den for block in rows for row in block for e in row))
+    return [[[(e.na * (den // e.den), e.nb * (den // e.den),
+               e.nc * (den // e.den), e.nd * (den // e.den)) if e else None
+              for e in row] for row in block] for block in rows], den
+
+
+def _unit_pairings(rows_x, rows_y) -> tuple:
+    """(omega_i, omega_j, omega_k)(X, Y) on coordinate rows (z, w), each as
+    the numerators (rational part, sqrt2 part) over the square of the rows'
+    denominator.  omega_i = Re(i Tr(Y* X)) = Im sum conj(x) y over the
+    entries, and with t = -s = sum (z_X w_Y - w_X z_Y), omega_j = Re t and
+    omega_k = Im t; a term with a zero factor is skipped."""
+    hb = hd = ta = tb = tc = td = 0
+    for (z_x, w_x), (z_y, w_y) in zip(rows_x, rows_y):
+        if z_x and z_y:
+            pb, pd = _im_conj_mul(z_x, z_y)
+            hb += pb
+            hd += pd
+        if w_x and w_y:
+            pb, pd = _im_conj_mul(w_x, w_y)
+            hb += pb
+            hd += pd
+        if z_x and w_y:
+            pa, pb, pc, pd = _mul(z_x, w_y)
+            ta += pa
+            tb += pb
+            tc += pc
+            td += pd
+        if w_x and z_y:
+            pa, pb, pc, pd = _mul(w_x, z_y)
+            ta -= pa
+            tb -= pb
+            tc -= pc
+            td -= pd
+    return (hb, hd), (ta, tc), (tb, td)
+
+
+_UNITS = {"i": 0, "j": 1, "k": 2}
 
 
 def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:
     """omega_u(X, Y) = Re(q_X . conj(q_Y) u); antisymmetric, real-valued."""
     _check_quaternionic(x, y)
-    pairing, read = _UNIT_FORMS[unit]
-    return read(pairing(x, y))
+    (rows_x, rows_y), den = _support_rows((x, y))
+    p, q = _unit_pairings(rows_x, rows_y)[_UNITS[unit]]
+    return _raw(p, 0, q, 0, den * den)
 
 
 def wedge_square_eval(form, x, y, z, w):
@@ -139,18 +188,35 @@ def wedge_square_eval(form, x, y, z, w):
             + form(x, w) * form(y, z))
 
 
-def omega4(x: TangentVec, y: TangentVec, z: TangentVec, w: TangentVec) -> FieldElem:
-    """The quaternionic 4-form omega_i^2 + omega_j^2 + omega_k^2; both
-    pairings of each of the six pairs, keyed by slot index, are computed once."""
+def _real_mul(u, v) -> tuple:
+    """(p1 + q1*sqrt2)(p2 + q2*sqrt2) on integer pairs (p, q)."""
+    return u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def unit_wedge_squares(x: TangentVec, y: TangentVec, z: TangentVec,
+                       w: TangentVec) -> tuple:
+    """(omega_i^2, omega_j^2, omega_k^2)(X, Y, Z, W), the three unit wedge
+    squares.  One pairing table: the rows where some block is nonzero are
+    found once, from the union of the four supports, and both pairings of
+    each of the six pairs are computed once over those rows only."""
     _check_quaternionic(x, y, z, w)
-    vecs = (x, y, z, w)
-    pairings = {(a, b): {p: p(vecs[a], vecs[b]) for p in (_hermitian, _symplectic)}
-                for a, b in combinations(range(4), 2)}
-    total = ZERO
-    for pairing, read in _UNIT_FORMS.values():
-        total = total + wedge_square_eval(
-            lambda a, b: read(pairings[a, b][pairing]), 0, 1, 2, 3)
-    return total
+    blocks, den = _support_rows((x, y, z, w))
+    # per pair (X,Y), (X,Z), (X,W), (Y,Z), (Y,W), (Z,W): the three forms
+    table = [_unit_pairings(blocks[a], blocks[b])
+             for a, b in combinations(range(4), 2)]
+    out = []
+    for xy, xz, xw, yz, yw, zw in zip(*table):
+        p1, q1 = _real_mul(xy, zw)
+        p2, q2 = _real_mul(xz, yw)
+        p3, q3 = _real_mul(xw, yz)
+        out.append(_raw(p1 - p2 + p3, 0, q1 - q2 + q3, 0, den ** 4))
+    return tuple(out)
+
+
+def omega4(x: TangentVec, y: TangentVec, z: TangentVec, w: TangentVec) -> FieldElem:
+    """The quaternionic 4-form omega_i^2 + omega_j^2 + omega_k^2."""
+    ii, jj, kk = unit_wedge_squares(x, y, z, w)
+    return ii + jj + kk
 
 
 # The three generators whose adjoint action realizes right quaternion

@@ -1,8 +1,10 @@
 """Exact pullback constants of the quaternionic 4-form.
 
 For each embedding differential the 4-form and the square of the ambient
-Kahler form are evaluated on the images of the standard basis quadruple;
-the square of the base Kahler form on that quadruple is 16, so the reported
+Kahler form are evaluated on the images of the standard basis quadruple,
+both from one pairing table: the 4-form is the sum of the three unit wedge
+squares, and since Omega0 = 4 omega_i its square is 16 omega_i^2.  The
+square of the base Kahler form on that quadruple is 16, so the reported
 ratio is the constant c with (pullback of omega) = c * (base Kahler form)^2.
 The four constants 1/4, 11/64, 1/16, 0 are pairwise distinct, which is what
 separates the corresponding representation classes.
@@ -14,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import as_scalar
-from .geometry import kahler_form, omega4, wedge_square_eval
+from .geometry import unit_wedge_squares
 from .embeddings import EmbeddingDiff, standard_quadruple
 
 CONVENTION = ("v1: quat x+y*j; wedge a^2(X,Y,Z,W) = "
@@ -32,9 +34,9 @@ PullbackReport = namedtuple(
 def pullback_constant(embedding: EmbeddingDiff) -> PullbackReport:
     """Evaluate the 4-form pullback on the standard quadruple, exactly."""
     quad = standard_quadruple(embedding.n)
-    images = [embedding(x) for x in quad]
-    omega_value = omega4(*images)
-    omega0sq_value = wedge_square_eval(kahler_form, *images)
+    ii, jj, kk = unit_wedge_squares(*(embedding(x) for x in quad))
+    omega_value = ii + jj + kk
+    omega0sq_value = ii * 16
     return PullbackReport(
         embedding=embedding.name,
         omega_value=omega_value,

@@ -178,6 +178,24 @@ def fraction_render(x):
     return "".join(parts)
 
 
+def full_field_vector(bits, seed=0):
+    """Text of a negative vector in C^{2,1} whose components each have four
+    nonzero coordinates over a common denominator of exactly ``bits`` bits,
+    drawn separately for each component, with numerators of at most
+    ``bits`` bits: the worst shape for the size of what ``period-triple``
+    prints."""
+    r = rng(seed)
+
+    def component(lead):
+        den = r.randrange(2 ** (bits - 1), 2 ** bits) | 1
+        nums = [r.randrange(2 ** (bits - 5), 2 ** (bits - 4)) for _ in range(4)]
+        if lead:    # a rational part near 1 outweighs the other components
+            nums[0] = den - nums[0]
+        return str(FieldElem(*(Fraction(n, den) for n in nums)))
+
+    return ",".join((component(False), component(False), component(True)))
+
+
 def rand_fraction(r, lo=-9, hi=9, max_den=9):
     return Fraction(r.randint(lo, hi), r.randint(1, max_den))
 

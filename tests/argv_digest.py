@@ -1,6 +1,6 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,040 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,048 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr);
 an argv that raises is digested with the exception's type name in place of
 the exit code:
@@ -10,10 +10,11 @@ the exit code:
   three general-n embeddings at ``--n 100``, the largest the CLI accepts;
 * ``lift-check`` of both domains at seeds 0..3 with 15 samples, and at
   seed 4 with 200 samples;
-* ``classify`` of each embedding, ``selftest`` and eight named
-  ``period-triple`` vectors (four accepted, two of them with full
-  Q(i, sqrt2) entries over unequal denominators; two rejected; two usage
-  errors);
+* ``classify`` of each embedding, ``selftest`` and twelve named
+  ``period-triple`` vectors (five accepted, two of them with full
+  Q(i, sqrt2) entries over unequal denominators and one the worst
+  full-field vector at the CLI's bit cap on a component; two rejected; five
+  usage errors, three of them past that cap);
 
 each in text form and with ``--json``; then twelve argv that reach the
 top-level parser's own paths (no argv, an unknown verb, a leading flag,
@@ -51,7 +52,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import EMBEDDINGS, WORKLOADS, op_at  # noqa: E402
 
-from qktoledo.cli import main  # noqa: E402
+from _helpers import full_field_vector  # noqa: E402
+from qktoledo.cli import _MAX_VECTOR_BITS, main  # noqa: E402
 
 SEED = 3
 OPS_PER_WORKLOAD = 120
@@ -67,6 +69,12 @@ PERIOD_VECTORS = {
     "null (rejected)": "1,0,1",
     "two components (usage error)": "1,2",
     "unparsable (usage error)": "1,x,1",
+    "full entries at the bit cap": full_field_vector(_MAX_VECTOR_BITS),
+    "full entries past the bit cap (usage error)":
+        full_field_vector(_MAX_VECTOR_BITS + 1),
+    # both printed a traceback before the cap
+    "2200-nines denominator (usage error)": "1/" + "9" * 2200 + ",0,1",
+    "2200-nines product (usage error)": "0,0," + "9" * 2200 + "*" + "9" * 2200,
 }
 
 # argv that the top-level parser handles itself, digested as they are

@@ -10,14 +10,16 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from qktoledo import CONVENTION, make_embedding, pullback_constant
-from qktoledo.cli import build_parser, main
+from qktoledo.cli import _MAX_VECTOR_BITS, build_parser, main
 
 import argv_digest
+from _helpers import full_field_vector
 from argv_digest import digest_lines
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -269,6 +271,39 @@ def test_every_option_given_double_dash_is_a_usage_error(capsys):
                 tried.append(opt)
     assert {"--vector", "--n", "--embedding", "--seed", "--samples", "--domain",
             "--json", "--help"} <= set(tried)
+
+
+def test_period_triple_at_the_vector_cap_runs(capsys):
+    # the worst full-field shape: every component at exactly the cap
+    vector = full_field_vector(_MAX_VECTOR_BITS)
+    for extra in ((), ("--json",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "period-triple", "--vector", vector, *extra)
+        assert code == 0 and err == ""
+        assert time.perf_counter() - start < 5
+        assert "positive" in out and "negative" in out
+
+
+_NINES = "9" * 2200
+
+
+@pytest.mark.parametrize("vector, component", [
+    (full_field_vector(_MAX_VECTOR_BITS + 1), 1),
+    # L2 holds v0^2, which used to print a 4,400-digit denominator
+    (f"1/{_NINES},0,1", 1),
+    # the value of a term, not each factor, is capped
+    (f"0,0,{_NINES}*{_NINES}", 3),
+    ("0," + "*".join(["1/" + "7" * 4000] * 30) + ",1", 2),
+], ids=["full field", "nines denominator", "nines product", "thirty factors"])
+def test_period_triple_past_the_vector_cap_is_a_usage_error(capsys, vector, component):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["period-triple", "--vector", vector])
+    out, stderr = capsys.readouterr()
+    assert err.value.code == 2 and out == ""
+    assert (f"--vector component {component} exceeds {_MAX_VECTOR_BITS} bits"
+            in stderr)
+    assert time.perf_counter() - start < 5
 
 
 def test_period_triple_positive_vector_fails(capsys):

@@ -8,7 +8,8 @@ from qktoledo import (FieldElem, Matrix, Quat, TangentVec,
                       ZERO, ONE, I, QUAT_UNITS,
                       complex_structure_j, kahler_form,
                       make_embedding, metric_g0, omega4, omega_unit,
-                      standard_quadruple, to_quat, wedge_square_eval)
+                      standard_quadruple, to_quat, unit_wedge_squares,
+                      wedge_square_eval)
 from qktoledo.selftest import ball_tangent, su_matrix
 
 from _helpers import (matchings_oracle, quat_omega_unit, rng, rand_field_elem,
@@ -180,6 +181,39 @@ def test_zero_skipping_pairings_match_the_oracles_on_sparse_blocks():
                 total = total + matchings_oracle(form, vecs)
             assert omega4(*vecs) == total
     assert seen == {"zero in x only", "zero in y only", "zero row"}
+
+
+def _unit_oracles(vecs):
+    return tuple(matchings_oracle(lambda u, v: quat_omega_unit(u, v, unit), vecs)
+                 for unit in ("i", "j", "k"))
+
+
+@pytest.mark.parametrize("zero_rows", [(0, 1), (3, 4), (6, 7), ()],
+                         ids=["start", "middle", "end", "none"])
+def test_unit_wedge_squares_over_the_union_of_the_supports(zero_rows):
+    # rows zero in all four blocks are skipped; the first four other rows
+    # are each zero in one block only, and the fifth in the first two, so
+    # only the union of the four supports covers every row that counts
+    r = rng(314)
+    live = [k for k in range(8) if k not in zero_rows]
+    zeros = [{*zero_rows, live[b], *(live[4:5] if b < 2 else ())} for b in range(4)]
+    for _ in range(10):
+        vecs = [TangentVec([[ZERO, ZERO] if k in zeros[b]
+                             else [rand_nonzero_field_elem(r) for _ in range(2)]
+                             for k in range(8)])
+                for b in range(4)]
+        got = unit_wedge_squares(*vecs)
+        assert got == _unit_oracles(vecs)
+        assert all(got)
+        assert omega4(*vecs) == got[0] + got[1] + got[2]
+
+
+def test_unit_wedge_squares_of_zero_blocks_are_zero():
+    zero = TangentVec.zeros(6, 2)
+    assert unit_wedge_squares(zero, zero, zero, zero) == (ZERO, ZERO, ZERO)
+    # one nonzero block still gives zero: every matching pairs a zero block
+    x = TangentVec([[ONE, I]] + [[ZERO, ZERO]] * 5)
+    assert unit_wedge_squares(x, zero, zero, zero) == (ZERO, ZERO, ZERO)
 
 
 def test_right_multiplications_square_and_anticommute():

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from qktoledo import (FieldElem, Matrix, TangentVec, ONE, ZERO, I, HALF_SQRT2,
-                      composition_invariant, make_embedding, omega4,
-                      pullback_constant, standard_quadruple)
+                      composition_invariant, kahler_form, make_embedding, omega4,
+                      pullback_constant, standard_quadruple, wedge_square_eval)
 
-from _helpers import invariant_omega4, perm_det, rng, rand_fraction
+from _helpers import (invariant_omega4, matchings_oracle, perm_det,
+                      quat_omega_unit, rng, rand_fraction)
 
 EMBEDDINGS = ("rho", "sym_square", "phi", "totally_real")
 
@@ -31,6 +32,24 @@ def test_pullback_at_the_size_bounds(n):
         rep = pullback_constant(make_embedding(name, n))
         assert (rep.omega_value, rep.omega0sq_value, rep.ratio) == (
             FieldElem(omega), FieldElem(omega0sq), FieldElem(ratio))
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in ("rho", "totally_real", "phi") for n in (2, 3, 16, 17, 100)),
+    ("sym_square", 2)])
+def test_pullback_report_matches_the_oracles_on_the_full_images(name, n):
+    # both values come from one pairing table over the support rows; the
+    # oracles read every row: the quaternion product for each unit form, and
+    # the Kahler form's own FieldElem pairing for Omega0^2
+    embedding = make_embedding(name, n)
+    images = [embedding(x) for x in standard_quadruple(n)]
+    rep = pullback_constant(embedding)
+    total = ZERO
+    for unit in ("i", "j", "k"):
+        total = total + matchings_oracle(
+            lambda u, v: quat_omega_unit(u, v, unit), images)
+    assert rep.omega_value == total
+    assert rep.omega0sq_value == wedge_square_eval(kahler_form, *images)
 
 
 def _mix_rows(a, b):
