@@ -1,6 +1,6 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,048 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,052 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr);
 an argv that raises is digested with the exception's type name in place of
 the exit code:
@@ -9,7 +9,7 @@ the exit code:
 * ``pullback`` of each embedding at ``--n 3`` and ``--n 16``, and of the
   three general-n embeddings at ``--n 100``, the largest the CLI accepts;
 * ``lift-check`` of both domains at seeds 0..3 with 15 samples, and at
-  seed 4 with 200 samples;
+  seed 4 with 200 samples and with 10,000, the most the CLI accepts;
 * ``classify`` of each embedding, ``selftest`` and twelve named
   ``period-triple`` vectors (five accepted, two of them with full
   Q(i, sqrt2) entries over unequal denominators and one the worst
@@ -53,7 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import EMBEDDINGS, WORKLOADS, op_at  # noqa: E402
 
 from _helpers import full_field_vector  # noqa: E402
-from qktoledo.cli import _MAX_VECTOR_BITS, main  # noqa: E402
+from qktoledo.cli import _MAX_SAMPLES, _MAX_VECTOR_BITS, main  # noqa: E402
 
 SEED = 3
 OPS_PER_WORKLOAD = 120
@@ -110,8 +110,9 @@ def json_argvs():
             yield ("lift-check", "--domain", domain, "--samples", "15",
                    "--seed", str(seed), "--json")
     for domain in ("twistor", "u3u1u2"):
-        yield ("lift-check", "--domain", domain, "--samples", "200", "--seed", "4",
-               "--json")
+        for samples in (200, _MAX_SAMPLES):
+            yield ("lift-check", "--domain", domain, "--samples", str(samples),
+                   "--seed", "4", "--json")
     for embedding in EMBEDDINGS:
         yield ("classify", "--embedding", embedding, "--json")
     yield ("selftest", "--json")
