@@ -28,9 +28,9 @@ _CLI_EMBEDDINGS = {
     "sym-square": "sym_square",
 }
 
-# Upper bounds on the two size arguments: memory grows linearly with
-# --samples (every record is kept until the report prints) and with --n
-# (four images of size 2n x 2).
+# Upper bounds on the two size arguments.  Run time grows linearly with
+# --samples (each sample is written as it is decided, so memory does not
+# grow with it); memory grows with --n (four images of size 2n x 2).
 _MAX_SAMPLES = 10_000
 _MAX_N = 100
 
@@ -155,45 +155,43 @@ def _cmd_lift_check(args, parser) -> int:
     if args.samples > _MAX_SAMPLES:
         parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     rng = random.Random(args.seed)
-    samples = []
+    write, encode = sys.stdout.write, json.JSONEncoder(sort_keys=True).encode
+    # each sample is written as it is decided; with --json inside the frame
+    # that json.dumps(..., sort_keys=True) gives, "samples" sorting between
+    # "check" and "seed"
+    if args.json:
+        write(f'{{"check": {encode(args.domain)}, "samples": [')
+    else:
+        print(f"domain: {args.domain}  samples: {args.samples}  seed: {args.seed}")
     all_ok = True
-    for _ in range(args.samples):
+    for k in range(args.samples):
+        a = _random_pair(rng)
         if args.domain == "twistor":
-            a = _random_pair(rng)
             violations = twistor_nonlift_check(a)
             ok = bool(violations)
-            record = {
-                "check": "twistor-nonlift",
-                "input": f"a={_fmt_vec(a)}",
-                "verdict": f"member={'false' if violations else 'true'}",
-                "violations": [{"row": r, "col": c, "value": str(v)}
-                               for r, c, v in violations],
-                "pass": ok,
-            }
+            check, given = "twistor-nonlift", f"a={_fmt_vec(a)}"
+            verdict = f"member={'false' if violations else 'true'}"
         else:
-            a = _random_pair(rng)
             holo = holomorphy_check_u3u1u2(a)
             v0, w = _random_negative_line(rng)
             horiz = horizontality_check(v0, w)
-            ok = holo and horiz
-            record = {
-                "check": "u3u1u2-lift",
-                "input": f"a={_fmt_vec(a)}; v0={_fmt_vec(v0)}; w={_fmt_vec(w)}",
-                "verdict": f"holomorphic={holo}, horizontal={horiz}",
-                "violations": [],
-                "pass": ok,
-            }
-        samples.append(record)
+            ok, violations = holo and horiz, ()
+            check = "u3u1u2-lift"
+            given = f"a={_fmt_vec(a)}; v0={_fmt_vec(v0)}; w={_fmt_vec(w)}"
+            verdict = f"holomorphic={holo}, horizontal={horiz}"
         all_ok = all_ok and ok
+        if args.json:
+            write((", " if k else "") + encode({
+                "check": check, "input": given, "verdict": verdict,
+                "violations": [{"row": r, "col": c, "value": str(v)}
+                               for r, c, v in violations],
+                "pass": ok}))
+        else:
+            print(f"  sample {k}: {given} -> {verdict} [{'PASS' if ok else 'FAIL'}]")
     summary = "PASS" if all_ok else "FAIL"
     if args.json:
-        _emit_json({"check": args.domain, "seed": args.seed,
-                    "samples": samples, "summary": summary})
+        write(f'], "seed": {encode(args.seed)}, "summary": {encode(summary)}}}\n')
     else:
-        print(f"domain: {args.domain}  samples: {args.samples}  seed: {args.seed}")
-        for k, record in enumerate(samples):
-            status = "PASS" if record["pass"] else "FAIL"
-            print(f"  sample {k}: {record['input']} -> {record['verdict']} [{status}]")
         print(f"summary: {summary}")
     return 0 if all_ok else 1
 

@@ -136,7 +136,7 @@ class Matrix:
         return hash(self.entries)
 
     def __repr__(self):
-        rows = ["[" + ", ".join(str(x) for x in r) + "]" for r in self.entries]
+        rows = ["[" + ", ".join(repr(x) for x in r) + "]" for r in self.entries]
         return "[" + "; ".join(rows) + "]"
 
 
@@ -319,5 +319,5 @@ class Subspace:
         return hash((self.ambient, self.basis))
 
     def __repr__(self):
-        rows = ["[" + ", ".join(str(x) for x in r) + "]" for r in self.basis]
+        rows = ["[" + ", ".join(repr(x) for x in r) + "]" for r in self.basis]
         return f"span{{{'; '.join(rows)}}} in C^{self.ambient}"

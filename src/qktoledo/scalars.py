@@ -43,7 +43,10 @@ class FieldElem:
     Internally the four coordinates share one positive denominator with the
     five integers coprime, so products need a single gcd instead of one per
     Fraction operation; a, b, c, d are exposed as Fractions.  ``str`` renders
-    from these integers too, reducing each coordinate by one gcd.
+    from these integers too, reducing each coordinate by one gcd.  ``repr``
+    is ``str``, except for a value that ``str`` cannot render (a coordinate
+    past Python's limit on int-to-str digits): then it is the five integers
+    in hex, "(na + nb*i + nc*sqrt2 + nd*i*sqrt2)/den".
     """
 
     __slots__ = ("na", "nb", "nc", "nd", "den")
@@ -219,7 +222,14 @@ class FieldElem:
                 parts.append(f"{n}{sfx}" if q == 1 else f"{n}/{q}{sfx}")
         return "".join(parts) or "0"
 
-    __repr__ = __str__
+    def __repr__(self):
+        try:
+            return self.__str__()
+        except ValueError:
+            # a coordinate past int's decimal-digit limit: the five stored
+            # integers exactly, in hex, which has no such limit
+            return (f"({self.na:#x} + {self.nb:#x}*i + {self.nc:#x}*sqrt2"
+                    f" + {self.nd:#x}*i*sqrt2)/{self.den:#x}")
 
 
 def as_scalar(value):
@@ -384,7 +394,7 @@ class Quat:
         return hash(self.z) if not self.w else hash((self.z, self.w))
 
     def __repr__(self):
-        return f"({self.z}) + ({self.w})*j"
+        return f"({self.z!r}) + ({self.w!r})*j"
 
 
 def _as_quat(value):
@@ -462,7 +472,7 @@ class JetScalar:
         return hash((self.val, self.deriv))
 
     def __repr__(self):
-        return f"({self.val}) + ({self.deriv})*eps"
+        return f"({self.val!r}) + ({self.deriv!r})*eps"
 
 
 def _as_jet(value):

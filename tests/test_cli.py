@@ -105,19 +105,28 @@ def test_lift_check_u3u1u2_never_draws_a_zero_direction(capsys):
 
 
 def test_lift_check_json_deterministic(capsys):
-    args = ("lift-check", "--domain", "twistor", "--samples", "6",
-            "--seed", "11", "--json")
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    payload = json.loads(out1)
-    assert payload["summary"] == "PASS"
-    assert payload["seed"] == 11
-    assert len(payload["samples"]) == 6
-    for sample in payload["samples"]:
-        assert set(sample) == {"check", "input", "verdict", "violations", "pass"}
-        assert set(sample["violations"][0]) == {"row", "col", "value"}
+    # one sample has no separator between records; only twistor samples
+    # carry violations
+    for domain in ("twistor", "u3u1u2"):
+        for samples in (1, 6):
+            args = ("lift-check", "--domain", domain, "--samples", str(samples),
+                    "--seed", "11", "--json")
+            code1, out1, _ = run_cli(capsys, *args)
+            code2, out2, _ = run_cli(capsys, *args)
+            assert code1 == code2 == 0
+            assert out1 == out2
+            payload = json.loads(out1)
+            # the frame written around the records is json's own rendering
+            assert out1 == json.dumps(payload, sort_keys=True) + "\n"
+            assert (payload["check"], payload["seed"], payload["summary"]) \
+                == (domain, 11, "PASS")
+            assert len(payload["samples"]) == samples
+            for sample in payload["samples"]:
+                assert set(sample) == {"check", "input", "verdict", "violations",
+                                       "pass"}
+                assert bool(sample["violations"]) == (domain == "twistor")
+                for violation in sample["violations"]:
+                    assert set(violation) == {"row", "col", "value"}
 
 
 @pytest.mark.parametrize("golden, argv", [
@@ -343,6 +352,43 @@ def test_selftest_verb_in_a_fresh_process():
     payload = json.loads(proc.stdout)
     assert payload["summary"] == "PASS"
     assert payload["checks"] and all(c["pass"] for c in payload["checks"])
+
+
+# Runs lift-check in process with stdout discarded, first with 100 samples
+# and then with the most the CLI accepts, and prints the process's peak RSS
+# in KiB after each run.  ru_maxrss also counts the peak of the process that
+# launched this one (Linux carries it across exec), so procfs's VmHWM, this
+# process's own peak, is read where there is one.
+_PEAK_RSS_AFTER_LIFT_CHECKS = """
+import contextlib, os, resource, sys
+from qktoledo.cli import _MAX_SAMPLES, main
+
+def peak_kib():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:"))
+    except OSError:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak // 1024 if sys.platform == "darwin" else peak
+
+peaks = []
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for samples in (100, _MAX_SAMPLES):
+        main([*sys.argv[1:], "--samples", str(samples)])
+        peaks.append(peak_kib())
+print(*peaks)
+"""
+
+
+@pytest.mark.parametrize("domain", ["twistor", "u3u1u2"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_lift_check_memory_does_not_grow_with_samples(domain, fmt):
+    proc = _fresh_python("-c", _PEAK_RSS_AFTER_LIFT_CHECKS, "lift-check",
+                         "--domain", domain, *fmt)
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.split())
+    assert large - small <= 2 * 1024, (small, large)
 
 
 def test_reader_closing_stdout_early_is_not_a_traceback():

@@ -244,6 +244,22 @@ def test_report_reprs_and_equality():
         assert a is not b and a == b and hash(a) == hash(b)
 
 
+def test_repr_renders_values_past_the_int_digit_limit():
+    # str of such a value raises, as int's own str does; repr stays exact
+    tiny = FieldElem(Fraction(1, 10**4400), 0, 0, -3)
+    with pytest.raises(ValueError):
+        str(tiny)
+    text = repr(tiny)
+    assert text == f"(0x1 + 0x0*i + 0x0*sqrt2 + {-3 * 10**4400:#x}*i*sqrt2)/{10**4400:#x}"
+    assert f"[{text}, 1/2]" == repr([tiny, FieldElem(Fraction(1, 2))])
+    assert repr(Matrix([[tiny, ONE]])) == f"[[{text}, 1]]"
+    assert repr(Subspace(2, [(ONE, tiny)])) == f"span{{[1, {text}]}} in C^2"
+    assert repr(Quat(tiny, I)) == f"({text}) + (1*i)*j"
+    assert repr(JetScalar(ONE, tiny)) == f"(1) + ({text})*eps"
+    report = pullback_constant(make_embedding("phi"))._replace(ratio=tiny)
+    assert repr(report).endswith(f"ratio={text})")
+
+
 def _is_canonical(x):
     coords = (x.na, x.nb, x.nc, x.nd)
     return (x.den > 0 and gcd(*coords, x.den) == 1
