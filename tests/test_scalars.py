@@ -250,7 +250,8 @@ def test_repr_renders_values_past_the_int_digit_limit():
     with pytest.raises(ValueError):
         str(tiny)
     text = repr(tiny)
-    assert text == f"(0x1 + 0x0*i + 0x0*sqrt2 + {-3 * 10**4400:#x}*i*sqrt2)/{10**4400:#x}"
+    assert text == (f"(0x1 + 0x0*i + 0x0*sqrt2 + {-3 * 10**4400:#x}*i*sqrt2)"
+                    f"/{10**4400:#x}")
     assert f"[{text}, 1/2]" == repr([tiny, FieldElem(Fraction(1, 2))])
     assert repr(Matrix([[tiny, ONE]])) == f"[[{text}, 1]]"
     assert repr(Subspace(2, [(ONE, tiny)])) == f"span{{[1, {text}]}} in C^2"
