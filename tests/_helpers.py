@@ -196,6 +196,19 @@ def full_field_vector(bits, seed=0):
     return ",".join((component(False), component(False), component(True)))
 
 
+def reciprocal_sum(terms, digits, seed=0):
+    """Text "1/d1+1/d2+..." of ``terms`` reciprocals of distinct seeded
+    ``digits``-digit integers: a component of many terms whose sum has a
+    common denominator far past the CLI's bit cap."""
+    r = rng(seed)
+    dens = []
+    while len(dens) < terms:
+        d = r.randrange(10 ** (digits - 1), 10 ** digits)
+        if d not in dens:
+            dens.append(d)
+    return "+".join(f"1/{d}" for d in dens)
+
+
 def rand_fraction(r, lo=-9, hi=9, max_den=9):
     return Fraction(r.randint(lo, hi), r.randint(1, max_den))
 

@@ -1,6 +1,6 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,052 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,056 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr);
 an argv that raises is digested with the exception's type name in place of
 the exit code:
@@ -10,11 +10,12 @@ the exit code:
   three general-n embeddings at ``--n 100``, the largest the CLI accepts;
 * ``lift-check`` of both domains at seeds 0..3 with 15 samples, and at
   seed 4 with 200 samples and with 10,000, the most the CLI accepts;
-* ``classify`` of each embedding, ``selftest`` and twelve named
-  ``period-triple`` vectors (five accepted, two of them with full
-  Q(i, sqrt2) entries over unequal denominators and one the worst
-  full-field vector at the CLI's bit cap on a component; two rejected; five
-  usage errors, three of them past that cap);
+* ``classify`` of each embedding, ``selftest`` and fourteen named
+  ``period-triple`` vectors (six accepted, two of them with full
+  Q(i, sqrt2) entries over unequal denominators, one the worst
+  full-field vector at the CLI's bit cap on a component and one of
+  hundreds of terms per component; two rejected; six usage errors, four
+  of them past that cap, one of those a sum of 120 terms);
 
 each in text form and with ``--json``; then twelve argv that reach the
 top-level parser's own paths (no argv, an unknown verb, a leading flag,
@@ -52,7 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import EMBEDDINGS, WORKLOADS, op_at  # noqa: E402
 
-from _helpers import full_field_vector  # noqa: E402
+from _helpers import full_field_vector, reciprocal_sum  # noqa: E402
 from qktoledo.cli import _MAX_SAMPLES, _MAX_VECTOR_BITS, main  # noqa: E402
 
 SEED = 3
@@ -75,6 +76,12 @@ PERIOD_VECTORS = {
     # both printed a traceback before the cap
     "2200-nines denominator (usage error)": "1/" + "9" * 2200 + ",0,1",
     "2200-nines product (usage error)": "0,0," + "9" * 2200 + "*" + "9" * 2200,
+    # many terms per component: 300 terms of 1/900 are 1/3
+    "many terms over few denominators":
+        "+".join(["1/900"] * 300) + ","
+        + " + ".join(["1/200*i - 1/500*sqrt2 + 1/700*i*sqrt2"] * 50) + ",1",
+    "many terms past the bit cap (usage error)":
+        reciprocal_sum(120, 60) + ",0,1",
 }
 
 # argv that the top-level parser handles itself, digested as they are
