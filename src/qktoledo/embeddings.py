@@ -28,9 +28,10 @@ extraction ``sym_square_p_block`` in ``tests/_helpers.py``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import ZERO, I, SQRT2, HALF_SQRT2, _frozen
+from .scalars import ZERO, I, SQRT2, HALF_SQRT2
 from .linalg import Matrix, _coerce_row, unit_vector
 from .geometry import TangentVec
 
@@ -119,30 +120,13 @@ _ROW_MAPS = {
 }
 
 
-class EmbeddingDiff:
+class EmbeddingDiff(namedtuple("EmbeddingDiff", "name n rows_of")):
     """R-linear differential from C^n to 2n x 2 blocks, given by its
     closed-form row map ``rows_of`` from a complex n-vector to the rows of
     its image.  An immutable value of its name, n and row map; it caches
     nothing."""
 
-    __slots__ = ("name", "n", "rows_of")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, name: str, n: int, rows_of):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows_of", rows_of)
-
-    def _key(self):
-        return (self.name, self.n, self.rows_of)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __slots__ = ()
 
     def __repr__(self):
         return f"EmbeddingDiff(name={self.name!r}, n={self.n!r})"

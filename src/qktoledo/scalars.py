@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _SUFFIXES = ("", "*i", "*sqrt2", "*i*sqrt2")
 
@@ -57,9 +57,7 @@ class FieldElem:
                 and isinstance(d, int):
             return _raw(a, b, c, d, 1)
         fa, fb, fc, fd = (_as_fraction(x) for x in (a, b, c, d))
-        den = 1
-        for f in (fa, fb, fc, fd):
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
         return _raw(fa.numerator * (den // fa.denominator),
                     fb.numerator * (den // fb.denominator),
                     fc.numerator * (den // fc.denominator),
@@ -308,7 +306,7 @@ def parse_field_elem(text: str) -> FieldElem:
             terms.append(s[start:pos])
             start = pos
     terms.append(s[start:])
-    result = ZERO
+    sums = [0, 0, 0, 0]
     for term in terms:
         sign = 1
         while term and term[0] in "+-":
@@ -330,10 +328,8 @@ def parse_field_elem(text: str) -> FieldElem:
                 has_sqrt2 = True
             else:
                 coef *= _parse_rational(factor, text)
-        coords = [0, 0, 0, 0]
-        coords[(1 if has_i else 0) + (2 if has_sqrt2 else 0)] = coef
-        result = result + FieldElem(*coords)
-    return result
+        sums[(1 if has_i else 0) + (2 if has_sqrt2 else 0)] += coef
+    return FieldElem(*sums)
 
 
 class Quat:

@@ -11,6 +11,7 @@ from qktoledo import (BALL_SIG, W_SIG, FieldElem, JetScalar, Matrix, Quat,
                       sym_to_e_coords, to_quat, unit_vector)
 from qktoledo import lifting, wedge_square_eval
 from qktoledo.geometry import _SU2_GENERATORS
+from qktoledo.scalars import _parse_rational
 
 
 def rng(seed):
@@ -176,6 +177,48 @@ def fraction_render(x):
         else:
             parts.append(f" - {-coef}{sfx}")
     return "".join(parts)
+
+
+def term_by_term_parse(text):
+    """Reference for ``parse_field_elem``: the same term splitting, sign
+    handling and factor checks, but each term becomes its own FieldElem,
+    added to a running sum."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty field element")
+    terms = []
+    start = 0
+    for pos in range(1, len(s)):
+        if s[pos] in "+-" and s[pos - 1] not in "+-*/":
+            terms.append(s[start:pos])
+            start = pos
+    terms.append(s[start:])
+    result = ZERO
+    for term in terms:
+        sign = 1
+        while term and term[0] in "+-":
+            if term[0] == "-":
+                sign = -sign
+            term = term[1:]
+        if not term:
+            raise ValueError(f"malformed term in {text!r}")
+        coef = Fraction(sign)
+        has_i = has_sqrt2 = False
+        for factor in term.split("*"):
+            if factor == "i":
+                if has_i:
+                    raise ValueError(f"repeated i in {text!r}")
+                has_i = True
+            elif factor == "sqrt2":
+                if has_sqrt2:
+                    raise ValueError(f"repeated sqrt2 in {text!r}")
+                has_sqrt2 = True
+            else:
+                coef *= _parse_rational(factor, text)
+        coords = [0, 0, 0, 0]
+        coords[(1 if has_i else 0) + (2 if has_sqrt2 else 0)] = coef
+        result = result + FieldElem(*coords)
+    return result
 
 
 def full_field_vector(bits, seed=0):

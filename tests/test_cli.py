@@ -19,7 +19,7 @@ from qktoledo import CONVENTION, make_embedding, pullback_constant
 from qktoledo.cli import _MAX_VECTOR_BITS, build_parser, main
 
 import argv_digest
-from _helpers import full_field_vector
+from _helpers import full_field_vector, reciprocal_sum
 from argv_digest import digest_lines
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -313,6 +313,19 @@ def test_period_triple_past_the_vector_cap_is_a_usage_error(capsys, vector, comp
     assert (f"--vector component {component} exceeds {_MAX_VECTOR_BITS} bits"
             in stderr)
     assert time.perf_counter() - start < 5
+
+
+def test_period_triple_many_term_vector_is_a_prompt_usage_error(capsys):
+    # about 123 KB of terms whose sum is far past the bit cap
+    vector = reciprocal_sum(1000, 120) + ",0,1"
+    assert len(vector) < 128 * 1024        # one argv string on Linux
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["period-triple", "--vector", vector])
+    out, stderr = capsys.readouterr()
+    assert err.value.code == 2 and out == ""
+    assert f"--vector component 1 exceeds {_MAX_VECTOR_BITS} bits" in stderr
+    assert time.perf_counter() - start < 10
 
 
 def test_period_triple_positive_vector_fails(capsys):

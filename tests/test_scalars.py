@@ -12,7 +12,7 @@ from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
 
 from _helpers import (fraction_render, iv_sign, rng, rand_field_elem,
                       rand_fraction, rand_nonzero_field_elem,
-                      rand_real_field_elem, rand_quat)
+                      rand_real_field_elem, rand_quat, term_by_term_parse)
 
 
 def test_defining_relations():
@@ -175,6 +175,36 @@ def test_parse_round_trip():
                 "1/0", "1e5", "1.5", "1_0"):
         with pytest.raises(ValueError):
             parse_field_elem(bad)
+
+
+_PARSE_TOKENS = ("0", "1", "2", "7", "12", "3/4", "/", "/0", "*", "*i",
+                 "*sqrt2", "i", "sqrt2", "+", "-", " ", "x", ".")
+_PARSE_ERRORS = ("empty field element", "malformed term", "repeated i",
+                 "repeated sqrt2", "zero denominator")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parser_matches_the_term_by_term_oracle():
+    # one FieldElem per call, built from four coordinate sums, against a
+    # running sum of one FieldElem per term: same value or same error
+    r = rng(110)
+    parsed, messages = 0, set()
+    for _ in range(20_000):
+        text = "".join(r.choice(_PARSE_TOKENS) for _ in range(r.randint(0, 9)))
+        want = _parse_outcome(term_by_term_parse, text)
+        assert _parse_outcome(parse_field_elem, text) == want, text
+        if isinstance(want, FieldElem):
+            parsed += 1
+        else:
+            messages.update(m for m in _PARSE_ERRORS if want[1].startswith(m))
+    assert parsed > 1000
+    assert messages == set(_PARSE_ERRORS)
 
 
 def _hash_contract_holds(values):
