@@ -19,7 +19,7 @@ from .toledo import (CONVENTION, CompositionReport, PullbackReport,
                      composition_invariant, pullback_constant)
 from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify, classify_linearity,
                       grading_mask, holomorphy_check_u3u1u2, horizontality_check,
-                      iota_star_bplus, negative_line_basis, period_triple,
-                      twistor_nonlift_check)
+                      iota_star_bplus, is_negative, negative_line_basis,
+                      period_triple, twistor_nonlift_check)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .scalars import FieldElem, ONE, parse_field_elem
 from .embeddings import W_SIG, make_embedding
 from .toledo import CONVENTION, pullback_constant
 from .lifting import (classify, holomorphy_check_u3u1u2, horizontality_check,
-                      negative_line_basis, period_triple, twistor_nonlift_check)
+                      is_negative, period_triple, twistor_nonlift_check)
 
 _CLI_EMBEDDINGS = {
     "rho": "rho",
@@ -114,11 +114,19 @@ def _cmd_pullback(args, parser) -> int:
     return 0
 
 
+# the Gaussian integers x + y*i with x, y in -3..3, keyed by (x, y)
+_GAUSSIANS = {(x, y): FieldElem(x, y) for x in range(-3, 4) for y in range(-3, 4)}
+
+
 def _random_pair(rng, bound=3) -> tuple:
-    """Nonzero a in Q(i)^2 with integer coordinates in -bound..bound."""
+    """Nonzero a in Q(i)^2 with integer coordinates in -bound..bound (at most 3).
+
+    rng.choice(range(-bound, bound + 1)) advances rng as
+    rng.randint(-bound, bound) does, by one _randbelow(2*bound + 1)."""
+    span = range(-bound, bound + 1)
     while True:
-        a = tuple(FieldElem(rng.randint(-bound, bound), rng.randint(-bound, bound))
-                  for _ in range(2))
+        a = (_GAUSSIANS[rng.choice(span), rng.choice(span)],
+             _GAUSSIANS[rng.choice(span), rng.choice(span)])
         if any(a):
             return a
 
@@ -126,23 +134,23 @@ def _random_pair(rng, bound=3) -> tuple:
 # the Gaussian halves (a + b*i)/2 with a, b in -1..1, keyed by (a, b)
 _HALVES = {(a, b): FieldElem(Fraction(a, 2), Fraction(b, 2))
            for a in (-1, 0, 1) for b in (-1, 0, 1)}
+_UNIT_SPAN = range(-1, 2)
 
 
 def _random_negative_line(rng):
     """A negative vector for the (2,1) form plus a direction orthogonal to it."""
     while True:
-        v0 = (_HALVES[rng.randint(-1, 1), rng.randint(-1, 1)],
-              _HALVES[rng.randint(-1, 1), rng.randint(-1, 1)],
+        v0 = (_HALVES[rng.choice(_UNIT_SPAN), rng.choice(_UNIT_SPAN)],
+              _HALVES[rng.choice(_UNIT_SPAN), rng.choice(_UNIT_SPAN)],
               ONE)
-        try:
-            _, basis = negative_line_basis(v0)
+        if is_negative(v0):
             break
-        except ValueError:  # v0 is not negative: draw again
-            continue
-    # w = c1*u1 + c2*u2 for the basis shape (1, 0, *), (0, 1, *); nonzero
-    # coefficients, so that the direction is nonzero and the line moves
-    (c1, c2), (u1, u2) = _random_pair(rng, 2), basis
-    return v0, (c1, c2, c1 * u1[2] + c2 * u2[2])
+    # w = c1*u1 + c2*u2 for the orthocomplement basis (1, 0, conj(v0_1)),
+    # (0, 1, conj(v0_2)) of a line with last coordinate 1; nonzero
+    # coefficients, so that the direction is nonzero and the line moves.
+    # horizontality_check raises if w is not orthogonal to v0.
+    c1, c2 = _random_pair(rng, 2)
+    return v0, (c1, c2, c1 * v0[0].conj() + c2 * v0[1].conj())
 
 
 def _fmt_vec(vec) -> str:

@@ -164,17 +164,23 @@ def classify(embedding: EmbeddingDiff) -> tuple:
 
 # -- the flag of a negative line ----------------------------------------------
 
+def is_negative(v) -> bool:
+    """True iff h(v, v) < 0 for the (2,1) form: the one negativity decision."""
+    return herm_form(v, v, BALL_SIG).real_sign() < 0
+
+
 def negative_line_basis(v):
     """v as a vector of C^{2,1}, with the rref basis of its orthocomplement.
 
     v is negative, so v2 != 0, and h(x, v) = x0 conj(v0) + x1 conj(v1)
     - x2 conj(v2) vanishes on (1, 0, conj(v0/v2)) and (0, 1, conj(v1/v2)).
-    Both third coordinates are read off the one inverse of conj(v2).
+    Both third coordinates are read off the one inverse of conj(v2); when
+    v2 = 1 the basis is (1, 0, conj(v0)), (0, 1, conj(v1)).
     """
     vec = _coerce_row(v)
     if len(vec) != 3:
         raise ValueError("expected a vector in C^{2,1}")
-    if herm_form(vec, vec, BALL_SIG).real_sign() >= 0:
+    if not is_negative(vec):
         raise ValueError("the vector must be negative for the (2,1) form")
     v0, v1, v2 = vec
     inv = v2.conj().inverse()

@@ -43,10 +43,10 @@ class FieldElem:
     Internally the four coordinates share one positive denominator with the
     five integers coprime, so products need a single gcd instead of one per
     Fraction operation; a, b, c, d are exposed as Fractions.  ``str`` renders
-    from these integers too, reducing each coordinate by one gcd.  ``repr``
-    is ``str``, except for a value that ``str`` cannot render (a coordinate
-    past Python's limit on int-to-str digits): then it is the five integers
-    in hex, "(na + nb*i + nc*sqrt2 + nd*i*sqrt2)/den".
+    from these integers too, reducing each coordinate by one gcd when
+    den > 1.  ``repr`` is ``str``, except for a value that ``str`` cannot
+    render (a coordinate past Python's limit on int-to-str digits): then it
+    is the five integers in hex, "(na + nb*i + nc*sqrt2 + nd*i*sqrt2)/den".
     """
 
     __slots__ = ("na", "nb", "nc", "nd", "den")
@@ -141,14 +141,22 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        """Multiplicative inverse, rationalizing the i-part then the sqrt2-part."""
-        if not self:
+        """Multiplicative inverse in one integer step.
+
+        With x = (a + b*i + c*sqrt2 + d*i*sqrt2)/den, x*conj(x) is
+        (p + q*sqrt2)/den^2 with p = a^2 + b^2 + 2c^2 + 2d^2 and
+        q = 2(ac + bd), so 1/x = conj(x)*(p - q*sqrt2)*den^2 / (p^2 - 2q^2),
+        and p^2 - 2q^2 != 0 since sqrt2 is irrational.
+        """
+        a, b, c, d = self.na, self.nb, self.nc, self.nd
+        if not (a or b or c or d):
             raise ZeroDivisionError("inverse of 0 in Q(i, sqrt2)")
-        norm = self * self.conj()        # real: (p + q*sqrt2) / den
-        p, q, den = norm.na, norm.nc, norm.den
-        denom = p * p - 2 * q * q        # nonzero since sqrt2 is irrational
-        inv_norm = _raw(p * den, 0, -q * den, 0, denom)
-        return self.conj() * inv_norm
+        p = a * a + b * b + 2 * (c * c + d * d)
+        q = 2 * (a * c + b * d)
+        den = self.den
+        return _raw((a * p - 2 * c * q) * den, (2 * d * q - b * p) * den,
+                    (c * p - a * q) * den, (b * q - d * p) * den,
+                    p * p - 2 * q * q)
 
     def __truediv__(self, other):
         other = as_scalar(other)
@@ -212,8 +220,10 @@ class FieldElem:
         den, parts = self.den, []
         for n, sfx in zip((self.na, self.nb, self.nc, self.nd), _SUFFIXES):
             if n:
-                g = gcd(n, den)
-                n, q = n // g, den // g
+                q = den
+                if den != 1:
+                    g = gcd(n, den)
+                    n, q = n // g, den // g
                 if parts:
                     parts.append(" - " if n < 0 else " + ")
                     n = abs(n)

@@ -267,6 +267,29 @@ def rand_nonzero_field_elem(r):
             return x
 
 
+def rationalized_inverse(x):
+    """Reference for ``FieldElem.inverse``: rationalize the i-part, x*conj(x)
+    = p + q*sqrt2 with p, q rational, then the sqrt2-part, 1/(p + q*sqrt2)
+    = (p - q*sqrt2)/(p^2 - 2q^2), and multiply by conj(x)."""
+    norm = x * x.conj()
+    p, q = norm.a, norm.c
+    return x.conj() * FieldElem(p / (p * p - 2 * q * q), 0,
+                                -q / (p * p - 2 * q * q), 0)
+
+
+def rand_big_field_elem(r, bits=320):
+    """Nonzero element whose four coordinates have numerators of about
+    ``bits`` bits over unequal denominators; a coordinate is zero a sixth
+    of the time."""
+    while True:
+        x = FieldElem(*(0 if r.random() < 1 / 6 else
+                        Fraction(r.choice((1, -1)) * r.getrandbits(bits),
+                                 r.getrandbits(bits // 4) + 1)
+                        for _ in range(4)))
+        if x:
+            return x
+
+
 def rand_real_field_elem(r):
     return FieldElem(rand_fraction(r), 0, rand_fraction(r), 0)
 

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from qktoledo import CONVENTION, make_embedding, pullback_constant
+from qktoledo import (CONVENTION, ONE, is_negative, make_embedding,
+                      negative_line_basis, pullback_constant)
+from qktoledo import cli, lifting
 from qktoledo.cli import _MAX_VECTOR_BITS, build_parser, main
 
 import argv_digest
@@ -102,6 +104,48 @@ def test_lift_check_u3u1u2_never_draws_a_zero_direction(capsys):
     assert code == 0
     assert out.count("horizontal=True") == 29
     assert "w=(0, 0, 0)" not in out
+
+
+def test_lift_check_u3u1u2_builds_one_orthocomplement_per_sample(capsys, monkeypatch):
+    # the direction w is read off v0 in closed form, so the only basis a
+    # sample builds is the one horizontality_check checks w against
+    calls = []
+    real = lifting.negative_line_basis
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(lifting, "negative_line_basis", counted)
+    monkeypatch.setattr(cli, "negative_line_basis", counted, raising=False)
+    code, out, _ = run_cli(capsys, "lift-check", "--domain", "u3u1u2",
+                           "--samples", "50", "--seed", "0")
+    assert code == 0
+    assert out.count("horizontal=True") == 50
+    assert len(calls) == 50
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_choice_of_a_range_draws_as_randint(bound):
+    span = range(-bound, bound + 1)
+    for seed in range(50):
+        drawn, twin = random.Random(seed), random.Random(seed)
+        got = [drawn.choice(span) for _ in range(200)]
+        want = [twin.randint(-bound, bound) for _ in range(200)]
+        assert got == want, (
+            f"seed {seed}: choice(range) no longer advances the generator as "
+            "randint does (both used to make one _randbelow call); the "
+            "lift-check draws in cli.py depend on it")
+
+
+def test_random_negative_line_direction_is_the_basis_combination():
+    rng = random.Random(11)
+    for _ in range(2000):
+        v0, w = cli._random_negative_line(rng)
+        assert v0[2] == ONE and is_negative(v0)
+        _, (u1, u2) = negative_line_basis(v0)
+        c1, c2 = w[:2]
+        assert w == tuple(c1 * x + c2 * y for x, y in zip(u1, u2))
 
 
 def test_lift_check_json_deterministic(capsys):

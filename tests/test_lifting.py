@@ -10,12 +10,12 @@ from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       ZERO, ONE, I, SQRT2, HALF_SQRT2, PERIOD_FLAG_H, TWISTOR_H,
                       classify, classify_linearity, grading_mask,
                       herm_form, holomorphy_check_u3u1u2, horizontality_check,
-                      iota_star_bplus, make_embedding,
+                      iota_star_bplus, is_negative, make_embedding,
                       negative_line_basis, period_triple, su21_p_matrix,
                       sym_product, sym_to_e_coords,
                       twistor_nonlift_check, unit_vector)
 from qktoledo import lifting
-from qktoledo.cli import main
+from qktoledo.cli import _HALVES, main
 from qktoledo.selftest import ball_tangent, run_selftest
 
 from _helpers import (contains, flag_motion, fold_column, generic_herm_form,
@@ -310,6 +310,38 @@ def test_period_triple_rejects_non_negative():
         period_triple(unit_vector(3, 0))
     with pytest.raises(ValueError):
         period_triple((ONE, ZERO, ONE))   # isotropic
+
+
+def _basis_raises(v):
+    try:
+        negative_line_basis(v)
+    except ValueError:
+        return True
+    return False
+
+
+def test_negative_line_basis_rejects_exactly_what_is_negative_rejects():
+    # is_negative is the one negativity decision: False exactly when
+    # negative_line_basis raises, and it agrees with the generic form
+    r = rng(611)
+    i2 = I * SQRT2
+    halves = [(h1, h2, ONE) for h1 in _HALVES.values() for h2 in _HALVES.values()]
+    vectors = halves + [
+        unit_vector(3, 0), unit_vector(3, 1), (ONE, ONE, ONE), (i2, ZERO, ONE),
+        (ZERO, ZERO, ZERO), (ONE, ZERO, ONE), (i2, ZERO, SQRT2), (ONE, ONE, i2),
+        (I * HALF_SQRT2, HALF_SQRT2, I), (I * HALF_SQRT2, ZERO, ONE)]
+    vectors += [_negative_vector_with_specials(r) for _ in range(100)]
+    vectors += [tuple(rand_field_elem(r) for _ in range(3)) for _ in range(200)]
+    seen = {-1: 0, 0: 0, 1: 0}
+    for v in vectors:
+        sign = generic_herm_form(v, v, BALL_SIG).real_sign()
+        seen[sign] += 1
+        assert is_negative(v) == (sign < 0), v
+        assert _basis_raises(v) == (not is_negative(v)), v
+    # the 16 corners with |h1|^2 + |h2|^2 = 1 are the null candidates of
+    # the CLI's draw; the other 65 are negative
+    assert sum(not generic_herm_form(v, v, BALL_SIG) for v in halves) == 16
+    assert min(seen.values()) >= 20, seen
 
 
 def test_period_triple_random_invariants():

@@ -10,9 +10,10 @@ from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
                       parse_field_elem, ZERO, ONE, I, SQRT2, I_SQRT2,
                       HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
 
-from _helpers import (fraction_render, iv_sign, rng, rand_field_elem,
-                      rand_fraction, rand_nonzero_field_elem,
-                      rand_real_field_elem, rand_quat, term_by_term_parse)
+from _helpers import (fraction_render, iv_sign, rationalized_inverse, rng,
+                      rand_big_field_elem, rand_field_elem, rand_fraction,
+                      rand_nonzero_field_elem, rand_real_field_elem, rand_quat,
+                      term_by_term_parse)
 
 
 def test_defining_relations():
@@ -319,6 +320,17 @@ def test_results_stay_canonical():
     for x in values:
         for zero in (x * ZERO, ZERO * x, x * 0, 0 * x):
             assert zero == ZERO and zero.den == 1 and hash(zero) == hash(0)
+    # the one-step inverse against the two-step oracle, small and large
+    big = [rand_big_field_elem(r) for _ in range(150)]
+    assert min(max(abs(n) for n in (x.na, x.nb, x.nc, x.nd)).bit_length()
+               for x in big) >= 300
+    assert sum(len({Fraction(n, x.den).denominator for n in
+                    (x.na, x.nb, x.nc, x.nd) if n}) > 1 for x in big) > 100
+    for x in big + [x for x in values if x]:
+        inv = x.inverse()
+        assert _is_canonical(inv), x
+        assert inv == rationalized_inverse(x), x
+        assert x * inv == ONE
 
 
 def test_mixed_operands_match_the_field_result():
