@@ -1,6 +1,6 @@
 """One digest line per CLI argv, for comparing the output of two source trees.
 
-Runs a fixed set of 1,056 argv in process through ``qktoledo.cli.main`` and
+Runs a fixed set of 1,065 argv in process through ``qktoledo.cli.main`` and
 prints, for each, the argv and the sha256 of its (exit code, stdout, stderr);
 an argv that raises is digested with the exception's type name in place of
 the exit code:
@@ -17,10 +17,11 @@ the exit code:
   hundreds of terms per component; two rejected; six usage errors, four
   of them past that cap, one of those a sum of 120 terms);
 
-each in text form and with ``--json``; then twelve argv that reach the
-top-level parser's own paths (no argv, an unknown verb, a leading flag,
-``--``, an extra token, an unknown flag, a bad ``--samples``, and five
-options given as ``--opt=--``), each as is.
+each in text form and with ``--json``; then twenty-one argv that reach
+the parsers' own paths (no argv, an unknown verb, a leading flag, ``--``,
+two extra tokens, two unknown flags, a bad ``--samples``, five options
+given as ``--opt=--``, and the help of the top-level parser and of each
+verb, one of them by the prefix ``--he``), each as is.
 
 argparse wraps usage lines at ``$COLUMNS``, so the width is pinned to 80
 columns while digesting and the environment restored afterwards.  The
@@ -84,7 +85,7 @@ PERIOD_VECTORS = {
         reciprocal_sum(120, 60) + ",0,1",
 }
 
-# argv that the top-level parser handles itself, digested as they are
+# argv that the parsers handle themselves, digested as they are
 PARSER_EDGE_ARGVS = (
     (),
     ("frobnicate",),
@@ -99,6 +100,16 @@ PARSER_EDGE_ARGVS = (
     ("classify", "--embedding=--"),
     ("lift-check", "--domain", "twistor", "--seed=--"),
     ("lift-check", "--domain=--", "--samples", "1", "--json"),
+    ("lift-check", "--domain", "twistor", "--samples", "3", "extra"),
+    ("classify", "--embedding", "rho", "--json", "--frequency", "9"),
+    # help exits 0 after printing; "--he" prefix-matches "--help"
+    ("-h",),
+    ("pullback", "-h"),
+    ("lift-check", "-h"),
+    ("classify", "-h"),
+    ("period-triple", "-h"),
+    ("selftest", "-h"),
+    ("pullback", "--he"),
 )
 
 
