@@ -63,40 +63,58 @@ def _period_triple_args(p) -> None:
                    help='comma-separated exact components, e.g. "0,0,1" or "1/2,i,1"')
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv: when argv[0] names a verb, only that verb's
-    subparser is built (the others cannot be reached); otherwise all five."""
+def _add_verb_args(parser, verb) -> argparse.ArgumentParser:
+    """parser with verb's arguments and the common --json."""
+    _VERBS[verb][1](parser)
+    parser.add_argument("--json", action="store_true")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top-level usage and help, and all five verbs."""
     parser = argparse.ArgumentParser(
         prog="qktoledo",
         description="Exact quaternionic pullback constants and period-domain checks.")
-    if argv and argv[0] in _VERBS:
-        verbs = (argv[0],)
-        # keeps the top-level usage line that of the full parser
-        metavar = "{" + ",".join(_VERBS) + "}"
-    else:
-        verbs, metavar = _VERBS, None
     # with prog given, argparse formats no usage line to derive it
-    sub = parser.add_subparsers(dest="verb", required=True, prog=parser.prog,
-                                metavar=metavar)
-    for verb in verbs:
-        help_text, add_args, _ = _VERBS[verb]
-        p = sub.add_parser(verb, help=help_text)
-        add_args(p)
-        p.add_argument("--json", action="store_true")
+    sub = parser.add_subparsers(dest="verb", required=True, prog=parser.prog)
+    for verb, (help_text, _, _) in _VERBS.items():
+        _add_verb_args(sub.add_parser(verb, help=help_text), verb)
     return parser
+
+
+def _usage_error(message):
+    """Exit 2 with message under the top-level usage line."""
+    build_parser().error(message)
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives: the same namespace, or
+    the same output and SystemExit.
+
+    When argv[0] names a verb, only that verb's parser is built: it is the
+    subparser the full parser would hand argv[1:] to, under the same prog.
+    The full parser is built for other argv and for leftover tokens."""
+    if not argv or argv[0] not in _VERBS:
+        return build_parser().parse_args(argv)
+    verb = argv[0]
+    parser = _add_verb_args(argparse.ArgumentParser(prog=f"qktoledo {verb}"), verb)
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(verb=verb))
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _cmd_pullback(args, parser) -> int:
+def _cmd_pullback(args) -> int:
     if args.n < 2:
-        parser.error("--n must be at least 2")
+        _usage_error("--n must be at least 2")
     if args.n > _MAX_N:
-        parser.error(f"--n must be at most {_MAX_N}")
+        _usage_error(f"--n must be at most {_MAX_N}")
     if args.embedding == "sym-square" and args.n != 2:
-        parser.error("sym-square is defined for --n 2 only")
+        _usage_error("sym-square is defined for --n 2 only")
     name = _CLI_EMBEDDINGS[args.embedding]
     embedding = make_embedding(name, args.n)
     report = pullback_constant(embedding)
@@ -157,11 +175,11 @@ def _fmt_vec(vec) -> str:
     return "(" + ", ".join(str(x) for x in vec) + ")"
 
 
-def _cmd_lift_check(args, parser) -> int:
+def _cmd_lift_check(args) -> int:
     if args.samples < 1:
-        parser.error("--samples must be at least 1")
+        _usage_error("--samples must be at least 1")
     if args.samples > _MAX_SAMPLES:
-        parser.error(f"--samples must be at most {_MAX_SAMPLES}")
+        _usage_error(f"--samples must be at most {_MAX_SAMPLES}")
     rng = random.Random(args.seed)
     write, encode = sys.stdout.write, json.JSONEncoder(sort_keys=True).encode
     # each sample is written as it is decided; with --json inside the frame
@@ -204,7 +222,7 @@ def _cmd_lift_check(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_classify(args, parser) -> int:
+def _cmd_classify(args) -> int:
     components, (first, second), condition = classify(
         make_embedding(_CLI_EMBEDDINGS[args.embedding]))
     if args.json:
@@ -225,17 +243,17 @@ def _cmd_classify(args, parser) -> int:
     return 0
 
 
-def _cmd_period_triple(args, parser) -> int:
+def _cmd_period_triple(args) -> int:
     try:
         components = [parse_field_elem(part) for part in args.vector.split(",")]
     except ValueError as exc:
-        parser.error(f"cannot parse --vector: {exc}")
+        _usage_error(f"cannot parse --vector: {exc}")
     if len(components) != 3:
-        parser.error(f"--vector needs 3 components, got {len(components)}")
+        _usage_error(f"--vector needs 3 components, got {len(components)}")
     for k, c in enumerate(components, 1):
         if max(n.bit_length() for n in (c.na, c.nb, c.nc, c.nd, c.den)) \
                 > _MAX_VECTOR_BITS:
-            parser.error(f"--vector component {k} exceeds {_MAX_VECTOR_BITS} bits "
+            _usage_error(f"--vector component {k} exceeds {_MAX_VECTOR_BITS} bits "
                          "in its common denominator or a numerator")
     try:
         parts = period_triple(components)
@@ -261,7 +279,7 @@ def _cmd_period_triple(args, parser) -> int:
     return 0
 
 
-def _cmd_selftest(args, parser) -> int:
+def _cmd_selftest(args) -> int:
     # imported here so that the other verbs do not compile the golden checks
     from .selftest import run_selftest
     all_ok, results = run_selftest()
@@ -278,7 +296,7 @@ def _cmd_selftest(args, parser) -> int:
 
 
 # verb -> (help, function adding its arguments before the common --json,
-# handler called with the parsed args and the parser)
+# handler called with the parsed args)
 _VERBS = {
     "pullback": ("pullback constants of the 4-form", _pullback_args, _cmd_pullback),
     "lift-check": ("seeded holomorphic lifting checks", _lift_check_args,
@@ -292,15 +310,12 @@ _VERBS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # argparse parses "--opt=--" into an empty list, which no verb expects
     for name, value in vars(args).items():
         if isinstance(value, list):
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
-    return _VERBS[args.verb][2](args, parser)
+            _usage_error(f"argument --{name.replace('_', '-')}: expected one argument")
+    return _VERBS[args.verb][2](args)
 
 
 def run() -> None:

@@ -70,10 +70,36 @@ def test_pullback_general_n(capsys):
     assert "ratio_to_OmegaB2: 1/4" in out
 
 
-def test_sym_square_requires_n2(capsys):
+def test_sym_square_requires_n2(capsys, monkeypatch):
+    # a handler's usage error prints the full parser's usage line
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as err:
         main(["pullback", "--embedding", "sym-square", "--n", "3"])
     assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: qktoledo [-h] "
+                             "{pullback,lift-check,classify,period-triple,selftest}")
+    assert "qktoledo: error: sym-square is defined for --n 2 only" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("pullback", "--embedding", "rho", "--n", "3", "--json"),
+    ("lift-check", "--domain", "twistor", "--samples", "2", "--json"),
+    ("classify", "--embedding", "phi"),
+    ("period-triple", "--vector", "0,0,1", "--json"),
+])
+def test_a_verb_call_builds_only_that_verb_parser(capsys, monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert built == [f"qktoledo {argv[0]}"]
 
 
 def test_unknown_verb_exits_2(capsys):
@@ -205,19 +231,19 @@ _VERB_NAMES = ("pullback", "lift-check", "classify", "period-triple", "selftest"
 _TOKEN_POOL = _VERB_NAMES + (
     "pull", "--embedding", "--n", "--domain", "--samples", "--seed", "--vector",
     "--json", "-h", "--", "rho", "sym-square", "twistor", "u3u1u2", "3", "0",
-    "-2", "x", "0,0,1", "1,x", "frobnicate", "--frequency", "-q")
+    "-2", "x", "0,0,1", "1,x", "frobnicate", "--frequency", "-q", "--help",
+    "--he", "--n=--", "-5")
 
 
-def _parse_outcome(parser, argv):
-    """The namespace or exit code of parsing, its stdout and stderr, and the
-    top-level usage line that main's own usage errors print."""
+def _parse_outcome(parse, argv):
+    """The namespace or exit code of parse(argv), its stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = exc.code
-    return result, out.getvalue(), err.getvalue(), parser.format_usage()
+    return result, out.getvalue(), err.getvalue()
 
 
 def test_single_verb_parser_matches_the_full_parser(monkeypatch):
@@ -227,8 +253,8 @@ def test_single_verb_parser_matches_the_full_parser(monkeypatch):
     for _ in range(400):
         first = r.choice(_VERB_NAMES if r.random() < 0.6 else _TOKEN_POOL)
         argv = [first] + [r.choice(_TOKEN_POOL) for _ in range(r.randint(0, 6))]
-        got = _parse_outcome(build_parser(argv), argv)
-        assert got == _parse_outcome(build_parser(), argv), argv
+        got = _parse_outcome(cli.parse_args, argv)
+        assert got == _parse_outcome(build_parser().parse_args, argv), argv
         outcomes.add(got[0] if isinstance(got[0], int) else "namespace")
     assert outcomes == {"namespace", 0, 2}
 
