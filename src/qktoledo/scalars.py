@@ -90,9 +90,11 @@ class FieldElem:
         if d1 == d2:
             return _raw(self.na + other.na, self.nb + other.nb,
                         self.nc + other.nc, self.nd + other.nd, d1)
-        return _raw(self.na * d2 + other.na * d1, self.nb * d2 + other.nb * d1,
-                    self.nc * d2 + other.nc * d1, self.nd * d2 + other.nd * d1,
-                    d1 * d2)
+        g = gcd(d1, d2)
+        s, t = d1 // g, d2 // g
+        return _reduced_sum(self.na * t + other.na * s, self.nb * t + other.nb * s,
+                            self.nc * t + other.nc * s, self.nd * t + other.nd * s,
+                            s * d2, g)
 
     __radd__ = __add__
 
@@ -108,9 +110,11 @@ class FieldElem:
         if d1 == d2:
             return _raw(self.na - other.na, self.nb - other.nb,
                         self.nc - other.nc, self.nd - other.nd, d1)
-        return _raw(self.na * d2 - other.na * d1, self.nb * d2 - other.nb * d1,
-                    self.nc * d2 - other.nc * d1, self.nd * d2 - other.nd * d1,
-                    d1 * d2)
+        g = gcd(d1, d2)
+        s, t = d1 // g, d2 // g
+        return _reduced_sum(self.na * t - other.na * s, self.nb * t - other.nb * s,
+                            self.nc * t - other.nc * s, self.nd * t - other.nd * s,
+                            s * d2, g)
 
     def __rsub__(self, other):
         other = as_scalar(other)
@@ -258,6 +262,30 @@ def _raw(na, nb, nc, nd, den):
         if den < 0:
             na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
         g = gcd(na, nb, nc, nd, den)
+        if g > 1:
+            na //= g
+            nb //= g
+            nc //= g
+            nd //= g
+            den //= g
+    out = _new(FieldElem)
+    _set_na(out, na)
+    _set_nb(out, nb)
+    _set_nc(out, nc)
+    _set_nd(out, nd)
+    _set_den(out, den)
+    return out
+
+
+def _reduced_sum(na, nb, nc, nd, den, g):
+    """A sum or difference of two canonical elements over unequal
+    denominators d1, d2, in lowest terms: the numerators are over den =
+    lcm(d1, d2), and g = gcd(d1, d2).  As in Fraction._add, the common
+    factor of den and the numerators divides g (a prime of d1 but not of d2
+    that divided every numerator would divide every numerator of the first
+    element), so one gcd with g reduces it, and none is needed when g == 1."""
+    if g != 1:
+        g = gcd(g, na, nb, nc, nd)
         if g > 1:
             na //= g
             nb //= g

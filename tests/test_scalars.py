@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from qktoledo import scalars
 from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
                       composition_invariant, make_embedding, pullback_constant,
                       parse_field_elem, ZERO, ONE, I, SQRT2, I_SQRT2,
@@ -298,7 +299,20 @@ def _is_canonical(x):
             and (any(coords) or x.den == 1))
 
 
-def test_results_stay_canonical():
+def _wide_elem(r, den):
+    """A full-field element over exactly den: four numerators below den in
+    absolute value, the first coprime to it."""
+    while True:
+        nums = [r.randrange(-den, den) for _ in range(4)]
+        if gcd(nums[0], den) == 1 and all(nums):
+            return FieldElem(*(Fraction(n, den) for n in nums))
+
+
+def _coords(x):
+    return x.a, x.b, x.c, x.d
+
+
+def test_results_stay_canonical(monkeypatch):
     # equality is coordinate equality, so every fast path must normalize
     r = rng(108)
     integral = [FieldElem(*(r.randint(-4, 4) for _ in range(4)))
@@ -331,6 +345,29 @@ def test_results_stay_canonical():
         assert _is_canonical(inv), x
         assert inv == rationalized_inverse(x), x
         assert x * inv == ONE
+    # sums and differences over unequal 120-digit denominators against
+    # Fraction's; over coprime ones they take no five-way gcd
+    five_way = []
+
+    def counted_gcd(*args):
+        if len(args) == 5:
+            five_way.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(scalars, "gcd", counted_gcd)
+    dens = [r.randrange(10**119, 10**120) for _ in range(40)]
+    wide = [_wide_elem(r, den * k) for den in dens for k in (1, 6)]
+    coprime = 0
+    for _ in range(300):
+        x, y = r.sample(wide, 2)
+        five_way.clear()
+        for got, want in ((x + y, map(Fraction.__add__, _coords(x), _coords(y))),
+                          (x - y, map(Fraction.__sub__, _coords(x), _coords(y)))):
+            assert _is_canonical(got) and _coords(got) == tuple(want), (x, y)
+        if gcd(x.den, y.den) == 1:
+            assert five_way == [], (x, y)
+            coprime += 1
+    assert 100 < coprime < 250
 
 
 def test_mixed_operands_match_the_field_result():
