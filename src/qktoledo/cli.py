@@ -64,7 +64,6 @@ def _period_triple_args(p) -> None:
 
 
 def _add_verb_args(parser, verb) -> argparse.ArgumentParser:
-    """parser with verb's arguments and the common --json."""
     _VERBS[verb][1](parser)
     parser.add_argument("--json", action="store_true")
     return parser
@@ -88,12 +87,8 @@ def _usage_error(message):
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """What build_parser().parse_args(argv) gives: the same namespace, or
-    the same output and SystemExit.
-
-    When argv[0] names a verb, only that verb's parser is built: it is the
-    subparser the full parser would hand argv[1:] to, under the same prog.
-    The full parser is built for other argv and for leftover tokens."""
+    """build_parser().parse_args(argv), building for a verb's argv only
+    the subparser that the full parser would hand argv[1:] to."""
     if not argv or argv[0] not in _VERBS:
         return build_parser().parse_args(argv)
     verb = argv[0]

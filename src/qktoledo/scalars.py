@@ -90,11 +90,14 @@ class FieldElem:
         if d1 == d2:
             return _raw(self.na + other.na, self.nb + other.nb,
                         self.nc + other.nc, self.nd + other.nd, d1)
+        # as in Fraction._add, the common factor of lcm(d1, d2) = s*d2 and
+        # the new numerators divides g: a prime of d1 but not of d2 dividing
+        # every new numerator would divide every numerator of self
         g = gcd(d1, d2)
         s, t = d1 // g, d2 // g
-        return _reduced_sum(self.na * t + other.na * s, self.nb * t + other.nb * s,
-                            self.nc * t + other.nc * s, self.nd * t + other.nd * s,
-                            s * d2, g)
+        return _raw(self.na * t + other.na * s, self.nb * t + other.nb * s,
+                    self.nc * t + other.nc * s, self.nd * t + other.nd * s,
+                    s * d2, g)
 
     __radd__ = __add__
 
@@ -110,11 +113,12 @@ class FieldElem:
         if d1 == d2:
             return _raw(self.na - other.na, self.nb - other.nb,
                         self.nc - other.nc, self.nd - other.nd, d1)
+        # reduced as in __add__
         g = gcd(d1, d2)
         s, t = d1 // g, d2 // g
-        return _reduced_sum(self.na * t - other.na * s, self.nb * t - other.nb * s,
-                            self.nc * t - other.nc * s, self.nd * t - other.nd * s,
-                            s * d2, g)
+        return _raw(self.na * t - other.na * s, self.nb * t - other.nb * s,
+                    self.nc * t - other.nc * s, self.nd * t - other.nd * s,
+                    s * d2, g)
 
     def __rsub__(self, other):
         other = as_scalar(other)
@@ -255,37 +259,14 @@ def as_scalar(value):
     return NotImplemented
 
 
-def _raw(na, nb, nc, nd, den):
-    """(na + nb*i + nc*sqrt2 + nd*i*sqrt2) / den in lowest terms, den != 0;
-    with den == 1 the five integers are already canonical."""
-    if den != 1:
+def _raw(na, nb, nc, nd, den, g=None):
+    """(na + nb*i + nc*sqrt2 + nd*i*sqrt2) / den in lowest terms, den != 0.
+    A given g > 0 is a multiple of every common factor of den and the
+    numerators, so g == 1, like den == 1, means they are canonical already."""
+    if den != 1 and g != 1:
         if den < 0:
             na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
-        g = gcd(na, nb, nc, nd, den)
-        if g > 1:
-            na //= g
-            nb //= g
-            nc //= g
-            nd //= g
-            den //= g
-    out = _new(FieldElem)
-    _set_na(out, na)
-    _set_nb(out, nb)
-    _set_nc(out, nc)
-    _set_nd(out, nd)
-    _set_den(out, den)
-    return out
-
-
-def _reduced_sum(na, nb, nc, nd, den, g):
-    """A sum or difference of two canonical elements over unequal
-    denominators d1, d2, in lowest terms: the numerators are over den =
-    lcm(d1, d2), and g = gcd(d1, d2).  As in Fraction._add, the common
-    factor of den and the numerators divides g (a prime of d1 but not of d2
-    that divided every numerator would divide every numerator of the first
-    element), so one gcd with g reduces it, and none is needed when g == 1."""
-    if g != 1:
-        g = gcd(g, na, nb, nc, nd)
+        g = gcd(g or den, na, nb, nc, nd)
         if g > 1:
             na //= g
             nb //= g
