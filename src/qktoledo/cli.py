@@ -30,7 +30,7 @@ _CLI_EMBEDDINGS = {
 
 # Upper bounds on the two size arguments.  Run time grows linearly with
 # --samples (each sample is written as it is decided, so memory does not
-# grow with it); memory grows with --n (four images of size 2n x 2).
+# grow with it); pullback does the same work at every --n.
 _MAX_SAMPLES = 10_000
 _MAX_N = 100
 

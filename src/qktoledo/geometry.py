@@ -14,9 +14,8 @@ element [[0, A], [A*, 0]].  Conventions fixed here and used everywhere:
   Re(i Tr(Y* X)), omega_j = -Re s and omega_k = Re(i s) are read off the
   integer coordinates of two complex sums; the quaternion product is the
   tests' oracle for them.  ``unit_wedge_squares`` builds one pairing table
-  for a quadruple: both sums of each of its six pairs, once, over the rows
-  where some block is nonzero (the embedded basis quadruple is nonzero only
-  in its first four rows), skipping terms with a zero factor;
+  for a quadruple: both sums of each of its six pairs, once, over its rows,
+  skipping terms with a zero factor;
 * the square of a 2-form alpha is evaluated by the three-term expansion
 
       alpha(X,Y)alpha(Z,W) - alpha(X,Z)alpha(Y,W) + alpha(X,W)alpha(Y,Z)
@@ -126,17 +125,13 @@ def _im_conj_mul(x, y) -> tuple:
             a1 * d2 - d1 * a2 + c1 * b2 - b1 * c2)
 
 
-def _support_rows(vecs) -> tuple:
-    """The 2-column blocks' rows where at least one block is nonzero (the
-    union of their supports), as coordinate 4-tuples over one common
-    denominator with None for a zero entry, and that denominator."""
-    support = sorted({k for v in vecs for k, (z, w) in enumerate(v.entries)
-                      if z or w})
-    rows = [[v.entries[k] for k in support] for v in vecs]
-    den = lcm(*(e.den for block in rows for row in block for e in row))
+def _coordinate_rows(vecs) -> tuple:
+    """The 2-column blocks' rows as coordinate 4-tuples over one common
+    denominator, with None for a zero entry, and that denominator."""
+    den = lcm(*(e.den for v in vecs for row in v.entries for e in row))
     return [[[(e.na * (den // e.den), e.nb * (den // e.den),
                e.nc * (den // e.den), e.nd * (den // e.den)) if e else None
-              for e in row] for row in block] for block in rows], den
+              for e in row] for row in v.entries] for v in vecs], den
 
 
 def _unit_pairings(rows_x, rows_y) -> tuple:
@@ -176,7 +171,7 @@ _UNITS = {"i": 0, "j": 1, "k": 2}
 def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:
     """omega_u(X, Y) = Re(q_X . conj(q_Y) u); antisymmetric, real-valued."""
     _check_quaternionic(x, y)
-    (rows_x, rows_y), den = _support_rows((x, y))
+    (rows_x, rows_y), den = _coordinate_rows((x, y))
     p, q = _unit_pairings(rows_x, rows_y)[_UNITS[unit]]
     return _raw(p, 0, q, 0, den * den)
 
@@ -196,11 +191,11 @@ def _real_mul(u, v) -> tuple:
 def unit_wedge_squares(x: TangentVec, y: TangentVec, z: TangentVec,
                        w: TangentVec) -> tuple:
     """(omega_i^2, omega_j^2, omega_k^2)(X, Y, Z, W), the three unit wedge
-    squares.  One pairing table: the rows where some block is nonzero are
-    found once, from the union of the four supports, and both pairings of
-    each of the six pairs are computed once over those rows only."""
+    squares.  One pairing table: the rows are converted to integer
+    coordinates once, and both pairings of each of the six pairs are
+    computed once over them."""
     _check_quaternionic(x, y, z, w)
-    blocks, den = _support_rows((x, y, z, w))
+    blocks, den = _coordinate_rows((x, y, z, w))
     # per pair (X,Y), (X,Z), (X,W), (Y,Z), (Y,W), (Z,W): the three forms
     table = [_unit_pairings(blocks[a], blocks[b])
              for a, b in combinations(range(4), 2)]

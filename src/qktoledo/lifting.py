@@ -18,12 +18,13 @@ The three flag parts are mutually orthogonal and non-degenerate for the form
 of W, of dimensions 3 + 1 + 2 = 6, so they span W and each fiber part plus
 the mixed plane is exactly the orthocomplement of the other fiber part.
 Horizontality is therefore decided by Hermitian products alone, and the
-identity h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 turns
-each product into a combination of h(v0, u_i) and h(w, u_i) in C^{2,1}.  A
-flag PASS thus rests on two facts: that identity, which
-``e_map_certificate`` checks on the basis products once per process, and the
-orthogonality of the ``negative_line_basis`` vectors u_i to v0, which
-``horizontality_check`` evaluates on the concrete inputs of every sample.
+identity h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 makes
+each product a sum of terms with a factor h(v0, u_i) in C^{2,1}, zero because
+the ``negative_line_basis`` vectors u_i are orthogonal to v0 (a nonzero one
+raises).  So three facts the selftest checks fix both lift-check verdicts
+before any sample is drawn: ``_TWISTOR_OFF`` reads both a1 and a2, so no
+a != 0 lifts to the twistor space; ``_FLAG_OFF`` is empty; and the
+``e_map_certificate`` identity holds, so every flag sample is horizontal.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -252,13 +253,11 @@ def horizontality_check(v0, w) -> bool:
 
     The basis u_i of ``negative_line_basis`` moves as u_i + t*c_i*v0 with
     c_i = -h(u_i, w)/h(v0, v0).  By the identity of ``e_map_certificate``,
-    with p_i = h(v0, u_i) and q_i = h(w, u_i), the square of the line gives
-    h_W(2 E(v0.w), E(u_i.u_j)) = p_i q_j + p_j q_i, and Sym^2 of the
-    orthocomplement gives h(v0, v0) (c_i conj(p_j) + c_j conj(p_i)), which is
-    -conj(p_i q_j + p_j q_i).  The p_i are evaluated on every sample; when
-    all of them vanish, as the orthocomplement basis makes them, every
-    product is zero and the q_i are not computed.  False whenever the
-    certificate fails.
+    each product of one moving fiber part with the other has a factor
+    p_i = h(v0, u_i) or its conjugate in every term.  The u_i are built
+    orthogonal to v0, so a nonzero p_i is a wrong basis and raises
+    ValueError; otherwise the motion is horizontal exactly when the
+    certificate holds.
     """
     v0, w = _coerce_row(v0), _coerce_row(w)
     if len(w) != 3:
@@ -266,10 +265,6 @@ def horizontality_check(v0, w) -> bool:
     if herm_form(v0, w, BALL_SIG):
         raise ValueError("the curve direction must be orthogonal to the line")
     vec, basis = negative_line_basis(v0)
-    if e_map_certificate() is not None:
-        return False
-    p = [herm_form(vec, u, BALL_SIG) for u in basis]
-    if not any(p):
-        return True
-    q = [herm_form(w, u, BALL_SIG) for u in basis]
-    return not any(p[i] * q[j] + p[j] * q[i] for i, j in ((0, 0), (0, 1), (1, 1)))
+    if any(herm_form(vec, u, BALL_SIG) for u in basis):
+        raise ValueError("the orthocomplement basis is not orthogonal to the line")
+    return e_map_certificate() is None

@@ -229,11 +229,13 @@ def test_column_verdicts_match_the_fold_of_component_verdicts():
     embeddings += [_synthetic_embedding()] + [_random_embedding(r) for _ in range(300)]
     seen, mixed = set(), False
     for emb in embeddings:
-        components, columns, _ = classify(emb)
+        components, columns, condition = classify(emb)
+        parts = {col: {v for c, _, v in components if c == col} for col in (1, 2)}
         for col, verdict in zip((1, 2), columns):
-            parts = {v for c, _, v in components if c == col}
-            assert verdict == fold_column(parts), (emb, col, parts)
-            mixed = mixed or {"linear", "conjugate_linear"} <= parts
+            assert verdict == fold_column(parts[col]), (emb, col, parts[col])
+            mixed = mixed or {"linear", "conjugate_linear"} <= parts[col]
+        assert condition == (parts[1] <= {"conjugate_linear", "zero"}
+                             and parts[2] <= {"linear", "zero"}), (emb, parts)
         seen.update(columns)
     assert seen == {"linear", "conjugate_linear", "zero", "neither"}
     assert mixed
@@ -444,6 +446,21 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
             assert not horizontality_check(v0, w)
     finally:
         lifting.e_map_certificate.cache_clear()
+
+
+def test_horizontality_rejects_a_basis_not_orthogonal_to_the_line(monkeypatch):
+    # every product horizontality decides has a factor h(v0, u_i); the basis
+    # makes each vanish, so a nonzero one is a wrong basis, not a verdict
+    real = lifting.negative_line_basis
+
+    def tilted(v):
+        vec, (u1, u2) = real(v)
+        return vec, (tuple(x + y for x, y in zip(u1, vec)), u2)
+
+    monkeypatch.setattr(lifting, "negative_line_basis", tilted)
+    e3 = unit_vector(3, 2)
+    with pytest.raises(ValueError, match="not orthogonal to the line"):
+        horizontality_check(e3, unit_vector(3, 0))
 
 
 @pytest.mark.parametrize("bad", [0.5, "x"])

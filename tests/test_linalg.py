@@ -190,6 +190,12 @@ def test_inertia_matches_leading_minor_oracle():
         Subspace(6, [e_plus, e2_e6]),       # totally isotropic plane
         Subspace(6, [e_plus, e_minus]),     # hyperbolic plane span(E1, E5)
         Subspace(6, [e_plus, e2_e5]),       # hyperbolic plane, zero diagonal
+        # degenerate, inertia (1, 1, 1): its rref Gram matrix has a zero
+        # diagonal, so inertia takes a pair pivot, and one of weight
+        # |lambda|^2 in place of 2|lambda|^2 reads (1, 2, 0), "indefinite"
+        Subspace(6, [(ZERO, ZERO, ZERO, I, ONE, ZERO),
+                     (FieldElem(5), ZERO, FieldElem(0, 12), ZERO, ZERO, FieldElem(13)),
+                     (ZERO, FieldElem(3), FieldElem(4), ZERO, FieldElem(5), ZERO)]),
     ]
     r = rng(205)
     jacobi = degenerate = 0

@@ -34,13 +34,24 @@ def test_pullback_at_the_size_bounds(n):
             FieldElem(omega), FieldElem(omega0sq), FieldElem(ratio))
 
 
+def test_pullback_report_is_the_n_2_report_at_every_n():
+    # the named row maps put coordinate k in row pair k only, so the report
+    # is evaluated at n = 2; the full-image oracle below checks that value
+    for name in ("rho", "totally_real", "phi"):
+        at_two = pullback_constant(make_embedding(name, 2))
+        for n in range(2, 101):
+            assert pullback_constant(make_embedding(name, n)) == at_two, (name, n)
+        with pytest.raises(ValueError, match="n >= 2"):
+            pullback_constant(make_embedding(name, 1))
+
+
 @pytest.mark.parametrize("name, n", [
     *((name, n) for name in ("rho", "totally_real", "phi") for n in (2, 3, 16, 17, 100)),
     ("sym_square", 2)])
 def test_pullback_report_matches_the_oracles_on_the_full_images(name, n):
-    # both values come from one pairing table over the support rows; the
-    # oracles read every row: the quaternion product for each unit form, and
-    # the Kahler form's own FieldElem pairing for Omega0^2
+    # both values come from one pairing table over the images at n = 2; the
+    # oracles read every row of the full images: the quaternion product for
+    # each unit form, and the Kahler form's own FieldElem pairing for Omega0^2
     embedding = make_embedding(name, n)
     images = [embedding(x) for x in standard_quadruple(n)]
     rep = pullback_constant(embedding)
