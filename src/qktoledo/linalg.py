@@ -150,7 +150,7 @@ def _dot(u, v):
 
 def unit_vector(n, k, s=ONE):
     """The k-th standard basis vector of C^n (0-based), scaled by s."""
-    return tuple(s if i == k else ZERO for i in range(n))
+    return _coerce_row(s if i == k else ZERO for i in range(n))
 
 
 def herm_form(u, v, sig):

@@ -55,7 +55,8 @@ class FieldElem:
     def __new__(cls, a=0, b=0, c=0, d=0):
         if isinstance(a, int) and isinstance(b, int) and isinstance(c, int) \
                 and isinstance(d, int):
-            return _raw(a, b, c, d, 1)
+            # int() stores a bool as 0 or 1, as Fraction(True) does
+            return _raw(int(a), int(b), int(c), int(d), 1)
         fa, fb, fc, fd = (_as_fraction(x) for x in (a, b, c, d))
         den = lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
         return _raw(fa.numerator * (den // fa.denominator),
@@ -154,7 +155,8 @@ class FieldElem:
         With x = (a + b*i + c*sqrt2 + d*i*sqrt2)/den, x*conj(x) is
         (p + q*sqrt2)/den^2 with p = a^2 + b^2 + 2c^2 + 2d^2 and
         q = 2(ac + bd), so 1/x = conj(x)*(p - q*sqrt2)*den^2 / (p^2 - 2q^2),
-        and p^2 - 2q^2 != 0 since sqrt2 is irrational.
+        and p^2 - 2q^2 > 0: times 1/den^4 it is the product of |x|^2 under
+        both embeddings of sqrt2 (as +sqrt2 and as -sqrt2).
         """
         a, b, c, d = self.na, self.nb, self.nc, self.nd
         if not (a or b or c or d):
@@ -253,19 +255,17 @@ def as_scalar(value):
     if isinstance(value, FieldElem):
         return value
     if isinstance(value, int):
-        return _raw(value, 0, 0, 0, 1)
+        return _raw(int(value), 0, 0, 0, 1)
     if isinstance(value, Fraction):
         return _raw(value.numerator, 0, 0, 0, value.denominator)
     return NotImplemented
 
 
 def _raw(na, nb, nc, nd, den, g=None):
-    """(na + nb*i + nc*sqrt2 + nd*i*sqrt2) / den in lowest terms, den != 0.
+    """(na + nb*i + nc*sqrt2 + nd*i*sqrt2) / den in lowest terms, den > 0.
     A given g > 0 is a multiple of every common factor of den and the
     numerators, so g == 1, like den == 1, means they are canonical already."""
     if den != 1 and g != 1:
-        if den < 0:
-            na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
         g = gcd(g or den, na, nb, nc, nd)
         if g > 1:
             na //= g

@@ -2,10 +2,11 @@
 
 Each mutant is a named, exact (file, old text, new text) replacement in
 ``src/qktoledo``.  For each one the script copies the repository, without
-``.git`` and caches, into a temporary directory, applies the replacement
-there, runs ``python -m pytest -q -x tests`` in the copy and prints
-``killed`` with the first failing test, or ``survived`` (all passed).  At
-most two copies run at once.  A mutant whose old text is missing, or occurs more
+``.git``, caches and ``perfbench/`` (no test under ``tests/`` needs the
+benchmark), into a temporary directory, applies the replacement there,
+runs ``python -m pytest -q -x tests`` in the copy and prints ``killed``
+with the first failing test, or ``survived`` (all passed).  At most two
+copies run at once.  A mutant whose old text is missing, or occurs more
 than once, stops the run before anything is copied, and so does a control
 copy with no replacement that fails its tests, so neither a mutant that no
 longer applies nor a broken copy can pass as killed.
@@ -79,6 +80,28 @@ MUTANTS = {
         "cli.py",
         "> _MAX_VECTOR_BITS:",
         ">= _MAX_VECTOR_BITS:"),
+    "rref-eliminates-below-only": (
+        "linalg.py",
+        "if i != rank and rows[i][col]:",
+        "if i > rank and rows[i][col]:"),
+    "inertia-sign": (
+        "linalg.py",
+        "if d.real_sign() > 0:",
+        "if d.real_sign() < 0:"),
+    "inverse-sqrt2-sign": (
+        "scalars.py",
+        "(c * p - a * q) * den",
+        "(c * p + a * q) * den"),
+    # `return 0 if all_ok else 1` ends two handlers: each old text includes
+    # the unique line before it
+    "lift-check-exit-0": (
+        "cli.py",
+        'print(f"summary: {summary}")\n    return 0 if all_ok else 1',
+        'print(f"summary: {summary}")\n    return 0'),
+    "selftest-exit-0": (
+        "cli.py",
+        "{len(results)})\")\n    return 0 if all_ok else 1",
+        "{len(results)})\")\n    return 0"),
 }
 
 
@@ -103,7 +126,7 @@ def run_mutant(name) -> str | None:
     with tempfile.TemporaryDirectory(prefix="qktoledo-mutant-") as tmp:
         copy = Path(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache"))
+            ".git", "__pycache__", ".pytest_cache", "perfbench"))
         if name is not None:
             path, old, new = MUTANTS[name]
             target = copy / PACKAGE / path

@@ -17,7 +17,7 @@ import pytest
 
 from qktoledo import (CONVENTION, ONE, is_negative, make_embedding,
                       negative_line_basis, pullback_constant)
-from qktoledo import cli, lifting
+from qktoledo import cli, lifting, selftest
 from qktoledo.cli import _MAX_VECTOR_BITS, build_parser, main
 
 import argv_digest
@@ -261,6 +261,8 @@ def test_single_verb_parser_matches_the_full_parser(monkeypatch):
 
 def test_argv_digest_matches_the_golden_file():
     want = (GOLDEN / "argv_digest.txt").read_text().splitlines()
+    # the file is its own corpus: an argv is added, never dropped
+    assert len(want) >= 1065
     got = digest_lines()
     changed = [line.split("  ", 1)[-1] for line in set(got) - set(want)]
     assert got == want, f"{len(changed)} argv changed output: {changed[:10]}"
@@ -274,6 +276,47 @@ def test_argv_digest_records_a_crash_by_its_type_name(monkeypatch):
     monkeypatch.setattr(argv_digest, "main", crash)
     want = hashlib.sha256(b"ZeroDivisionError\0partial\n\0").hexdigest()
     assert argv_digest.digest(("pullback",)) == want
+
+
+# Imports argv_digest with the tests directory as the working directory and
+# only src on PYTHONPATH, and prints the name and file of every module loaded.
+_MODULES_AFTER_ARGV_DIGEST_IMPORT = """
+import sys
+import argv_digest
+for name, module in list(sys.modules.items()):
+    print(name, getattr(module, "__file__", None) or "")
+"""
+
+
+def test_argv_digest_loads_nothing_from_perfbench():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_ARGV_DIGEST_IMPORT],
+        cwd=ROOT / "tests", capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.partition(" ")[::2] for line in proc.stdout.splitlines())
+    assert "argv_digest" in loaded and "workloads" not in loaded
+    perfbench = ROOT / "perfbench"
+    assert not [name for name, file in loaded.items()
+                if file and Path(file).resolve().is_relative_to(perfbench)]
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_selftest_exits_1_when_a_check_fails(capsys, monkeypatch, fmt):
+    def broken():
+        return False, "got 1, want 2"
+
+    monkeypatch.setattr(selftest, "CHECKS", [*selftest.CHECKS[:1],
+                                             ("broken", broken)])
+    code, out, _ = run_cli(capsys, "selftest", *fmt)
+    assert code == 1
+    if fmt:
+        payload = json.loads(out)
+        assert payload["summary"] == "FAIL"
+        assert payload["checks"][1] == {"name": "broken", "pass": False,
+                                        "detail": "got 1, want 2"}
+    else:
+        assert out.endswith("FAIL broken: got 1, want 2\nselftest: FAIL (1/2)\n")
 
 
 def test_period_triple_base(capsys):

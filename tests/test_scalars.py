@@ -8,8 +8,8 @@ import pytest
 from qktoledo import scalars
 from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
                       composition_invariant, make_embedding, pullback_constant,
-                      parse_field_elem, ZERO, ONE, I, SQRT2, I_SQRT2,
-                      HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
+                      parse_field_elem, unit_vector, ZERO, ONE, I, SQRT2,
+                      I_SQRT2, HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
 
 from _helpers import (fraction_render, iv_sign, rationalized_inverse, rng,
                       rand_big_field_elem, rand_field_elem, rand_fraction,
@@ -177,6 +177,19 @@ def test_parse_round_trip():
                 "1/0", "1e5", "1.5", "1_0"):
         with pytest.raises(ValueError):
             parse_field_elem(bad)
+
+
+def test_a_bool_is_stored_as_an_int():
+    # as Fraction(True) == Fraction(1): a bool numerator used to render "True"
+    values = {"1": (FieldElem(True), Matrix([[True]]).entries[0][0],
+                    unit_vector(2, 0, True)[0]),
+              "1*i": (FieldElem(0, True),)}
+    for text, elems in values.items():
+        for x in elems:
+            assert all(type(n) is int for n in (x.na, x.nb, x.nc, x.nd, x.den))
+            assert str(x) == repr(x) == text
+            assert parse_field_elem(str(x)) == x
+    assert repr(Matrix([[True]])) == "[[1]]"
 
 
 _PARSE_TOKENS = ("0", "1", "2", "7", "12", "3/4", "/", "/0", "*", "*i",
