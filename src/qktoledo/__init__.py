@@ -9,9 +9,9 @@ from .scalars import (FieldElem, JetScalar, Quat, parse_field_elem,
                       ZERO, ONE, I, SQRT2, I_SQRT2, HALF_SQRT2,
                       QUAT_I, QUAT_J, QUAT_K, QUAT_UNITS)
 from .linalg import Matrix, Subspace, herm_form, unit_vector
-from .geometry import (TangentVec, complex_structure_j, kahler_form,
-                       metric_g0, omega4, omega_unit, su2_action_check,
-                       to_quat, unit_wedge_squares, wedge_square_eval)
+from .geometry import (TangentVec, kahler_form, metric_g0, omega4,
+                       omega_unit, su2_action_check, to_quat,
+                       unit_wedge_squares, wedge_square_eval)
 from .embeddings import (EmbeddingDiff, BALL_SIG, W_SIG, E_BASIS_TENSORS,
                          make_embedding, standard_quadruple, su21_p_matrix,
                          sym_product, sym_square_lie, sym_to_e_coords, is_su21)

@@ -55,13 +55,8 @@ class TangentVec(Matrix):
         if s is NotImplemented:
             raise TypeError("scale expects a real scalar")
         if not s.is_real():
-            raise ValueError("scale by a non-real scalar; use complex_structure_j")
+            raise ValueError("scale by a non-real scalar; J(A) is A * I")
         return self * s
-
-
-def complex_structure_j(x: TangentVec) -> TangentVec:
-    """J(A) = i*A; squares to minus the identity."""
-    return x * I
 
 
 def _check_same_shape(*vecs):

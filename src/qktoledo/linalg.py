@@ -150,6 +150,8 @@ def _dot(u, v):
 
 def unit_vector(n, k, s=ONE):
     """The k-th standard basis vector of C^n (0-based), scaled by s."""
+    if not 0 <= k < n:
+        raise ValueError(f"basis index {k} out of range for C^{n}")
     return _coerce_row(s if i == k else ZERO for i in range(n))
 
 
@@ -251,17 +253,9 @@ class Subspace:
                 x = [a - f * b if b else a for a, b in zip(x, row)]
         return tuple(x)
 
-    def gram(self, sig) -> Matrix:
-        if not self.basis:
-            raise ValueError("gram matrix of the zero subspace")
-        return Matrix([[herm_form(u, v, sig) for v in self.basis]
-                       for u in self.basis])
-
     def inertia(self, sig):
         """(n_plus, n_minus, n_zero) of the restricted form, by exact congruence."""
-        if not self.basis:
-            return (0, 0, 0)
-        g = [list(row) for row in self.gram(sig).entries]
+        g = [[herm_form(u, v, sig) for v in self.basis] for u in self.basis]
         active = list(range(len(self.basis)))
         n_plus = n_minus = n_zero = 0
         while active:

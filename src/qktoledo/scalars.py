@@ -103,23 +103,15 @@ class FieldElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(-self.na, -self.nb, -self.nc, -self.nd, self.den)
+        # negation keeps a canonical value canonical, so g = 1
+        return _raw(-self.na, -self.nb, -self.nc, -self.nd, self.den, 1)
 
     def __sub__(self, other):
         if type(other) is not FieldElem:
             other = as_scalar(other)
             if other is NotImplemented:
                 return NotImplemented
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _raw(self.na - other.na, self.nb - other.nb,
-                        self.nc - other.nc, self.nd - other.nd, d1)
-        # reduced as in __add__
-        g = gcd(d1, d2)
-        s, t = d1 // g, d2 // g
-        return _raw(self.na * t - other.na * s, self.nb * t - other.nb * s,
-                    self.nc * t - other.nc * s, self.nd * t - other.nd * s,
-                    s * d2, g)
+        return self + -other
 
     def __rsub__(self, other):
         other = as_scalar(other)
@@ -177,7 +169,8 @@ class FieldElem:
     # -- structure maps -------------------------------------------------
 
     def conj(self) -> "FieldElem":
-        return _raw(self.na, -self.nb, self.nc, -self.nd, self.den)
+        # canonical in, canonical out, as for negation
+        return _raw(self.na, -self.nb, self.nc, -self.nd, self.den, 1)
 
     def real_part(self) -> "FieldElem":
         """The a + c*sqrt2 part (real part as a complex number)."""

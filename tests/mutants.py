@@ -3,27 +3,33 @@
 Each mutant is a named, exact (file, old text, new text) replacement in
 ``src/qktoledo``.  For each one the script copies the repository, without
 ``.git``, caches and ``perfbench/`` (no test under ``tests/`` needs the
-benchmark), into a temporary directory, applies the replacement there,
-runs ``python -m pytest -q -x tests`` in the copy and prints ``killed``
-with the first failing test, or ``survived`` (all passed).  At most two
-copies run at once.  A mutant whose old text is missing, or occurs more
-than once, stops the run before anything is copied, and so does a control
-copy with no replacement that fails its tests, so neither a mutant that no
-longer applies nor a broken copy can pass as killed.
+benchmark), into a temporary directory, applies the replacement there, runs
+``python -m pytest -q -x`` on the copy's test files in name order, except
+that ``tests/test_cli.py`` comes last (its argv digest replays slow
+commands, which a broken kernel can make very slow), and prints ``killed``
+with the first failing test, ``survived`` (all passed), or ``timed out``
+when pytest is still running after ``TIMEOUT`` seconds; a timed out copy
+is stopped with everything it started.  At most two copies run at once.  A
+mutant whose old text is missing, or occurs more than once, stops the run
+before anything is copied, and so does a control copy with no replacement
+that fails its tests or times out, so neither a mutant that no longer
+applies nor a broken copy can pass as killed.
 
 Run it as
 
     python tests/mutants.py
 
-It exits 0 when every mutant is killed, 1 when one survived and 2 for a
-mutant that does not apply or a failing control.  One mutant takes about as
-long as the test suite.  The file name keeps pytest from collecting it.
+It exits 0 when every mutant is killed, 1 when one survived or timed out,
+and 2 for a mutant that does not apply or a failing control.  One mutant
+takes about as long as the test suite.  The file name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -33,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src", "qktoledo")
 WORKERS = 2
+TIMEOUT = 300      # seconds per copy; the whole suite takes about 20
 
 # name: (file under src/qktoledo, old text, new text)
 MUTANTS = {
@@ -102,6 +109,26 @@ MUTANTS = {
         "cli.py",
         "{len(results)})\")\n    return 0 if all_ok else 1",
         "{len(results)})\")\n    return 0"),
+    "raw-skips-given-gcd": (
+        "scalars.py",
+        "if den != 1 and g != 1:",
+        "if den != 1 and g is None:"),
+    "real-sign-positive-a-always-1": (
+        "scalars.py",
+        "return 1 if bigger_rational else -1",
+        "return 1"),
+    "real-sign-negative-a-always-minus-1": (
+        "scalars.py",
+        "return -1 if bigger_rational else 1",
+        "return -1"),
+    "real-part-unreduced": (
+        "scalars.py",
+        "_raw(self.na, 0, self.nc, 0, self.den)",
+        "_raw(self.na, 0, self.nc, 0, self.den, 1)"),
+    "sub-adds": (
+        "scalars.py",
+        "return self + -other",
+        "return self + other"),
 }
 
 
@@ -119,10 +146,17 @@ def _check_applies(name) -> None:
               f"{PACKAGE / path}, expected once: {old!r}")
 
 
-def run_mutant(name) -> str | None:
-    """The first failing test with the mutant applied (it is killed), or None
-    if every test passes; the name None runs the control copy, with no
-    replacement."""
+def _test_files(copy) -> list[str]:
+    """The copy's test files in name order, tests/test_cli.py last."""
+    names = sorted((p.name for p in (copy / "tests").glob("test_*.py")),
+                   key=lambda name: (name == "test_cli.py", name))
+    return [f"tests/{name}" for name in names]
+
+
+def run_mutant(name) -> tuple[str, str]:
+    """(verdict, detail) with the mutant applied: ("killed", first failing
+    test), ("survived", "") if every test passes, or ("timed out", ...);
+    the name None runs the control copy, with no replacement."""
     with tempfile.TemporaryDirectory(prefix="qktoledo-mutant-") as tmp:
         copy = Path(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -132,35 +166,48 @@ def run_mutant(name) -> str | None:
             target = copy / PACKAGE / path
             target.write_text(target.read_text().replace(old, new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        result = subprocess.run(
+        # a session of its own, so a timeout stops the processes tests start
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "tests"], cwd=copy, env=env, capture_output=True, text=True)
+             *_test_files(copy)], cwd=copy, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            stdout, stderr = proc.communicate(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return "timed out", f"after {TIMEOUT} s"
     # pytest exits 1 when a test failed; any other nonzero code (a usage or
     # collection error) would not show that a test caught the mutant
-    if result.returncode not in (0, 1):
-        raise RuntimeError(f"mutant {name}: pytest exited {result.returncode}\n"
-                           f"{result.stdout}{result.stderr}")
-    if result.returncode == 0:
-        return None
-    return next((line for line in result.stdout.splitlines()
-                 if line.startswith(("FAILED", "ERROR"))), "pytest exited 1")
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"mutant {name}: pytest exited {proc.returncode}\n"
+                           f"{stdout}{stderr}")
+    if proc.returncode == 0:
+        return "survived", ""
+    return "killed", next((line for line in stdout.splitlines()
+                           if line.startswith(("FAILED", "ERROR"))),
+                          "pytest exited 1")
 
 
 def main() -> int:
     for name in MUTANTS:
         _check_applies(name)
-    survivors = 0
+    verdicts = []
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         runs = pool.map(run_mutant, [None, *MUTANTS])
-        if control := next(runs):
+        control, detail = next(runs)
+        if control != "survived":
             pool.shutdown(cancel_futures=True)
-            _stop(f"control: the unmutated copy fails its tests: {control}")
-        for name, failure in zip(MUTANTS, runs):
-            survivors += failure is None
-            print(f"{'survived' if failure is None else 'killed':8}  {name}  "
-                  f"({MUTANTS[name][0]})  {failure or ''}".rstrip(), flush=True)
-    print(f"{len(MUTANTS) - survivors} killed, {survivors} survived")
-    return 1 if survivors else 0
+            _stop(f"control: the unmutated copy did not pass ({control}): "
+                  f"{detail}")
+        for name, (verdict, detail) in zip(MUTANTS, runs):
+            verdicts.append(verdict)
+            print(f"{verdict:9}  {name}  ({MUTANTS[name][0]})  {detail}".rstrip(),
+                  flush=True)
+    killed = verdicts.count("killed")
+    print(f"{killed} killed, {verdicts.count('survived')} survived, "
+          f"{verdicts.count('timed out')} timed out")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

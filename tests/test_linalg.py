@@ -24,6 +24,8 @@ def test_matrix_basics():
             Matrix(rows)
     with pytest.raises(ValueError, match="ragged rows"):
         Matrix([[ONE, ZERO], [ONE]])
+    with pytest.raises(ValueError, match="shape mismatch in matrix addition"):
+        Matrix([[ONE, ZERO]]) + Matrix([[ONE], [ZERO]])
 
 
 def test_matrix_rows_of_any_scalar_kind():
@@ -45,6 +47,13 @@ def test_su21_basis_product():
     y = su21_p_matrix(I, ZERO)
     assert x @ y == Matrix.diagonal([-I, ZERO, I])
     assert y @ x == Matrix.diagonal([I, ZERO, -I])
+
+
+def test_unit_vector_index_must_lie_in_range():
+    assert unit_vector(3, 2, I) == (ZERO, ZERO, I)
+    for k in (3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            unit_vector(3, k)
 
 
 def test_herm_form_values():
@@ -129,6 +138,14 @@ def test_definiteness_examples():
 def test_inertia_of_full_space():
     full = Subspace(6, [unit_vector(6, k) for k in range(6)])
     assert full.inertia(W_SIG) == (4, 2, 0)
+    assert Subspace(6, []).inertia(W_SIG) == (0, 0, 0)
+
+
+def test_subspace_rejects_vectors_of_the_wrong_length():
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace(3, [(ONE, ZERO)])
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace(3, [unit_vector(3, 0)]).residue((ONE, ZERO))
 
 
 def _random_subspace(r, ambient=6, max_dim=5):
@@ -206,7 +223,7 @@ def test_inertia_matches_leading_minor_oracle():
             s = _random_subspace(r)
             if s.dim == 0:
                 continue
-        g = s.gram(W_SIG).entries
+        g = [[generic_herm_form(u, v, W_SIG) for v in s.basis] for u in s.basis]
         signs = []
         for k in range(1, s.dim + 1):
             minor = perm_det([row[:k] for row in g[:k]])

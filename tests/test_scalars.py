@@ -83,6 +83,10 @@ def test_quat_units():
     # j z = conj(z) j
     z = FieldElem(2, 3)
     assert QUAT_J * Quat(z) == Quat(z.conj()) * QUAT_J
+    # a scalar on the left is the quaternion z + 0*j on the left
+    assert I * QUAT_J == Quat(I) * QUAT_J == QUAT_K
+    assert QUAT_J * I == -QUAT_K != I * QUAT_J
+    assert not Quat(ZERO) and QUAT_J and Quat(I)
 
 
 def test_quat_scalar_side_matters():
@@ -110,6 +114,8 @@ def test_jets():
     assert JetScalar(2, 1).inverse() == JetScalar(Fraction(1, 2), Fraction(-1, 4))
     with pytest.raises(ZeroDivisionError):
         JetScalar(0, 1).inverse()
+    with pytest.raises(TypeError):
+        JetScalar(1, "x")
     r = rng(105)
     for _ in range(200):
         a = JetScalar(rand_field_elem(r), rand_field_elem(r))
@@ -381,6 +387,30 @@ def test_results_stay_canonical(monkeypatch):
             assert five_way == [], (x, y)
             coprime += 1
     assert 100 < coprime < 250
+
+
+def test_negation_and_conjugation_take_no_gcd(monkeypatch):
+    # a canonical value stays canonical under both, so neither reduces;
+    # real_part drops b and d, and the rest may share a factor with den
+    calls = []
+
+    def counted_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(scalars, "gcd", counted_gcd)
+    r = rng(111)
+    values = [_wide_elem(r, r.randrange(2, 10**30)) for _ in range(200)]
+    assert min(x.den for x in values) > 1
+    for x in values:
+        calls.clear()
+        neg, conj = -x, x.conj()
+        assert calls == [], x
+        assert _coords(neg) == tuple(-c for c in _coords(x))
+        assert _coords(conj) == (x.a, -x.b, x.c, -x.d)
+        assert _is_canonical(neg) and _is_canonical(conj), x
+    half = FieldElem(1, Fraction(1, 2)).real_part()
+    assert half == ONE and half.den == 1
 
 
 def test_mixed_operands_match_the_field_result():
