@@ -37,7 +37,7 @@ from itertools import combinations
 from math import lcm
 
 from .scalars import FieldElem, Quat, ZERO, I, QUAT_UNITS, _raw, as_scalar
-from .linalg import Matrix
+from .linalg import Matrix, herm_form
 
 
 class TangentVec(Matrix):
@@ -73,10 +73,11 @@ def _check_quaternionic(*vecs):
 
 
 def _hermitian(x: TangentVec, y: TangentVec) -> FieldElem:
-    """Tr(Y* X) = sum of x_ab conj(y_ab) over the entries, of any width, where
-    both factors are nonzero."""
-    return sum((a * b.conj() for row_x, row_y in zip(x.entries, y.entries)
-                for a, b in zip(row_x, row_y) if a and b), ZERO)
+    """Tr(Y* X) = sum of x_ab conj(y_ab) over the entries, of any width: the
+    Hermitian form of ``herm_form`` on the flattened blocks, every sign +1."""
+    flat_x = [a for row in x.entries for a in row]
+    flat_y = [b for row in y.entries for b in row]
+    return herm_form(flat_x, flat_y, (1,) * len(flat_x))
 
 
 def metric_g0(x: TangentVec, y: TangentVec) -> FieldElem:
@@ -94,9 +95,10 @@ def to_quat(x: TangentVec) -> tuple:
 
 def kahler_form(x: TangentVec, y: TangentVec) -> FieldElem:
     """Omega0 = 4 omega_i: Omega0(X, Y) = g0(JX, Y) = 4 Re(i Tr(Y* X)), for
-    blocks of any width; antisymmetric and real.  It goes through the
-    FieldElem pairing, not the integer kernel of ``unit_wedge_squares``, so
-    it checks Omega0^2 = 16 omega_i^2 independently."""
+    blocks of any width; antisymmetric and real.  It takes Tr(Y* X) from
+    ``linalg.herm_form``, a kernel apart from the pairing table of
+    ``unit_wedge_squares``, so it checks Omega0^2 = 16 omega_i^2
+    independently."""
     _check_same_shape(x, y)
     return (_hermitian(x, y) * I).real_part() * 4
 
@@ -112,14 +114,6 @@ def _mul(x, y) -> tuple:
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
 
 
-def _im_conj_mul(x, y) -> tuple:
-    """The i and i*sqrt2 coordinates of conj(x)*y for coordinate 4-tuples."""
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (a1 * b2 - b1 * a2 + 2 * (c1 * d2 - d1 * c2),
-            a1 * d2 - d1 * a2 + c1 * b2 - b1 * c2)
-
-
 def _coordinate_rows(vecs) -> tuple:
     """The 2-column blocks' rows as coordinate 4-tuples over one common
     denominator, with None for a zero entry, and that denominator."""
@@ -130,19 +124,22 @@ def _coordinate_rows(vecs) -> tuple:
 
 
 def _unit_pairings(rows_x, rows_y) -> tuple:
-    """(omega_i, omega_j, omega_k)(X, Y) on coordinate rows (z, w), each as
-    the numerators (rational part, sqrt2 part) over the square of the rows'
-    denominator.  omega_i = Re(i Tr(Y* X)) = Im sum conj(x) y over the
-    entries, and with t = -s = sum (z_X w_Y - w_X z_Y), omega_j = Re t and
-    omega_k = Im t; a term with a zero factor is skipped."""
+    """(omega_i, omega_j, omega_k)(X, Y) on coordinate rows (z, w), each a
+    real coordinate 4-tuple (rational part, 0, sqrt2 part, 0) of numerators
+    over the square of the rows' denominator.  omega_i = Re(i Tr(Y* X)) =
+    Im sum conj(x) y over the entries, and with t = -s = sum (z_X w_Y -
+    w_X z_Y), omega_j = Re t and omega_k = Im t.  Every product is ``_mul``;
+    a term with a zero factor is skipped."""
     hb = hd = ta = tb = tc = td = 0
     for (z_x, w_x), (z_y, w_y) in zip(rows_x, rows_y):
         if z_x and z_y:
-            pb, pd = _im_conj_mul(z_x, z_y)
+            a, b, c, d = z_x
+            _, pb, _, pd = _mul((a, -b, c, -d), z_y)
             hb += pb
             hd += pd
         if w_x and w_y:
-            pb, pd = _im_conj_mul(w_x, w_y)
+            a, b, c, d = w_x
+            _, pb, _, pd = _mul((a, -b, c, -d), w_y)
             hb += pb
             hd += pd
         if z_x and w_y:
@@ -157,7 +154,7 @@ def _unit_pairings(rows_x, rows_y) -> tuple:
             tb -= pb
             tc -= pc
             td -= pd
-    return (hb, hd), (ta, tc), (tb, td)
+    return (hb, 0, hd, 0), (ta, 0, tc, 0), (tb, 0, td, 0)
 
 
 _UNITS = {"i": 0, "j": 1, "k": 2}
@@ -167,8 +164,7 @@ def omega_unit(x: TangentVec, y: TangentVec, unit: str) -> FieldElem:
     """omega_u(X, Y) = Re(q_X . conj(q_Y) u); antisymmetric, real-valued."""
     _check_quaternionic(x, y)
     (rows_x, rows_y), den = _coordinate_rows((x, y))
-    p, q = _unit_pairings(rows_x, rows_y)[_UNITS[unit]]
-    return _raw(p, 0, q, 0, den * den)
+    return _raw(*_unit_pairings(rows_x, rows_y)[_UNITS[unit]], den * den)
 
 
 def wedge_square_eval(form, x, y, z, w):
@@ -176,11 +172,6 @@ def wedge_square_eval(form, x, y, z, w):
     return (form(x, y) * form(z, w)
             - form(x, z) * form(y, w)
             + form(x, w) * form(y, z))
-
-
-def _real_mul(u, v) -> tuple:
-    """(p1 + q1*sqrt2)(p2 + q2*sqrt2) on integer pairs (p, q)."""
-    return u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
 def unit_wedge_squares(x: TangentVec, y: TangentVec, z: TangentVec,
@@ -196,9 +187,9 @@ def unit_wedge_squares(x: TangentVec, y: TangentVec, z: TangentVec,
              for a, b in combinations(range(4), 2)]
     out = []
     for xy, xz, xw, yz, yw, zw in zip(*table):
-        p1, q1 = _real_mul(xy, zw)
-        p2, q2 = _real_mul(xz, yw)
-        p3, q3 = _real_mul(xw, yz)
+        p1, _, q1, _ = _mul(xy, zw)
+        p2, _, q2, _ = _mul(xz, yw)
+        p3, _, q3, _ = _mul(xw, yz)
         out.append(_raw(p1 - p2 + p3, 0, q1 - q2 + q3, 0, den ** 4))
     return tuple(out)
 

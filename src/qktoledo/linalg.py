@@ -54,6 +54,10 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", entries)
 
+    def __reduce__(self):
+        # type(self) keeps a subclass such as TangentVec
+        return type(self), (self.entries,)
+
     @classmethod
     def zeros(cls, rows, cols):
         return cls([[ZERO] * cols for _ in range(rows)])
@@ -237,6 +241,10 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "pivots", tuple(pivots))
+
+    def __reduce__(self):
+        # a basis in reduced row echelon form reduces to itself
+        return Subspace, (self.ambient, self.basis)
 
     @property
     def dim(self) -> int:

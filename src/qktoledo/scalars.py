@@ -21,11 +21,10 @@ from math import gcd, lcm
 _SUFFIXES = ("", "*i", "*sqrt2", "*i*sqrt2")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value):
+    """An int or a Fraction, as is: both have a numerator and a denominator."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -53,16 +52,16 @@ class FieldElem:
     __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, a=0, b=0, c=0, d=0):
-        if isinstance(a, int) and isinstance(b, int) and isinstance(c, int) \
-                and isinstance(d, int):
-            # int() stores a bool as 0 or 1, as Fraction(True) does
-            return _raw(int(a), int(b), int(c), int(d), 1)
-        fa, fb, fc, fd = (_as_fraction(x) for x in (a, b, c, d))
+        # True.numerator is the int 1, so a bool is stored as an int
+        fa, fb, fc, fd = map(_rational, (a, b, c, d))
         den = lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
         return _raw(fa.numerator * (den // fa.denominator),
                     fb.numerator * (den // fb.denominator),
                     fc.numerator * (den // fc.denominator),
                     fd.numerator * (den // fd.denominator), den)
+
+    def __reduce__(self):
+        return FieldElem, (self.a, self.b, self.c, self.d)
 
     @property
     def a(self) -> Fraction:
@@ -165,6 +164,12 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = as_scalar(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     # -- structure maps -------------------------------------------------
 
@@ -288,6 +293,8 @@ HALF_SQRT2 = FieldElem(0, 0, Fraction(1, 2), 0)   # 1/sqrt2
 
 
 _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+# spaces before or after an operator: dropped by the parser
+_SPACES_BY_OPERATOR = re.compile(r" +(?=[-+*/])|(?<=[-+*/]) +")
 
 
 def _parse_rational(factor: str, text: str) -> Fraction:
@@ -306,9 +313,11 @@ def parse_field_elem(text: str) -> FieldElem:
     """Parse the canonical textual format back into a FieldElem.
 
     Accepts sums of terms ``[rational][*i][*sqrt2]`` joined with + or -,
-    e.g. "11/64", "1 - 1*i", "1/2*sqrt2", "-2*i*sqrt2", "i", "sqrt2".
+    e.g. "11/64", "1 - 1*i", "1/2*sqrt2", "-2*i*sqrt2", "i", "sqrt2".  A
+    space may stand at either end and next to +, -, * or /; any other space,
+    as in "1 2", makes a malformed term.
     """
-    s = text.replace(" ", "")
+    s = _SPACES_BY_OPERATOR.sub("", text).strip(" ")
     if not s:
         raise ValueError("empty field element")
     terms = []
@@ -344,6 +353,17 @@ def parse_field_elem(text: str) -> FieldElem:
     return FieldElem(*sums)
 
 
+def _as_pair(value, cls):
+    """A Quat or JetScalar operand as an instance of cls: one passes through,
+    a scalar s becomes cls(s, 0), and anything else is NotImplemented."""
+    if isinstance(value, cls):
+        return value
+    scalar = as_scalar(value)
+    if scalar is NotImplemented:
+        return NotImplemented
+    return cls(scalar, ZERO)
+
+
 class Quat:
     """Quaternion z + w*j with z, w in Q(i, sqrt2) and j*z = conj(z)*j.
 
@@ -361,8 +381,11 @@ class Quat:
         object.__setattr__(self, "z", zc)
         object.__setattr__(self, "w", wc)
 
+    def __reduce__(self):
+        return Quat, (self.z, self.w)
+
     def __add__(self, other):
-        other = _as_quat(other)
+        other = _as_pair(other, Quat)
         if other is NotImplemented:
             return NotImplemented
         return Quat(self.z + other.z, self.w + other.w)
@@ -373,14 +396,14 @@ class Quat:
         return Quat(-self.z, -self.w)
 
     def __mul__(self, other):
-        other = _as_quat(other)
+        other = _as_pair(other, Quat)
         if other is NotImplemented:
             return NotImplemented
         z1, w1, z2, w2 = self.z, self.w, other.z, other.w
         return Quat(z1 * z2 - w1 * w2.conj(), z1 * w2 + w1 * z2.conj())
 
     def __rmul__(self, other):
-        other = _as_quat(other)
+        other = _as_pair(other, Quat)
         if other is NotImplemented:
             return NotImplemented
         return other * self
@@ -392,7 +415,7 @@ class Quat:
         return bool(self.z or self.w)
 
     def __eq__(self, other):
-        other = _as_quat(other)
+        other = _as_pair(other, Quat)
         if other is NotImplemented:
             return NotImplemented
         return self.z == other.z and self.w == other.w
@@ -403,15 +426,6 @@ class Quat:
 
     def __repr__(self):
         return f"({self.z!r}) + ({self.w!r})*j"
-
-
-def _as_quat(value):
-    if isinstance(value, Quat):
-        return value
-    scalar = as_scalar(value)
-    if scalar is NotImplemented:
-        return NotImplemented
-    return Quat(scalar, ZERO)
 
 
 QUAT_I = Quat(I)
@@ -437,8 +451,11 @@ class JetScalar:
         object.__setattr__(self, "val", v)
         object.__setattr__(self, "deriv", d)
 
+    def __reduce__(self):
+        return JetScalar, (self.val, self.deriv)
+
     def __add__(self, other):
-        other = _as_jet(other)
+        other = _as_pair(other, JetScalar)
         if other is NotImplemented:
             return NotImplemented
         return JetScalar(self.val + other.val, self.deriv + other.deriv)
@@ -449,7 +466,7 @@ class JetScalar:
         return JetScalar(-self.val, -self.deriv)
 
     def __mul__(self, other):
-        other = _as_jet(other)
+        other = _as_pair(other, JetScalar)
         if other is NotImplemented:
             return NotImplemented
         return JetScalar(self.val * other.val,
@@ -468,7 +485,7 @@ class JetScalar:
         return JetScalar(self.val.conj(), self.deriv.conj())
 
     def __eq__(self, other):
-        other = _as_jet(other)
+        other = _as_pair(other, JetScalar)
         if other is NotImplemented:
             return NotImplemented
         return self.val == other.val and self.deriv == other.deriv
@@ -481,12 +498,3 @@ class JetScalar:
 
     def __repr__(self):
         return f"({self.val!r}) + ({self.deriv!r})*eps"
-
-
-def _as_jet(value):
-    if isinstance(value, JetScalar):
-        return value
-    scalar = as_scalar(value)
-    if scalar is NotImplemented:
-        return NotImplemented
-    return JetScalar(scalar, ZERO)

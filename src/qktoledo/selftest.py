@@ -30,13 +30,15 @@ def ball_tangent(x) -> TangentVec:
     return TangentVec([[c] for c in x])
 
 
+_TENSOR_SIG = tuple(s_i * s_j for s_i in BALL_SIG for s_j in BALL_SIG)
+
+
 def w_form_tensor(s, t) -> FieldElem:
-    """Induced Hermitian form on Sym^2 evaluated on coefficient grids."""
-    acc = ZERO
-    for i in range(3):
-        for j in range(3):
-            acc = acc + BALL_SIG[i] * BALL_SIG[j] * (s[i][j] * t[i][j].conj())
-    return acc
+    """Induced Hermitian form on Sym^2 evaluated on coefficient grids: the
+    form of ``herm_form`` on the flattened 3 x 3 grids, with sign s_i s_j
+    at position (i, j)."""
+    return herm_form([x for row in s for x in row], [y for row in t for y in row],
+                     _TENSOR_SIG)
 
 
 def p_positions():

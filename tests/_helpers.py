@@ -2,6 +2,7 @@
 test modules."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -183,7 +184,7 @@ def term_by_term_parse(text):
     """Reference for ``parse_field_elem``: the same term splitting, sign
     handling and factor checks, but each term becomes its own FieldElem,
     added to a running sum."""
-    s = text.replace(" ", "")
+    s = re.sub(r" *([-+*/]) *", r"\1", text).strip(" ")
     if not s:
         raise ValueError("empty field element")
     terms = []

@@ -67,10 +67,30 @@ MUTANTS = {
         "linalg.py",
         "if n_plus and n_minus:",
         "if n_plus or n_minus:"),
-    "real-mul-factor-2": (
+    "mul-factor-2": (
         "geometry.py",
-        "return u[0] * v[0] + 2 * u[1] * v[1],",
-        "return u[0] * v[0] + u[1] * v[1],"),
+        "return (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),",
+        "return (a1 * a2 - b1 * b2 + (c1 * c2 - d1 * d2),"),
+    "omega-i-drops-conj": (
+        "geometry.py",
+        "_mul((a, -b, c, -d), z_y)",
+        "_mul((a, b, c, d), z_y)"),
+    "hermitian-negative-signature": (
+        "geometry.py",
+        "(1,) * len(flat_x)",
+        "(-1,) * len(flat_x)"),
+    "tensor-form-row-sign-only": (
+        "selftest.py",
+        "tuple(s_i * s_j for s_i",
+        "tuple(s_i for s_i"),
+    "pair-coercion-one": (
+        "scalars.py",
+        "return cls(scalar, ZERO)",
+        "return cls(scalar, ONE)"),
+    "parser-deletes-every-space": (
+        "scalars.py",
+        's = _SPACES_BY_OPERATOR.sub("", text).strip(" ")',
+        's = text.replace(" ", "")'),
     "unit-pairings-sign": (
         "geometry.py",
         "            ta -= pa\n",

@@ -262,7 +262,7 @@ def test_single_verb_parser_matches_the_full_parser(monkeypatch):
 def test_argv_digest_matches_the_golden_file():
     want = (GOLDEN / "argv_digest.txt").read_text().splitlines()
     # the file is its own corpus: an argv is added, never dropped
-    assert len(want) >= 1065
+    assert len(want) >= 1067
     got = digest_lines()
     changed = [line.split("  ", 1)[-1] for line in set(got) - set(want)]
     assert got == want, f"{len(changed)} argv changed output: {changed[:10]}"
@@ -358,6 +358,8 @@ def test_period_triple_parse_error_exits_2(capsys):
     (("pullback", "--embedding", "rho", "--n", "101"), "--n must be at most 100"),
     (("lift-check", "--domain", "twistor", "--samples", "10001"),
      "--samples must be at most 10000"),
+    (("period-triple", "--vector", "1 0,0,5 0"),
+     "cannot parse --vector: malformed term in '1 0'"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as err:

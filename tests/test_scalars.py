@@ -1,5 +1,7 @@
 """Field, quaternion and jet arithmetic: exact identities and oracles."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +10,7 @@ import pytest
 from qktoledo import scalars
 from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
                       composition_invariant, make_embedding, pullback_constant,
-                      parse_field_elem, unit_vector, ZERO, ONE, I, SQRT2,
+                      parse_field_elem, period_triple, unit_vector, ZERO, ONE, I, SQRT2,
                       I_SQRT2, HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
 
 from _helpers import (fraction_render, iv_sign, rationalized_inverse, rng,
@@ -185,6 +187,18 @@ def test_parse_round_trip():
             parse_field_elem(bad)
 
 
+def test_a_space_stands_only_at_an_end_or_by_an_operator():
+    for text, want in ((" 1 / 2 * i ", FieldElem(0, Fraction(1, 2))),
+                       ("1 -  2*sqrt2", FieldElem(1, 0, -2)),
+                       ("- 3 + - i", FieldElem(-3, -1))):
+        assert parse_field_elem(text) == term_by_term_parse(text) == want
+    # a space inside a number or a name used to be deleted: "1 2" read as 12
+    for bad in ("1 2", "s qrt2", "1 2*i", "i sqrt2", "1/2 0", "1 +2 3"):
+        for parse in (parse_field_elem, term_by_term_parse):
+            with pytest.raises(ValueError, match="malformed term"):
+                parse(bad)
+
+
 def test_a_bool_is_stored_as_an_int():
     # as Fraction(True) == Fraction(1): a bool numerator used to render "True"
     values = {"1": (FieldElem(True), Matrix([[True]]).entries[0][0],
@@ -281,6 +295,39 @@ def test_values_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             value.extra = None
         assert repr(value) == before
+
+
+def test_values_copy_and_pickle():
+    values = [FieldElem(1), FieldElem(Fraction(-1, 3), 2, 0, Fraction(5, 7)),
+              FieldElem(Fraction(1, 10**4400), 0, 0, -3),
+              Quat(I, SQRT2), JetScalar(1, HALF_SQRT2), Matrix.identity(2),
+              TangentVec([[ONE, I]]), Subspace(3, [(ONE, I, ZERO), (ONE, ONE, ONE)]),
+              pullback_constant(make_embedding("rho")),
+              composition_invariant(2, 3, 7), period_triple((0, 0, 1))]
+    for value in values:
+        copies = (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value)))
+        for twin in copies:
+            assert twin == value and type(twin) is type(value), value
+            assert repr(twin) == repr(value)
+    # rho's row map is a lambda: the embedding deep-copies but cannot pickle
+    emb = make_embedding("rho")
+    assert copy.deepcopy(emb) == emb
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(emb)
+
+
+def test_reflected_division():
+    r = rng(111)
+    for _ in range(100):
+        x, n, q = rand_nonzero_field_elem(r), r.randint(-9, 9), rand_fraction(r)
+        for got, want in ((n / x, FieldElem(n) / x), (q / x, FieldElem(q) / x)):
+            assert type(got) is FieldElem and _is_canonical(got)
+            assert got == want
+        assert 1 / x == x.inverse()
+    for numerator in (1, 0, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            numerator / ZERO
 
 
 def test_report_reprs_and_equality():
@@ -427,7 +474,7 @@ def test_mixed_operands_match_the_field_result():
 
 @pytest.mark.parametrize("operation", [
     lambda x: x - 1.5, lambda x: 1.5 - x, lambda x: x * "2", lambda x: x + None,
-    lambda x: Quat("x"), lambda x: FieldElem(1.5)])
+    lambda x: Quat("x"), lambda x: FieldElem(1.5), lambda x: 1.5 / x])
 def test_non_scalar_operands_raise_type_error(operation):
     with pytest.raises(TypeError):
         operation(FieldElem(1, 2, 3, 4))

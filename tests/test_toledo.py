@@ -51,7 +51,7 @@ def test_pullback_report_is_the_n_2_report_at_every_n():
 def test_pullback_report_matches_the_oracles_on_the_full_images(name, n):
     # both values come from one pairing table over the images at n = 2; the
     # oracles read every row of the full images: the quaternion product for
-    # each unit form, and the Kahler form's own FieldElem pairing for Omega0^2
+    # each unit form, and the Kahler form's herm_form pairing for Omega0^2
     embedding = make_embedding(name, n)
     images = [embedding(x) for x in standard_quadruple(n)]
     rep = pullback_constant(embedding)
