@@ -179,9 +179,10 @@ def _cmd_lift_check(args) -> int:
     write, encode = sys.stdout.write, json.JSONEncoder(sort_keys=True).encode
     # each sample is written as it is decided; with --json inside the frame
     # that json.dumps(..., sort_keys=True) gives, "samples" sorting between
-    # "check" and "seed"
+    # "check" and "seed", and each record as that call writes it
     if args.json:
         write(f'{{"check": {encode(args.domain)}, "samples": [')
+        check = encode("twistor-nonlift" if args.domain == "twistor" else "u3u1u2-lift")
     else:
         print(f"domain: {args.domain}  samples: {args.samples}  seed: {args.seed}")
     all_ok = True
@@ -190,23 +191,23 @@ def _cmd_lift_check(args) -> int:
         if args.domain == "twistor":
             violations = twistor_nonlift_check(a)
             ok = bool(violations)
-            check, given = "twistor-nonlift", f"a={_fmt_vec(a)}"
+            given = f"a={_fmt_vec(a)}"
             verdict = f"member={'false' if violations else 'true'}"
         else:
             holo = holomorphy_check_u3u1u2(a)
             v0, w = _random_negative_line(rng)
             horiz = horizontality_check(v0, w)
             ok, violations = holo and horiz, ()
-            check = "u3u1u2-lift"
             given = f"a={_fmt_vec(a)}; v0={_fmt_vec(v0)}; w={_fmt_vec(w)}"
             verdict = f"holomorphic={holo}, horizontal={horiz}"
         all_ok = all_ok and ok
         if args.json:
-            write((", " if k else "") + encode({
-                "check": check, "input": given, "verdict": verdict,
-                "violations": [{"row": r, "col": c, "value": str(v)}
-                               for r, c, v in violations],
-                "pass": ok}))
+            # the record's keys, and each violation's, in sort_keys order
+            found = ", ".join(f'{{"col": {c}, "row": {r}, "value": {encode(str(v))}}}'
+                              for r, c, v in violations)
+            write(f'{", " if k else ""}{{"check": {check}, '
+                  f'"input": {encode(given)}, "pass": {"true" if ok else "false"}, '
+                  f'"verdict": {encode(verdict)}, "violations": [{found}]}}')
         else:
             print(f"  sample {k}: {given} -> {verdict} [{'PASS' if ok else 'FAIL'}]")
     summary = "PASS" if all_ok else "FAIL"

@@ -131,6 +131,13 @@ class EmbeddingDiff(namedtuple("EmbeddingDiff", "name n rows_of")):
     def __repr__(self):
         return f"EmbeddingDiff(name={self.name!r}, n={self.n!r})"
 
+    def __reduce__(self):
+        # a named row map is mostly a lambda, which does not pickle: rebuild
+        # by name; any other row map copies, and pickles if it can
+        if self.rows_of is _ROW_MAPS.get(self.name):
+            return make_embedding, (self.name, self.n)
+        return EmbeddingDiff, tuple(self)
+
     def __call__(self, x) -> TangentVec:
         comps = _coerce_row(x)
         if len(comps) != self.n:

@@ -294,8 +294,9 @@ class Subspace:
                 fi = g[i][pivot]
                 if not fi:
                     continue
+                fi_inv = fi * inv
                 for j in active:
-                    g[i][j] = g[i][j] - fi * inv * g[pivot][j]
+                    g[i][j] = g[i][j] - fi_inv * g[pivot][j]
             for i in active:
                 g[i][pivot] = ZERO
                 g[pivot][i] = ZERO

@@ -149,6 +149,20 @@ MUTANTS = {
         "scalars.py",
         "return self + -other",
         "return self + other"),
+    "record-false-true": (
+        "cli.py",
+        '"pass": {"true" if ok else "false"}',
+        '"pass": {"true" if ok else "true"}'),
+    "record-input-before-check": (
+        "cli.py",
+        '{{"check": {check}, \'\n'
+        '                  f\'"input": {encode(given)}, ',
+        '{{"input": {encode(given)}, \'\n'
+        '                  f\'"check": {check}, '),
+    "str-minus-as-plus": (
+        "scalars.py",
+        'parts.append(" - " if n < 0 else " + ")',
+        'parts.append(" + " if n < 0 else " + ")'),
 }
 
 

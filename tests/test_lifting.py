@@ -1,5 +1,6 @@
 """Grading masks, twistor obstruction, linearity, flags and horizontality."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -438,6 +439,14 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
         out = capsys.readouterr().out
         assert out.count("horizontal=False") == 3
         assert out.endswith("summary: FAIL\n")
+        # the failing records take the one --json path no passing run takes
+        assert main(["lift-check", "--domain", "u3u1u2", "--samples", "3",
+                     "--seed", "0", "--json"]) == 1
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+        assert payload["summary"] == "FAIL"
+        assert [sample["pass"] for sample in payload["samples"]] == [False] * 3
         r = rng(611)
         for _ in range(100):
             v0 = rand_negative_vector(r)

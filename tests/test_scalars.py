@@ -8,10 +8,10 @@ from math import gcd
 import pytest
 
 from qktoledo import scalars
-from qktoledo import (FieldElem, JetScalar, Matrix, Quat, Subspace, TangentVec,
-                      composition_invariant, make_embedding, pullback_constant,
-                      parse_field_elem, period_triple, unit_vector, ZERO, ONE, I, SQRT2,
-                      I_SQRT2, HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
+from qktoledo import (EmbeddingDiff, FieldElem, JetScalar, Matrix, Quat, Subspace,
+                      TangentVec, composition_invariant, make_embedding,
+                      pullback_constant, parse_field_elem, period_triple, unit_vector,
+                      ZERO, ONE, I, SQRT2, I_SQRT2, HALF_SQRT2, QUAT_I, QUAT_J, QUAT_K)
 
 from _helpers import (fraction_render, iv_sign, rationalized_inverse, rng,
                       rand_big_field_elem, rand_field_elem, rand_fraction,
@@ -310,8 +310,15 @@ def test_values_copy_and_pickle():
         for twin in copies:
             assert twin == value and type(twin) is type(value), value
             assert repr(twin) == repr(value)
-    # rho's row map is a lambda: the embedding deep-copies but cannot pickle
-    emb = make_embedding("rho")
+    # a named embedding rebuilds by name, though three row maps are lambdas
+    for name, n in (("rho", 3), ("totally_real", 2), ("phi", 4), ("sym_square", 2)):
+        emb = make_embedding(name, n)
+        for twin in (copy.copy(emb), copy.deepcopy(emb),
+                     pickle.loads(pickle.dumps(emb))):
+            assert twin == emb and type(twin) is EmbeddingDiff
+            assert twin(unit_vector(n, 0)) == emb(unit_vector(n, 0))
+    # any other row map is kept as it is: a lambda copies but cannot pickle
+    emb = EmbeddingDiff("rho", 1, lambda x: [[x[0], ZERO], [ZERO, ZERO]])
     assert copy.deepcopy(emb) == emb
     with pytest.raises((pickle.PicklingError, AttributeError)):
         pickle.dumps(emb)
