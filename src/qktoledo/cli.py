@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 failed check, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
+import shutil
 import sys
 from fractions import Fraction
 
@@ -69,15 +71,24 @@ def _add_verb_args(parser, verb) -> argparse.ArgumentParser:
     return parser
 
 
+def _formatter_class():
+    """HelpFormatter at the width it would compute for itself, the terminal
+    width read here once instead of once per formatter built."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: the top-level usage and help, and all five verbs."""
+    formatter_class = _formatter_class()
     parser = argparse.ArgumentParser(
-        prog="qktoledo",
+        prog="qktoledo", formatter_class=formatter_class,
         description="Exact quaternionic pullback constants and period-domain checks.")
     # with prog given, argparse formats no usage line to derive it
     sub = parser.add_subparsers(dest="verb", required=True, prog=parser.prog)
     for verb, (help_text, _, _) in _VERBS.items():
-        _add_verb_args(sub.add_parser(verb, help=help_text), verb)
+        _add_verb_args(sub.add_parser(verb, help=help_text,
+                                      formatter_class=formatter_class), verb)
     return parser
 
 
@@ -88,11 +99,13 @@ def _usage_error(message):
 
 def parse_args(argv) -> argparse.Namespace:
     """build_parser().parse_args(argv), building for a verb's argv only
-    the subparser that the full parser would hand argv[1:] to."""
+    the subparser that the full parser would hand argv[1:] to.  Either way
+    the parser is built afresh and reads the terminal width once."""
     if not argv or argv[0] not in _VERBS:
         return build_parser().parse_args(argv)
     verb = argv[0]
-    parser = _add_verb_args(argparse.ArgumentParser(prog=f"qktoledo {verb}"), verb)
+    parser = _add_verb_args(argparse.ArgumentParser(
+        prog=f"qktoledo {verb}", formatter_class=_formatter_class()), verb)
     args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(verb=verb))
     if extras:
         _usage_error(f"unrecognized arguments: {' '.join(extras)}")

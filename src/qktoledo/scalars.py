@@ -43,12 +43,14 @@ class FieldElem:
     five integers coprime, so products need a single gcd instead of one per
     Fraction operation; a, b, c, d are exposed as Fractions.  ``str`` renders
     from these integers too, reducing each coordinate by one gcd when
-    den > 1.  ``repr`` is ``str``, except for a value that ``str`` cannot
-    render (a coordinate past Python's limit on int-to-str digits): then it
-    is the five integers in hex, "(na + nb*i + nc*sqrt2 + nd*i*sqrt2)/den".
+    den > 1, and keeps the text in a sixth slot, so a value is rendered at
+    most once; the value is immutable, so its text cannot go stale.
+    ``repr`` is ``str``, except for a value that ``str`` cannot render (a
+    coordinate past Python's limit on int-to-str digits): then it is the
+    five integers in hex, "(na + nb*i + nc*sqrt2 + nd*i*sqrt2)/den".
     """
 
-    __slots__ = ("na", "nb", "nc", "nd", "den")
+    __slots__ = ("na", "nb", "nc", "nd", "den", "_text")
     __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, a=0, b=0, c=0, d=0):
@@ -225,6 +227,9 @@ class FieldElem:
         return hash((self.na, self.nb, self.nc, self.nd, self.den))
 
     def __str__(self):
+        text = self._text
+        if text is not None:
+            return text
         den, parts = self.den, []
         for n, sfx in zip((self.na, self.nb, self.nc, self.nd), _SUFFIXES):
             if n:
@@ -236,7 +241,9 @@ class FieldElem:
                     parts.append(" - " if n < 0 else " + ")
                     n = abs(n)
                 parts.append(f"{n}{sfx}" if q == 1 else f"{n}/{q}{sfx}")
-        return "".join(parts) or "0"
+        text = "".join(parts) or "0"
+        _set_text(self, text)
+        return text
 
     def __repr__(self):
         try:
@@ -277,11 +284,12 @@ def _raw(na, nb, nc, nd, den, g=None):
     _set_nc(out, nc)
     _set_nd(out, nd)
     _set_den(out, den)
+    _set_text(out, None)
     return out
 
 
 _new = object.__new__
-_set_na, _set_nb, _set_nc, _set_nd, _set_den = (
+_set_na, _set_nb, _set_nc, _set_nd, _set_den, _set_text = (
     vars(FieldElem)[slot].__set__ for slot in FieldElem.__slots__)
 
 ZERO = FieldElem()
@@ -297,16 +305,17 @@ _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 _SPACES_BY_OPERATOR = re.compile(r" +(?=[-+*/])|(?<=[-+*/]) +")
 
 
-def _parse_rational(factor: str, text: str) -> Fraction:
+def _parse_rational(factor: str, text: str) -> tuple:
     """A numeric factor, "digits" or "digits/digits" only, so no decimal or
-    exponent notation can ask for an unbounded coefficient."""
+    exponent notation can ask for an unbounded coefficient: its numerator
+    and its nonzero denominator, as written."""
     match = _RATIONAL.fullmatch(factor)
     if match is None:
         raise ValueError(f"malformed term in {text!r}")
     num, den = int(match[1]), int(match[2] or 1)
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    return num, den
 
 
 def parse_field_elem(text: str) -> FieldElem:
@@ -336,7 +345,9 @@ def parse_field_elem(text: str) -> FieldElem:
             term = term[1:]
         if not term:
             raise ValueError(f"malformed term in {text!r}")
-        coef = Fraction(sign)
+        # the factors multiply as two ints, reduced once per term: a
+        # Fraction product would take a gcd per factor
+        num, den = sign, 1
         has_i = has_sqrt2 = False
         for factor in term.split("*"):
             if factor == "i":
@@ -348,8 +359,10 @@ def parse_field_elem(text: str) -> FieldElem:
                     raise ValueError(f"repeated sqrt2 in {text!r}")
                 has_sqrt2 = True
             else:
-                coef *= _parse_rational(factor, text)
-        sums[(1 if has_i else 0) + (2 if has_sqrt2 else 0)] += coef
+                n, d = _parse_rational(factor, text)
+                num *= n
+                den *= d
+        sums[(1 if has_i else 0) + (2 if has_sqrt2 else 0)] += Fraction(num, den)
     return FieldElem(*sums)
 
 

@@ -215,7 +215,7 @@ def term_by_term_parse(text):
                     raise ValueError(f"repeated sqrt2 in {text!r}")
                 has_sqrt2 = True
             else:
-                coef *= _parse_rational(factor, text)
+                coef *= Fraction(*_parse_rational(factor, text))
         coords = [0, 0, 0, 0]
         coords[(1 if has_i else 0) + (2 if has_sqrt2 else 0)] = coef
         result = result + FieldElem(*coords)

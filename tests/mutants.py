@@ -163,6 +163,26 @@ MUTANTS = {
         "scalars.py",
         'parts.append(" - " if n < 0 else " + ")',
         'parts.append(" + " if n < 0 else " + ")'),
+    "width-off-by-one": (
+        "cli.py",
+        "width=shutil.get_terminal_size().columns - 2)",
+        "width=shutil.get_terminal_size().columns - 1)"),
+    # the kept text is never read back: the output stays right, so only a
+    # test of the memo itself can see it
+    "str-memo-never-read": (
+        "scalars.py",
+        "if text is not None:",
+        "if text is not None and False:"),
+    # the text is kept on another value: this one renders afresh every
+    # time, and ONE reads back whatever was rendered last
+    "str-memo-stores-stale": (
+        "scalars.py",
+        "_set_text(self, text)",
+        "_set_text(ONE, text)"),
+    "parse-factor-drops-den": (
+        "scalars.py",
+        "                den *= d\n",
+        "                den *= 1\n"),
 }
 
 

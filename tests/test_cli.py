@@ -8,6 +8,7 @@ import json
 import os
 import random
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -89,17 +90,24 @@ def test_sym_square_requires_n2(capsys, monkeypatch):
     ("period-triple", "--vector", "0,0,1", "--json"),
 ])
 def test_a_verb_call_builds_only_that_verb_parser(capsys, monkeypatch, argv):
-    built = []
-    init = argparse.ArgumentParser.__init__
+    built, widths = [], []
+    init, terminal_size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
 
     def counted(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    def counted_size(*args):
+        widths.append(args)
+        return terminal_size(*args)
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert built == [f"qktoledo {argv[0]}"]
+    # the parser's formatters share one read of the terminal width
+    assert len(widths) == 1
 
 
 def test_unknown_verb_exits_2(capsys):
@@ -247,8 +255,9 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-def test_single_verb_parser_matches_the_full_parser(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+@pytest.mark.parametrize("columns", ["80", "40", "200"])
+def test_single_verb_parser_matches_the_full_parser(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
     r = random.Random(16)
     outcomes = set()
     for _ in range(400):
@@ -260,10 +269,27 @@ def test_single_verb_parser_matches_the_full_parser(monkeypatch):
     assert outcomes == {"namespace", 0, 2}
 
 
+def test_help_wraps_at_the_width_argparse_computes(monkeypatch):
+    # oracle: the same parsers with argparse's own HelpFormatter, which
+    # reads the terminal width itself, once per formatter
+    argvs = [["-h"], ["pullback"], ["pullback", "--embedding", "rho", "--n", "1"]] + [
+        [verb, "-h"] for verb in _VERB_NAMES]
+
+    def outcomes():
+        return [_parse_outcome(cli.main, argv) for argv in argvs]
+
+    for columns in range(20, 121):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        got = outcomes()
+        with monkeypatch.context() as own_width:
+            own_width.setattr(cli, "_formatter_class", lambda: argparse.HelpFormatter)
+            assert got == outcomes(), columns
+
+
 def test_argv_digest_matches_the_golden_file():
     want = (GOLDEN / "argv_digest.txt").read_text().splitlines()
     # the file is its own corpus: an argv is added, never dropped
-    assert len(want) >= 1067
+    assert len(want) >= 1073
     got = digest_lines()
     changed = [line.split("  ", 1)[-1] for line in set(got) - set(want)]
     assert got == want, f"{len(changed)} argv changed output: {changed[:10]}"

@@ -158,9 +158,13 @@ def test_rendering_matches_the_fraction_oracle():
     r = rng(109)
     values = [ZERO] + [_render_case(r) for _ in range(20_000)]
     for x in values:
-        text = str(x)
-        assert text == fraction_render(x), (x.na, x.nb, x.nc, x.nd, x.den)
+        # the first str renders and keeps the text; the second reads it back
+        for _ in range(2):
+            text = str(x)
+            assert text == fraction_render(x), (x.na, x.nb, x.nc, x.nd, x.den)
         assert parse_field_elem(text) == x, text
+    x = FieldElem(Fraction(-1, 3), 2)
+    assert str(x) is str(x)
     # the seeded cases cover every shape of the rendered text
     coords = [(x.na, x.nb, x.nc, x.nd) for x in values]
     nonzero = [tuple(k for k, n in enumerate(c) if n) for c in coords]
@@ -216,6 +220,13 @@ _PARSE_TOKENS = ("0", "1", "2", "7", "12", "3/4", "/", "/0", "*", "*i",
                  "*sqrt2", "i", "sqrt2", "+", "-", " ", "x", ".")
 _PARSE_ERRORS = ("empty field element", "malformed term", "repeated i",
                  "repeated sqrt2", "zero denominator")
+# terms of several numeric factors, whose product the parser builds as one
+# numerator and one denominator, reduced once
+_MULTI_FACTOR_TERMS = (
+    "2*3/4", "3/4*4/3", "6/4*2/9*i", "-2/3*sqrt2*9/10*i", "1/2*2/3*3/4*5",
+    "4*0/3*i + 7", "2*3*5*7/210 - 11/6*12/22*sqrt2", "0/5*0/7",
+    "9999*" * 40 + "1/" + "9999" * 40, "2/3*3/0", "2*3/4*x", "2*3/4*i*3*i",
+    "1/2*sqrt2*3/5", "- -3/8*8/3*i*sqrt2 + 1/9*3*3")
 
 
 def _parse_outcome(parse, text):
@@ -228,6 +239,9 @@ def _parse_outcome(parse, text):
 def test_parser_matches_the_term_by_term_oracle():
     # one FieldElem per call, built from four coordinate sums, against a
     # running sum of one FieldElem per term: same value or same error
+    for text in _MULTI_FACTOR_TERMS:
+        want = _parse_outcome(term_by_term_parse, text)
+        assert _parse_outcome(parse_field_elem, text) == want, text
     r = rng(110)
     parsed, messages = 0, set()
     for _ in range(20_000):
@@ -295,6 +309,12 @@ def test_values_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             value.extra = None
         assert repr(value) == before
+    # the text str keeps is no more assignable than the coordinates
+    x = FieldElem(1, 2)
+    for text in (None, "3", str(x)):
+        with pytest.raises(AttributeError):
+            x._text = text
+        assert str(x) == "1 + 2*i"
 
 
 def test_values_copy_and_pickle():
@@ -305,11 +325,13 @@ def test_values_copy_and_pickle():
               pullback_constant(make_embedding("rho")),
               composition_invariant(2, 3, 7), period_triple((0, 0, 1))]
     for value in values:
+        # rendered first, so a copy starts from a value that holds its text
+        text = repr(value)
         copies = (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value)))
         for twin in copies:
             assert twin == value and type(twin) is type(value), value
-            assert repr(twin) == repr(value)
+            assert repr(twin) == text
     # a named embedding rebuilds by name, though three row maps are lambdas
     for name, n in (("rho", 3), ("totally_real", 2), ("phi", 4), ("sym_square", 2)):
         emb = make_embedding(name, n)
