@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .scalars import FieldElem, ONE, parse_field_elem
-from .embeddings import W_SIG, make_embedding
+from .embeddings import make_embedding
 from .toledo import CONVENTION, pullback_constant
 from .lifting import (classify, holomorphy_check_u3u1u2, horizontality_check,
                       is_negative, period_triple, twistor_nonlift_check)
@@ -271,18 +271,17 @@ def _cmd_period_triple(args) -> int:
         return 1
     if args.json:
         payload = {"vector": [str(c) for c in components]}
-        for label, space in parts:
+        for label, space, definiteness in parts:
             payload[label] = {
                 "dimension": space.dim,
-                "definiteness": space.definiteness(W_SIG),
+                "definiteness": definiteness,
                 "basis": [[str(x) for x in row] for row in space.basis],
             }
         _emit_json(payload)
         return 0
     print(f"vector: {_fmt_vec(components)}")
-    for label, space in parts:
-        print(f"{label}: dimension {space.dim}, "
-              f"{space.definiteness(W_SIG)} definite")
+    for label, space, definiteness in parts:
+        print(f"{label}: dimension {space.dim}, {definiteness} definite")
         for row in space.basis:
             print(f"  [{', '.join(str(x) for x in row)}]")
     return 0

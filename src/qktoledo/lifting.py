@@ -25,6 +25,8 @@ raises).  So three facts the selftest checks fix both lift-check verdicts
 before any sample is drawn: ``_TWISTOR_OFF`` reads both a1 and a2, so no
 a != 0 lifts to the twistor space; ``_FLAG_OFF`` is empty; and the
 ``e_map_certificate`` identity holds, so every flag sample is horizontal.
+The same identity gives each flag part's Gram matrix in closed form, so
+``period_triple`` reads its definiteness off it and eliminates no Gram matrix.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -33,11 +35,11 @@ means the image is in the pattern.  Both pattern checks read
 ``_IOTA_SUPPORT``, the six nonzero entries of the image, and evaluate only
 the entries outside the grading mask: three for the twistor grading, none
 for the flag grading.  ``iota_star_bplus`` builds the dense matrix from the
-same table.  ``period_triple`` returns the flag as (name, Subspace) pairs
-named S2Lperp, L2 and LoLperp.  ``classify`` is the one linearity
-classification of a differential: it evaluates the map on the real basis
-once and returns every component verdict, the two column verdicts and the
-twistor-lift condition.
+same table.  ``period_triple`` returns the flag as (name, Subspace,
+definiteness) triples named S2Lperp, L2 and LoLperp.  ``classify`` is the
+one linearity classification of a differential: it evaluates the map on the
+real basis once and returns every component verdict, the two column
+verdicts and the twistor-lift condition.
 """
 
 from __future__ import annotations
@@ -200,23 +202,37 @@ def _e_product(x, y):
             (x2 * y1 + x1 * y2) * HALF_SQRT2)
 
 
-# the factor pairs spanning each flag component, indexing (line, u1, u2)
-_FLAG_PAIRS = {
-    "S2Lperp": ((1, 1), (1, 2), (2, 2)),
-    "L2": ((0, 0),),
-    "LoLperp": ((0, 1), (0, 2)),
-}
+# each flag component: its name, the factor pairs spanning it, indexing
+# (line, u1, u2), and the definiteness of its Gram matrix
+_FLAG_PARTS = (
+    ("S2Lperp", ((1, 1), (1, 2), (2, 2)), "positive"),
+    ("L2", ((0, 0),), "positive"),
+    ("LoLperp", ((0, 1), (0, 2)), "negative"),
+)
 
 
 def period_triple(v) -> tuple:
-    """The flag of the negative line through v: (name, Subspace) pairs in W,
-    in the order S2Lperp (Sym^2 of the orthocomplement), L2 (square of the
-    line), LoLperp (mixed plane)."""
-    vec, (u1, u2) = negative_line_basis(v)
+    """The flag of the negative line through v: (name, Subspace,
+    definiteness) triples in W, in the order S2Lperp (Sym^2 of the
+    orthocomplement), L2 (square of the line), LoLperp (mixed plane).
+
+    The definiteness is read off the identity of ``e_map_certificate``
+    with h(v, u_i) = 0: the Gram matrix of L2 is h(v,v)^2 > 0, that of
+    LoLperp is h(v,v) h(u_i,u_j) / 2, and that of S2Lperp is Sym^2 of the
+    Gram matrix h(u_i,u_j).  By Sylvester's law the orthocomplement of a
+    negative v in signature (2,1) is positive definite, so S2Lperp and L2
+    are positive and LoLperp is negative.  The other premises are checked
+    here: a v that is not negative, a basis u_i not orthogonal to v, or a
+    failing certificate raises ValueError.
+    """
+    vec, (u1, u2) = _orthocomplement(v)
+    failure = e_map_certificate()
+    if failure is not None:
+        raise ValueError(f"the E-map identity fails: {e_map_failure(failure)}")
     factors = (vec, u1, u2)
     return tuple((name, Subspace(6, [_e_product(factors[i], factors[j])
-                                     for i, j in pairs]))
-                 for name, pairs in _FLAG_PAIRS.items())
+                                     for i, j in pairs]), definiteness)
+                 for name, pairs, definiteness in _FLAG_PARTS)
 
 
 # -- horizontality along first-order curves ------------------------------------
@@ -246,6 +262,23 @@ def e_map_certificate():
     return None
 
 
+def e_map_failure(failure) -> str:
+    """The text naming a failing pair of ``e_map_certificate``."""
+    (i, j), (k, l), got, want = failure
+    return f"h_W(E(e{i}.e{j}), E(e{k}.e{l})): got {got}, want {want}"
+
+
+def _orthocomplement(v):
+    """``negative_line_basis(v)``, with h(v, u_i) = 0 checked: the products
+    ``period_triple`` and ``horizontality_check`` read off the E-map
+    identity drop every term with that factor, so a nonzero one is a wrong
+    basis and raises ValueError."""
+    vec, basis = negative_line_basis(v)
+    if any(herm_form(vec, u, BALL_SIG) for u in basis):
+        raise ValueError("the orthocomplement basis is not orthogonal to the line")
+    return vec, basis
+
+
 def horizontality_check(v0, w) -> bool:
     """True iff the induced flag motion along the line curve v0 + t*w is
     horizontal to first order: each derivative of one fiber part must be
@@ -264,7 +297,5 @@ def horizontality_check(v0, w) -> bool:
         raise ValueError("expected a vector in C^{2,1}")
     if herm_form(v0, w, BALL_SIG):
         raise ValueError("the curve direction must be orthogonal to the line")
-    vec, basis = negative_line_basis(v0)
-    if any(herm_form(vec, u, BALL_SIG) for u in basis):
-        raise ValueError("the orthocomplement basis is not orthogonal to the line")
+    _orthocomplement(v0)
     return e_map_certificate() is None

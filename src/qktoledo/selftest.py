@@ -21,8 +21,8 @@ from .embeddings import (BALL_SIG, E_BASIS_TENSORS, W_SIG, make_embedding,
                          sym_to_e_coords)
 from .toledo import composition_invariant, pullback_constant
 from .lifting import (PERIOD_FLAG_H, TWISTOR_H, classify, e_map_certificate,
-                      grading_mask, holomorphy_check_u3u1u2, negative_line_basis,
-                      period_triple, twistor_nonlift_check)
+                      e_map_failure, grading_mask, holomorphy_check_u3u1u2,
+                      negative_line_basis, period_triple, twistor_nonlift_check)
 
 
 def ball_tangent(x) -> TangentVec:
@@ -288,11 +288,16 @@ _check("flag holomorphy for a = (0, 1)")(
 
 @_check("flag of the base negative line")
 def _period_triple_base():
-    got = tuple(s for _, s in period_triple(unit_vector(3, 2)))
+    triple = period_triple(unit_vector(3, 2))
+    got = tuple(s for _, s, _ in triple)
     if got != (_span_e(0, 1, 3), _span_e(2), _span_e(4, 5)):
         return False, f"triple mismatch: {got}"
-    return _expect(tuple(s.definiteness(W_SIG) for s in got),
-                   ("positive", "positive", "negative"), "definiteness")
+    # the labels are read off the E-map identity; inertia is the oracle
+    inertia = tuple(s.definiteness(W_SIG) for s in got)
+    labels = tuple(kind for _, _, kind in triple)
+    if labels != inertia:
+        return False, f"labels {labels}, but inertia gives {inertia}"
+    return _expect(inertia, ("positive", "positive", "negative"), "definiteness")
 
 
 # conjugation fixes the base point (0, 0, 1), so this row is the one that
@@ -311,8 +316,7 @@ def _e_map_identity():
     if failure is None:
         return True, ("h_W(E(a.b), E(c.d)) = (h(a,c)h(b,d) + h(a,d)h(b,c))/2 "
                       "on all 36 basis pairs")
-    (i, j), (k, l), got, want = failure
-    return False, f"h_W(E(e{i}.e{j}), E(e{k}.e{l})): got {got}, want {want}"
+    return False, e_map_failure(failure)
 
 
 @_check("linearity classification of the totally real embedding")

@@ -388,12 +388,13 @@ def flag_motion(v0, w):
     cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
     factors = (vec, u1, u2)
     velocities = (tuple(w),) + tuple(tuple(c * x for x in vec) for c in cs)
+    flag_pairs = {name: pairs for name, pairs, _ in lifting._FLAG_PARTS}
     gens = {name: [e_product(factors[i], factors[j]) for i, j in pairs]
-            for name, pairs in lifting._FLAG_PAIRS.items()}
+            for name, pairs in flag_pairs.items()}
     moved = {name: [tuple(p + q for p, q in
                           zip(e_product(velocities[i], factors[j]),
                               e_product(factors[i], velocities[j])))
-                    for i, j in lifting._FLAG_PAIRS[name]]
+                    for i, j in flag_pairs[name]]
              for name in ("L2", "S2Lperp")}
     return gens, moved
 
@@ -461,8 +462,9 @@ def orthogonality_horizontality_check(v0, w):
 
 
 def mutually_orthogonal(parts):
-    """True iff the (name, subspace) parts are pairwise orthogonal in W."""
-    spaces = [s for _, s in parts]
+    """True iff the (name, subspace, definiteness) parts are pairwise
+    orthogonal in W."""
+    spaces = [s for _, s, _ in parts]
     return not any(herm_form(u, v, W_SIG)
                    for i, a in enumerate(spaces) for b in spaces[i + 1:]
                    for u in a.basis for v in b.basis)

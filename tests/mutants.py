@@ -7,9 +7,12 @@ benchmark), into a temporary directory, applies the replacement there, runs
 ``python -m pytest -q -x`` on the copy's test files in name order, except
 that ``tests/test_cli.py`` comes last (its argv digest replays slow
 commands, which a broken kernel can make very slow), and prints ``killed``
-with the first failing test, ``survived`` (all passed), or ``timed out``
-when pytest is still running after ``TIMEOUT`` seconds; a timed out copy
-is stopped with everything it started.  At most two copies run at once.  A
+with the first failing test, ``survived`` (all passed), ``broken`` with
+pytest's first error line when pytest exits with a code other than 0 or 1
+(a collection or usage error shows no test catching the mutant, so it is
+not a kill), or ``timed out`` when pytest is still running after
+``TIMEOUT`` seconds; a timed out copy is stopped with everything it
+started.  At most two copies run at once.  A
 mutant whose old text is missing, or occurs more than once, stops the run
 before anything is copied, and so does a control copy with no replacement
 that fails its tests or times out, so neither a mutant that no longer
@@ -19,8 +22,8 @@ Run it as
 
     python tests/mutants.py
 
-It exits 0 when every mutant is killed, 1 when one survived or timed out,
-and 2 for a mutant that does not apply or a failing control.  One mutant
+It exits 0 when every mutant is killed, 1 when one survived, broke or
+timed out, and 2 for a mutant that does not apply or a failing control.  One mutant
 takes about as long as the test suite.  The file name keeps pytest from
 collecting it.
 """
@@ -59,6 +62,7 @@ MUTANTS = {
         "lifting.py",
         "return _pattern_violations(a, _TWISTOR_OFF)",
         "return _pattern_violations(a, _TWISTOR_OFF[:1])"),
+    # the one orthogonality guard of period_triple and horizontality_check
     "horizontality-p-raise-off": (
         "lifting.py",
         "if any(herm_form(vec, u, BALL_SIG) for u in basis):",
@@ -183,6 +187,15 @@ MUTANTS = {
         "scalars.py",
         "                den *= d\n",
         "                den *= 1\n"),
+    # the flag's labels hold only under the E-map identity
+    "period-triple-skips-certificate": (
+        "lifting.py",
+        "    if failure is not None:\n        raise ValueError(f\"the E-map",
+        "    if False:\n        raise ValueError(f\"the E-map"),
+    "lolperp-label-positive": (
+        "lifting.py",
+        '("LoLperp", ((0, 1), (0, 2)), "negative")',
+        '("LoLperp", ((0, 1), (0, 2)), "positive")'),
 }
 
 
@@ -209,8 +222,9 @@ def _test_files(copy) -> list[str]:
 
 def run_mutant(name) -> tuple[str, str]:
     """(verdict, detail) with the mutant applied: ("killed", first failing
-    test), ("survived", "") if every test passes, or ("timed out", ...);
-    the name None runs the control copy, with no replacement."""
+    test), ("survived", "") if every test passes, ("broken", pytest's first
+    error line) or ("timed out", ...); the name None runs the control copy,
+    with no replacement."""
     with tempfile.TemporaryDirectory(prefix="qktoledo-mutant-") as tmp:
         copy = Path(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -234,8 +248,10 @@ def run_mutant(name) -> tuple[str, str]:
     # pytest exits 1 when a test failed; any other nonzero code (a usage or
     # collection error) would not show that a test caught the mutant
     if proc.returncode not in (0, 1):
-        raise RuntimeError(f"mutant {name}: pytest exited {proc.returncode}\n"
-                           f"{stdout}{stderr}")
+        return "broken", next(
+            (line for line in (stdout + stderr).splitlines()
+             if line.startswith("ERROR")),
+            f"pytest exited {proc.returncode}")
     if proc.returncode == 0:
         return "survived", ""
     return "killed", next((line for line in stdout.splitlines()
@@ -260,6 +276,7 @@ def main() -> int:
                   flush=True)
     killed = verdicts.count("killed")
     print(f"{killed} killed, {verdicts.count('survived')} survived, "
+          f"{verdicts.count('broken')} broken, "
           f"{verdicts.count('timed out')} timed out")
     return 0 if killed == len(MUTANTS) else 1
 

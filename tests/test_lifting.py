@@ -23,7 +23,7 @@ from _helpers import (contains, flag_motion, fold_column, generic_herm_form,
                       jet_flag_motion,
                       jet_horizontality_check, leibniz_bplus_image,
                       mutually_orthogonal, orthogonality_horizontality_check,
-                      perp, rng, rand_field_elem,
+                      perp, rng, rand_big_field_elem, rand_field_elem,
                       rand_fraction, rand_gauss, rand_nonzero_field_elem,
                       rand_nonzero_pair, rand_negative_vector,
                       rand_orthogonal_direction, rref_horizontality_check)
@@ -260,25 +260,31 @@ def test_conjugate_linearity_matches_real_block_criterion():
 # -- flags of negative lines -----------------------------------------------------
 
 def _definiteness(triple):
-    return tuple(s.definiteness(W_SIG) for _, s in triple)
+    """The definiteness of each part by inertia, the labels' oracle."""
+    return tuple(s.definiteness(W_SIG) for _, s, _ in triple)
+
+
+def _labels(triple):
+    return tuple(kind for _, _, kind in triple)
 
 
 def test_period_triple_base_point():
     # the subspaces and their definiteness are a selftest registry check
     triple = period_triple(unit_vector(3, 2))
-    assert tuple(name for name, _ in triple) == ("S2Lperp", "L2", "LoLperp")
-    assert tuple(s.dim for _, s in triple) == (3, 1, 2)
+    assert tuple(name for name, _, _ in triple) == ("S2Lperp", "L2", "LoLperp")
+    assert tuple(s.dim for _, s, _ in triple) == (3, 1, 2)
     assert mutually_orthogonal(triple)
 
 
 def test_period_triple_shifted_line():
     v = (FieldElem(Fraction(1, 2)), ZERO, ONE)
     triple = period_triple(v)
-    assert tuple(s.dim for _, s in triple) == (3, 1, 2)
-    assert _definiteness(triple) == ("positive", "positive", "negative")
+    assert tuple(s.dim for _, s, _ in triple) == (3, 1, 2)
+    assert _definiteness(triple) == _labels(triple) == (
+        "positive", "positive", "negative")
     assert mutually_orthogonal(triple)
     coords = sym_to_e_coords(sym_product(v, v))
-    assert contains(dict(triple)["L2"], coords)
+    assert contains(triple[1][1], coords)
 
 
 def _negative_vector_with_specials(r):
@@ -347,12 +353,29 @@ def test_negative_line_basis_rejects_exactly_what_is_negative_rejects():
     assert min(seen.values()) >= 20, seen
 
 
+def _big_negative_vector(r):
+    """A negative vector of C^{2,1} whose entries have coordinates with
+    numerators of about 320 bits (``rand_big_field_elem``); (v0, v1) is
+    halved until the vector is negative."""
+    v0, v1, v2 = (rand_big_field_elem(r) for _ in range(3))
+    while herm_form((v0, v1, v2), (v0, v1, v2), BALL_SIG).real_sign() >= 0:
+        v0, v1 = v0 * Fraction(1, 2), v1 * Fraction(1, 2)
+    return (v0, v1, v2)
+
+
 def test_period_triple_random_invariants():
+    # each label is read off the E-map identity; inertia of the Gram matrix
+    # of the subspace returned with it is the independent oracle
     r = rng(607)
-    for _ in range(50):
-        triple = period_triple(rand_negative_vector(r))
-        assert tuple(s.dim for _, s in triple) == (3, 1, 2)
-        assert _definiteness(triple) == ("positive", "positive", "negative")
+    vectors = [rand_negative_vector(r) for _ in range(50)]
+    vectors += [_negative_vector_with_specials(r) for _ in range(30)]
+    vectors += [_big_negative_vector(r) for _ in range(6)]
+    assert sum(any(x.nb or x.nd for x in v) for v in vectors) >= 50
+    for v in vectors:
+        triple = period_triple(v)
+        assert tuple(s.dim for _, s, _ in triple) == (3, 1, 2)
+        assert _labels(triple) == _definiteness(triple) == (
+            "positive", "positive", "negative"), v
         assert mutually_orthogonal(triple)
 
 
@@ -431,7 +454,10 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
             (1, 2), (1, 2), ONE, FieldElem(Fraction(1, 2)))
         all_ok, results = run_selftest()
         assert not all_ok
+        # period_triple reads its labels off the identity, so it refuses too
         assert [detail for name, ok, detail in results if not ok] == [
+            "raised ValueError: the E-map identity fails: "
+            "h_W(E(e1.e2), E(e1.e2)): got 1, want 1/2",
             "h_W(E(e1.e2), E(e1.e2)): got 1, want 1/2"]
         capsys.readouterr()
         assert main(["lift-check", "--domain", "u3u1u2", "--samples", "3",
@@ -457,9 +483,14 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
         lifting.e_map_certificate.cache_clear()
 
 
-def test_horizontality_rejects_a_basis_not_orthogonal_to_the_line(monkeypatch):
-    # every product horizontality decides has a factor h(v0, u_i); the basis
-    # makes each vanish, so a nonzero one is a wrong basis, not a verdict
+@pytest.mark.parametrize("call", [
+    lambda e3: horizontality_check(e3, unit_vector(3, 0)),
+    lambda e3: period_triple(e3),
+], ids=["horizontality", "period_triple"])
+def test_horizontality_rejects_a_basis_not_orthogonal_to_the_line(monkeypatch, call):
+    # every product horizontality decides, and every Gram matrix the flag's
+    # labels are read from, has a factor h(v0, u_i); the basis makes each
+    # vanish, so a nonzero one is a wrong basis, not a verdict
     real = lifting.negative_line_basis
 
     def tilted(v):
@@ -467,9 +498,23 @@ def test_horizontality_rejects_a_basis_not_orthogonal_to_the_line(monkeypatch):
         return vec, (tuple(x + y for x, y in zip(u1, vec)), u2)
 
     monkeypatch.setattr(lifting, "negative_line_basis", tilted)
-    e3 = unit_vector(3, 2)
     with pytest.raises(ValueError, match="not orthogonal to the line"):
-        horizontality_check(e3, unit_vector(3, 0))
+        call(unit_vector(3, 2))
+
+
+def test_period_triple_refuses_a_failing_certificate(monkeypatch, capsys):
+    # the labels hold only under the E-map identity, so a failing
+    # certificate is an error, and the CLI prints no flag
+    failure = ((1, 2), (1, 2), ONE, FieldElem(Fraction(1, 2)))
+    monkeypatch.setattr(lifting, "e_map_certificate", lambda: failure)
+    message = ("the E-map identity fails: "
+               "h_W(E(e1.e2), E(e1.e2)): got 1, want 1/2")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        period_triple(unit_vector(3, 2))
+    capsys.readouterr()
+    assert main(["period-triple", "--vector", "0,0,1", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bad", [0.5, "x"])
