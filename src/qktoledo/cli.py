@@ -20,8 +20,9 @@ from fractions import Fraction
 from .scalars import FieldElem, ONE, parse_field_elem
 from .embeddings import make_embedding
 from .toledo import CONVENTION, pullback_constant
-from .lifting import (classify, holomorphy_check_u3u1u2, horizontality_check,
-                      is_negative, period_triple, twistor_nonlift_check)
+from .lifting import (_orthocomplement, classify, holomorphy_check_u3u1u2,
+                      horizontality_along, is_negative, period_triple,
+                      twistor_nonlift_check)
 
 _CLI_EMBEDDINGS = {
     "rho": "rho",
@@ -163,20 +164,30 @@ _HALVES = {(a, b): FieldElem(Fraction(a, 2), Fraction(b, 2))
 _UNIT_SPAN = range(-1, 2)
 
 
+# the lines drawn so far in this process, keyed by their four draws: None
+# for a draw that is not negative, else the line v0 with its orthocomplement
+# basis (u1, u2), checked once by _orthocomplement; at most 81 keys
+_LINES = {}
+
+
 def _random_negative_line(rng):
     """A negative vector for the (2,1) form plus a direction orthogonal to it."""
     while True:
-        v0 = (_HALVES[rng.choice(_UNIT_SPAN), rng.choice(_UNIT_SPAN)],
-              _HALVES[rng.choice(_UNIT_SPAN), rng.choice(_UNIT_SPAN)],
-              ONE)
-        if is_negative(v0):
+        key = (rng.choice(_UNIT_SPAN), rng.choice(_UNIT_SPAN),
+               rng.choice(_UNIT_SPAN), rng.choice(_UNIT_SPAN))
+        if key not in _LINES:
+            v0 = (_HALVES[key[:2]], _HALVES[key[2:]], ONE)
+            _LINES[key] = _orthocomplement(v0) if is_negative(v0) else None
+        line = _LINES[key]
+        if line is not None:
             break
-    # w = c1*u1 + c2*u2 for the orthocomplement basis (1, 0, conj(v0_1)),
-    # (0, 1, conj(v0_2)) of a line with last coordinate 1; nonzero
-    # coefficients, so that the direction is nonzero and the line moves.
-    # horizontality_check raises if w is not orthogonal to v0.
+    # w = c1*u1 + c2*u2 with nonzero coefficients, so that the direction is
+    # nonzero and the line moves; the basis is in rref, (1, 0, x1) and
+    # (0, 1, x2), so w is (c1, c2, c1*x1 + c2*x2).  horizontality_along
+    # raises if w is not orthogonal to v0.
+    v0, (u1, u2) = line
     c1, c2 = _random_pair(rng, 2)
-    return v0, (c1, c2, c1 * v0[0].conj() + c2 * v0[1].conj())
+    return v0, (c1, c2, c1 * u1[2] + c2 * u2[2])
 
 
 def _fmt_vec(vec) -> str:
@@ -209,7 +220,7 @@ def _cmd_lift_check(args) -> int:
         else:
             holo = holomorphy_check_u3u1u2(a)
             v0, w = _random_negative_line(rng)
-            horiz = horizontality_check(v0, w)
+            horiz = horizontality_along(v0, w)
             ok, violations = holo and horiz, ()
             given = f"a={_fmt_vec(a)}; v0={_fmt_vec(v0)}; w={_fmt_vec(w)}"
             verdict = f"holomorphic={holo}, horizontal={horiz}"

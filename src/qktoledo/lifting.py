@@ -290,12 +290,28 @@ def horizontality_check(v0, w) -> bool:
     p_i = h(v0, u_i) or its conjugate in every term.  The u_i are built
     orthogonal to v0, so a nonzero p_i is a wrong basis and raises
     ValueError; otherwise the motion is horizontal exactly when the
-    certificate holds.
+    certificate holds.  The check has two parts that a caller can also run
+    apart: ``_orthocomplement`` decides the line (negativity and the basis
+    guard) and ``horizontality_along`` the direction (h(v0, w) = 0, then
+    the certificate); lift-check runs the first once per distinct line and
+    the second once per sample.
     """
-    v0, w = _coerce_row(v0), _coerce_row(w)
+    v0 = _coerce_row(v0)
+    # the direction's guards raise first, so a v0 of the wrong length fails
+    # against the signature in herm_form
+    horizontal = horizontality_along(v0, w)
+    _orthocomplement(v0)
+    return horizontal
+
+
+def horizontality_along(v0, w) -> bool:
+    """The per-direction part of ``horizontality_check``, for a line v0
+    that ``_orthocomplement`` has already checked: raise ValueError unless
+    w is a vector of C^{2,1} orthogonal to v0, then return the verdict,
+    which is the certificate's."""
+    w = _coerce_row(w)
     if len(w) != 3:
         raise ValueError("expected a vector in C^{2,1}")
     if herm_form(v0, w, BALL_SIG):
         raise ValueError("the curve direction must be orthogonal to the line")
-    _orthocomplement(v0)
     return e_map_certificate() is None

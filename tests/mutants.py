@@ -67,6 +67,17 @@ MUTANTS = {
         "lifting.py",
         "if any(herm_form(vec, u, BALL_SIG) for u in basis):",
         "if False and any(herm_form(vec, u, BALL_SIG) for u in basis):"),
+    # the per-direction guard of horizontality_check and lift-check
+    "direction-guard-off": (
+        "lifting.py",
+        "if herm_form(v0, w, BALL_SIG):",
+        "if False and herm_form(v0, w, BALL_SIG):"),
+    # the line memo stores every draw as negative: _orthocomplement raises
+    # on the first draw that is not, so the rejection loop still ends
+    "line-memo-skips-negativity": (
+        "cli.py",
+        "_orthocomplement(v0) if is_negative(v0) else None",
+        "_orthocomplement(v0) if v0 else None"),
     "definiteness-or": (
         "linalg.py",
         "if n_plus and n_minus:",

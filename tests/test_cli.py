@@ -4,20 +4,24 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qktoledo import (CONVENTION, ONE, is_negative, make_embedding,
-                      negative_line_basis, pullback_constant)
+from qktoledo import (BALL_SIG, CONVENTION, ONE, FieldElem, herm_form,
+                      is_negative, make_embedding, negative_line_basis,
+                      pullback_constant)
 from qktoledo import cli, lifting, selftest
 from qktoledo.cli import _MAX_VECTOR_BITS, build_parser, main
 
@@ -140,9 +144,10 @@ def test_lift_check_u3u1u2_never_draws_a_zero_direction(capsys):
     assert "w=(0, 0, 0)" not in out
 
 
-def test_lift_check_u3u1u2_builds_one_orthocomplement_per_sample(capsys, monkeypatch):
-    # the direction w is read off v0 in closed form, so the only basis a
-    # sample builds is the one horizontality_check checks w against
+def test_lift_check_u3u1u2_builds_one_orthocomplement_per_line(capsys, monkeypatch):
+    # a line's basis is built and checked the first time it is drawn and
+    # read from cli._LINES after that, so a run builds one basis per
+    # distinct v0 it prints, and a second run in the same process none
     calls = []
     real = lifting.negative_line_basis
 
@@ -152,11 +157,41 @@ def test_lift_check_u3u1u2_builds_one_orthocomplement_per_sample(capsys, monkeyp
 
     monkeypatch.setattr(lifting, "negative_line_basis", counted)
     monkeypatch.setattr(cli, "negative_line_basis", counted, raising=False)
-    code, out, _ = run_cli(capsys, "lift-check", "--domain", "u3u1u2",
-                           "--samples", "50", "--seed", "0")
+    # an entry left by an earlier run would hide the patch
+    cli._LINES.clear()
+    argv = ("lift-check", "--domain", "u3u1u2", "--samples", "50", "--seed", "0")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.count("horizontal=True") == 50
-    assert len(calls) == 50
+    lines = set(re.findall(r"v0=(\([^)]*\))", out))
+    assert 1 < len(lines) < 50
+    assert len(calls) == len(lines)
+    assert {cli._fmt_vec(v) for v in calls} == lines
+    calls.clear()
+    assert run_cli(capsys, *argv) == (code, out, "")
+    assert calls == []
+
+
+def test_line_memo_is_bounded_and_holds_the_checked_lines(capsys):
+    # 10,000 samples draw each of the 81 keys (four halves in -1..1) many
+    # times, and the memo keeps one entry per key: no more than 81
+    cli._LINES.clear()
+    code, _, _ = run_cli(capsys, "lift-check", "--domain", "u3u1u2",
+                         "--samples", "10000", "--seed", "5")
+    assert code == 0
+    assert set(cli._LINES) == set(itertools.product(range(-1, 2), repeat=4))
+    assert sum(line is not None for line in cli._LINES.values()) == 65
+    for (a1, b1, a2, b2), line in cli._LINES.items():
+        # v0 = (x1, x2, 1) with x_k = (a_k + b_k*i)/2 is negative iff
+        # |x1|^2 + |x2|^2 < 1
+        negative = Fraction(a1 * a1 + b1 * b1 + a2 * a2 + b2 * b2, 4) < 1
+        assert (line is not None) is negative
+        if negative:
+            v0, basis = line
+            assert v0 == (FieldElem(Fraction(a1, 2), Fraction(b1, 2)),
+                          FieldElem(Fraction(a2, 2), Fraction(b2, 2)), ONE)
+            assert basis == negative_line_basis(v0)[1]
+            assert all(herm_form(v0, u, BALL_SIG) == 0 for u in basis)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -177,9 +212,11 @@ def test_random_negative_line_direction_is_the_basis_combination():
     for _ in range(2000):
         v0, w = cli._random_negative_line(rng)
         assert v0[2] == ONE and is_negative(v0)
+        # w against a basis built afresh, not the one cli._LINES holds
         _, (u1, u2) = negative_line_basis(v0)
         c1, c2 = w[:2]
         assert w == tuple(c1 * x + c2 * y for x, y in zip(u1, u2))
+        assert herm_form(v0, w, BALL_SIG) == 0
 
 
 def test_lift_check_json_deterministic(capsys):
