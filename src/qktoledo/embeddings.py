@@ -111,13 +111,23 @@ def _sym_square_rows(a):
 
 # -- the four embedding differentials ----------------------------------------
 
-# closed-form row maps from a complex n-vector to the rows of its image
-_ROW_MAPS = {
-    "rho": lambda x: [r for c in x for r in ([c, ZERO], [ZERO, c])],
-    "totally_real": lambda x: [r for c in x for r in ([c, ZERO], [ZERO, c.conj()])],
-    "phi": lambda x: [r for c in x for r in ([c, ZERO], [ZERO, ZERO])],
-    "sym_square": _sym_square_rows,
-}
+# closed-form row maps from a complex n-vector to the rows of its image, one
+# module function each, so a named embedding copies and pickles as it is
+
+def _rho_rows(x):
+    return [r for c in x for r in ([c, ZERO], [ZERO, c])]
+
+
+def _totally_real_rows(x):
+    return [r for c in x for r in ([c, ZERO], [ZERO, c.conj()])]
+
+
+def _phi_rows(x):
+    return [r for c in x for r in ([c, ZERO], [ZERO, ZERO])]
+
+
+_ROW_MAPS = {"rho": _rho_rows, "totally_real": _totally_real_rows,
+             "phi": _phi_rows, "sym_square": _sym_square_rows}
 
 
 class EmbeddingDiff(namedtuple("EmbeddingDiff", "name n rows_of")):
@@ -130,13 +140,6 @@ class EmbeddingDiff(namedtuple("EmbeddingDiff", "name n rows_of")):
 
     def __repr__(self):
         return f"EmbeddingDiff(name={self.name!r}, n={self.n!r})"
-
-    def __reduce__(self):
-        # a named row map is mostly a lambda, which does not pickle: rebuild
-        # by name; any other row map copies, and pickles if it can
-        if self.rows_of is _ROW_MAPS.get(self.name):
-            return make_embedding, (self.name, self.n)
-        return EmbeddingDiff, tuple(self)
 
     def __call__(self, x) -> TangentVec:
         comps = _coerce_row(x)

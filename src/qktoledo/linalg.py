@@ -64,7 +64,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.diagonal((ONE,) * n)
 
     @classmethod
     def diagonal(cls, values):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 _SUFFIXES = ("", "*i", "*sqrt2", "*i*sqrt2")
 
@@ -377,7 +378,60 @@ def _as_pair(value, cls):
     return cls(scalar, ZERO)
 
 
-class Quat:
+class _Pair:
+    """Immutable pair over Q(i, sqrt2) in which a scalar s is the pair (s, 0).
+
+    A subclass names its parts in ``__slots__`` and ``__init__``, names its
+    second unit in ``_UNIT``, and defines the product and ``conj``.
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __init_subclass__(cls):
+        cls._parts = property(attrgetter(*cls.__slots__))
+
+    def __init__(self, first, second):
+        a, b = as_scalar(first), as_scalar(second)
+        if a is NotImplemented or b is NotImplemented:
+            raise TypeError(f"{type(self).__name__} components must be "
+                            "FieldElem, int or Fraction")
+        for name, value in zip(self.__slots__, (a, b)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), self._parts
+
+    def __add__(self, other):
+        other = _as_pair(other, type(self))
+        if other is NotImplemented:
+            return NotImplemented
+        (a, b), (c, d) = self._parts, other._parts
+        return type(self)(a + c, b + d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        a, b = self._parts
+        return type(self)(-a, -b)
+
+    def __eq__(self, other):
+        other = _as_pair(other, type(self))
+        if other is NotImplemented:
+            return NotImplemented
+        return self._parts == other._parts
+
+    def __hash__(self):
+        # a pair with zero second part equals its first part, so it hashes alike
+        first, second = self._parts
+        return hash(first) if not second else hash((first, second))
+
+    def __repr__(self):
+        first, second = self._parts
+        return f"({first!r}) + ({second!r})*{self._UNIT}"
+
+
+class Quat(_Pair):
     """Quaternion z + w*j with z, w in Q(i, sqrt2) and j*z = conj(z)*j.
 
     Immutable.  conj(q) = conj(z) - w*j; conj(q)*q is a real scalar, the
@@ -385,28 +439,10 @@ class Quat:
     """
 
     __slots__ = ("z", "w")
-    __setattr__ = __delattr__ = _frozen
+    _UNIT = "j"
 
     def __init__(self, z=0, w=0):
-        zc, wc = as_scalar(z), as_scalar(w)
-        if zc is NotImplemented or wc is NotImplemented:
-            raise TypeError("Quat components must be FieldElem, int or Fraction")
-        object.__setattr__(self, "z", zc)
-        object.__setattr__(self, "w", wc)
-
-    def __reduce__(self):
-        return Quat, (self.z, self.w)
-
-    def __add__(self, other):
-        other = _as_pair(other, Quat)
-        if other is NotImplemented:
-            return NotImplemented
-        return Quat(self.z + other.z, self.w + other.w)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Quat(-self.z, -self.w)
+        super().__init__(z, w)
 
     def __mul__(self, other):
         other = _as_pair(other, Quat)
@@ -427,19 +463,6 @@ class Quat:
     def __bool__(self):
         return bool(self.z or self.w)
 
-    def __eq__(self, other):
-        other = _as_pair(other, Quat)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.z == other.z and self.w == other.w
-
-    def __hash__(self):
-        # a quaternion with w = 0 equals its scalar z, so it hashes alike
-        return hash(self.z) if not self.w else hash((self.z, self.w))
-
-    def __repr__(self):
-        return f"({self.z!r}) + ({self.w!r})*j"
-
 
 QUAT_I = Quat(I)
 QUAT_J = Quat(ZERO, ONE)
@@ -447,7 +470,7 @@ QUAT_K = Quat(ZERO, I)
 QUAT_UNITS = {"i": QUAT_I, "j": QUAT_J, "k": QUAT_K}
 
 
-class JetScalar:
+class JetScalar(_Pair):
     """First-order jet val + eps*deriv over Q(i, sqrt2), with eps^2 = 0.
 
     Models the value and first derivative of a curve parameter; products
@@ -455,28 +478,10 @@ class JetScalar:
     """
 
     __slots__ = ("val", "deriv")
-    __setattr__ = __delattr__ = _frozen
+    _UNIT = "eps"
 
     def __init__(self, val=0, deriv=0):
-        v, d = as_scalar(val), as_scalar(deriv)
-        if v is NotImplemented or d is NotImplemented:
-            raise TypeError("JetScalar components must be FieldElem, int or Fraction")
-        object.__setattr__(self, "val", v)
-        object.__setattr__(self, "deriv", d)
-
-    def __reduce__(self):
-        return JetScalar, (self.val, self.deriv)
-
-    def __add__(self, other):
-        other = _as_pair(other, JetScalar)
-        if other is NotImplemented:
-            return NotImplemented
-        return JetScalar(self.val + other.val, self.deriv + other.deriv)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JetScalar(-self.val, -self.deriv)
+        super().__init__(val, deriv)
 
     def __mul__(self, other):
         other = _as_pair(other, JetScalar)
@@ -496,18 +501,3 @@ class JetScalar:
     def conj(self) -> "JetScalar":
         # jets are taken along a real parameter, so conjugation acts per part
         return JetScalar(self.val.conj(), self.deriv.conj())
-
-    def __eq__(self, other):
-        other = _as_pair(other, JetScalar)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.val == other.val and self.deriv == other.deriv
-
-    def __hash__(self):
-        # a jet with zero derivative equals its value, so it hashes alike
-        if not self.deriv:
-            return hash(self.val)
-        return hash((self.val, self.deriv))
-
-    def __repr__(self):
-        return f"({self.val!r}) + ({self.deriv!r})*eps"

@@ -129,7 +129,7 @@ _golden("diagonal embedding quaternion coordinates", "rho(e1)",
 @_check("diagonal embedding block matrices")
 def _rho_blocks():
     emb = make_embedding("rho")
-    i2 = Matrix.identity(2)
+    i2 = Matrix.diagonal((1, 1))
     z2 = Matrix.zeros(2, 2)
 
     def block3(b13, b23, b31, b32):

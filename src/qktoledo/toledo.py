@@ -15,15 +15,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import as_scalar
 from .geometry import unit_wedge_squares
 from .embeddings import EmbeddingDiff, standard_quadruple
 
 CONVENTION = ("v1: quat x+y*j; wedge a^2(X,Y,Z,W) = "
               "a(X,Y)a(Z,W) - a(X,Z)a(Y,W) + a(X,W)a(Y,Z)")
-
-OMEGA_B_SQUARED = as_scalar(16)
-
 
 # omega_value: the 4-form on the embedded basis quadruple; omega0sq_value: the
 # ambient Kahler form squared on the same quadruple; ratio: omega_value / 16
@@ -46,7 +42,7 @@ def pullback_constant(embedding: EmbeddingDiff) -> PullbackReport:
         embedding=embedding.name,
         omega_value=omega_value,
         omega0sq_value=omega0sq_value,
-        ratio=omega_value / OMEGA_B_SQUARED,
+        ratio=omega_value / 16,
     )
 
 

@@ -102,6 +102,12 @@ MUTANTS = {
         "scalars.py",
         "return cls(scalar, ZERO)",
         "return cls(scalar, ONE)"),
+    # a Quat or JetScalar with zero second part hashes as a tuple, not as
+    # the scalar it equals
+    "pair-hash-flipped": (
+        "scalars.py",
+        "return hash(first) if not second else hash((first, second))",
+        "return hash(first) if second else hash((first, second))"),
     "parser-deletes-every-space": (
         "scalars.py",
         's = _SPACES_BY_OPERATOR.sub("", text).strip(" ")',

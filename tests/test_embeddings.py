@@ -74,7 +74,7 @@ def test_sym_square_lie_on_compact_direction():
 
 def test_sym_square_lie_rejects_non_su21():
     with pytest.raises(ValueError):
-        sym_square_lie(Matrix.identity(3))
+        sym_square_lie(Matrix.diagonal((1, 1, 1)))
     assert not is_su21(Matrix.zeros(2, 2))
     with pytest.raises(ValueError):
         sym_square_lie(Matrix.diagonal([I, I, I]))

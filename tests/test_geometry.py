@@ -39,9 +39,9 @@ def test_complex_structure():
     # J carries the first diagonal basis image to the second
     assert RHO((ONE, ZERO)) * I == RHO((I, ZERO))
     with pytest.raises(ValueError, match=r"J\(A\) is A \* I"):
-        TangentVec.identity(2).scale(I)
+        TangentVec.diagonal((1, 1)).scale(I)
     with pytest.raises(TypeError, match="real scalar"):
-        TangentVec.identity(2).scale("x")
+        TangentVec.diagonal((1, 1)).scale("x")
 
 
 def test_metric_values():

@@ -128,6 +128,28 @@ def test_jets():
             assert a * a.inverse() == JetScalar(1, 0)
 
 
+def test_pair_types_share_one_surface():
+    # keyword construction by each type's own part names
+    q, jet = Quat(z=I, w=SQRT2), JetScalar(val=ONE, deriv=HALF_SQRT2)
+    assert (q.z, q.w, jet.val, jet.deriv) == (I, SQRT2, ONE, HALF_SQRT2)
+    assert Quat(w=ONE) == QUAT_J and JetScalar(deriv=0) == JetScalar()
+    assert repr(q) == "(1*i) + (1*sqrt2)*j"
+    assert repr(jet) == "(1) + (1/2*sqrt2)*eps"
+    with pytest.raises(TypeError, match="^Quat components must be FieldElem, "
+                                        "int or Fraction$"):
+        Quat(1, 0.5)
+    with pytest.raises(TypeError, match="^JetScalar components must be "
+                                        "FieldElem, int or Fraction$"):
+        JetScalar("x")
+    # a pair with zero second part is its scalar, with the scalar's hash
+    for three in (Quat(3), JetScalar(3)):
+        assert three == 3 and hash(three) == hash(3)
+    # the two types never meet: neither coerces the other
+    assert Quat(1) != JetScalar(1)
+    with pytest.raises(TypeError):
+        Quat(1) + JetScalar(1)
+
+
 def test_rendering_golden():
     assert str(ZERO) == "0"
     assert str(FieldElem(Fraction(11, 64))) == "11/64"
@@ -295,7 +317,7 @@ def test_equal_values_hash_equal():
 
 def test_values_refuse_assignment_and_deletion():
     values = [(FieldElem(1, 2), "na"), (Quat(I), "z"), (JetScalar(1, 2), "val"),
-              (Matrix.identity(2), "entries"), (TangentVec([[ONE, I]]), "rows"),
+              (Matrix.diagonal((1, 1)), "entries"), (TangentVec([[ONE, I]]), "rows"),
               (Subspace(2, [(ONE, I)]), "basis"),
               (make_embedding("phi"), "name"),
               (pullback_constant(make_embedding("phi")), "ratio"),
@@ -320,7 +342,7 @@ def test_values_refuse_assignment_and_deletion():
 def test_values_copy_and_pickle():
     values = [FieldElem(1), FieldElem(Fraction(-1, 3), 2, 0, Fraction(5, 7)),
               FieldElem(Fraction(1, 10**4400), 0, 0, -3),
-              Quat(I, SQRT2), JetScalar(1, HALF_SQRT2), Matrix.identity(2),
+              Quat(I, SQRT2), JetScalar(1, HALF_SQRT2), Matrix.diagonal((1, 1)),
               TangentVec([[ONE, I]]), Subspace(3, [(ONE, I, ZERO), (ONE, ONE, ONE)]),
               pullback_constant(make_embedding("rho")),
               composition_invariant(2, 3, 7), period_triple((0, 0, 1))]
@@ -332,12 +354,14 @@ def test_values_copy_and_pickle():
         for twin in copies:
             assert twin == value and type(twin) is type(value), value
             assert repr(twin) == text
-    # a named embedding rebuilds by name, though three row maps are lambdas
+    # each named row map is a module function, so every copy keeps that
+    # very function and a pickle refers to it by name
     for name, n in (("rho", 3), ("totally_real", 2), ("phi", 4), ("sym_square", 2)):
         emb = make_embedding(name, n)
         for twin in (copy.copy(emb), copy.deepcopy(emb),
                      pickle.loads(pickle.dumps(emb))):
             assert twin == emb and type(twin) is EmbeddingDiff
+            assert twin.rows_of is emb.rows_of
             assert twin(unit_vector(n, 0)) == emb(unit_vector(n, 0))
     # any other row map is kept as it is: a lambda copies but cannot pickle
     emb = EmbeddingDiff("rho", 1, lambda x: [[x[0], ZERO], [ZERO, ZERO]])

@@ -70,7 +70,7 @@ def _mix_rows(a, b):
     return Matrix(m)
 
 
-_I4, _I2 = Matrix.identity(4), Matrix.identity(2)
+_I4, _I2 = Matrix.diagonal((1,) * 4), Matrix.diagonal((1, 1))
 _U = Matrix([[HALF_SQRT2, HALF_SQRT2 * I, ZERO, ZERO],
              [HALF_SQRT2 * I, HALF_SQRT2, ZERO, ZERO],
              [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
