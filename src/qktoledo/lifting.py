@@ -27,6 +27,11 @@ a != 0 lifts to the twistor space; ``_FLAG_OFF`` is empty; and the
 ``e_map_certificate`` identity holds, so every flag sample is horizontal.
 The same identity gives each flag part's Gram matrix in closed form, so
 ``period_triple`` reads its definiteness off it and eliminates no Gram matrix.
+It also writes the six flag generators out in closed form, in the two
+coordinates c0, c1 of the orthocomplement basis (1, 0, c0), (0, 1, c1) and
+the chart y = v/v2 = (conj c0, conj c1, 1) of the line: rescaling a
+generator by a nonzero scalar keeps its span, so the subspaces, their
+canonical rref bases and the Gram-matrix signs are those of the line v.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -47,7 +52,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalars import ZERO, ONE, I, HALF_SQRT2
+from .scalars import ZERO, ONE, I, SQRT2, HALF_SQRT2
 from .linalg import Matrix, Subspace, _coerce_row, herm_form, unit_vector
 from .embeddings import BALL_SIG, W_SIG, EmbeddingDiff
 
@@ -202,13 +207,8 @@ def _e_product(x, y):
             (x2 * y1 + x1 * y2) * HALF_SQRT2)
 
 
-# each flag component: its name, the factor pairs spanning it, indexing
-# (line, u1, u2), and the definiteness of its Gram matrix
-_FLAG_PARTS = (
-    ("S2Lperp", ((1, 1), (1, 2), (2, 2)), "positive"),
-    ("L2", ((0, 0),), "positive"),
-    ("LoLperp", ((0, 1), (0, 2)), "negative"),
-)
+# each flag component: its name and the definiteness of its Gram matrix
+_FLAG_PARTS = (("S2Lperp", "positive"), ("L2", "positive"), ("LoLperp", "negative"))
 
 
 def period_triple(v) -> tuple:
@@ -216,23 +216,43 @@ def period_triple(v) -> tuple:
     definiteness) triples in W, in the order S2Lperp (Sym^2 of the
     orthocomplement), L2 (square of the line), LoLperp (mixed plane).
 
+    The generators are the E-coordinates of the products u1.u1, u1.u2,
+    u2.u2, y.y, y.u1 and y.u2, written out in the two coordinates c0, c1
+    of the orthocomplement basis u1 = (1, 0, c0), u2 = (0, 1, c1) of
+    ``negative_line_basis``.  The line is taken in the chart y = v/v2 =
+    (conj c0, conj c1, 1): y.y = v.v/v2^2 and y.u_i = v.u_i/v2, and a
+    nonzero rescaling of a generator keeps its span, so each Subspace,
+    whose rref basis is unique per span, is that of the products with v.
     The definiteness is read off the identity of ``e_map_certificate``
-    with h(v, u_i) = 0: the Gram matrix of L2 is h(v,v)^2 > 0, that of
-    LoLperp is h(v,v) h(u_i,u_j) / 2, and that of S2Lperp is Sym^2 of the
+    with h(y, u_i) = 0: the Gram matrix of L2 is h(y,y)^2 > 0, that of
+    LoLperp is h(y,y) h(u_i,u_j) / 2, and that of S2Lperp is Sym^2 of the
     Gram matrix h(u_i,u_j).  By Sylvester's law the orthocomplement of a
-    negative v in signature (2,1) is positive definite, so S2Lperp and L2
+    negative y in signature (2,1) is positive definite, so S2Lperp and L2
     are positive and LoLperp is negative.  The other premises are checked
     here: a v that is not negative, a basis u_i not orthogonal to v, or a
     failing certificate raises ValueError.
     """
-    vec, (u1, u2) = _orthocomplement(v)
+    _, ((_, _, c0), (_, _, c1)) = _orthocomplement(v)
     failure = e_map_certificate()
     if failure is not None:
         raise ValueError(f"the E-map identity fails: {e_map_failure(failure)}")
-    factors = (vec, u1, u2)
-    return tuple((name, Subspace(6, [_e_product(factors[i], factors[j])
-                                     for i, j in pairs]), definiteness)
-                 for name, pairs, definiteness in _FLAG_PARTS)
+    y0, y1 = c0.conj(), c1.conj()
+    c00, c11, c01, y1c0 = c0 * c0, c1 * c1, c0 * c1, y1 * c0
+    rows = (
+        # E(u1.u1), E(u1.u2), E(u2.u2)
+        ((ONE, ZERO, c00, ZERO, SQRT2 * c0, ZERO),
+         (ZERO, ZERO, c01, HALF_SQRT2, HALF_SQRT2 * c1, HALF_SQRT2 * c0),
+         (ZERO, ONE, c11, ZERO, ZERO, SQRT2 * c1)),
+        # E(y.y)
+        ((c00.conj(), c11.conj(), ONE, SQRT2 * c01.conj(), SQRT2 * y0, SQRT2 * y1),),
+        # E(y.u1), E(y.u2)
+        ((y0, ZERO, c0, HALF_SQRT2 * y1, HALF_SQRT2 * (ONE + y0 * c0),
+          HALF_SQRT2 * y1c0),
+         (ZERO, y1, c1, HALF_SQRT2 * y0, HALF_SQRT2 * y1c0.conj(),
+          HALF_SQRT2 * (ONE + y1 * c1))),
+    )
+    return tuple((name, Subspace(6, gens), definiteness)
+                 for (name, definiteness), gens in zip(_FLAG_PARTS, rows))
 
 
 # -- horizontality along first-order curves ------------------------------------

@@ -368,6 +368,25 @@ def leibniz_bplus_image(a):
     return Matrix(rows)
 
 
+# the factor pairs spanning each flag component, indexing (line, u1, u2):
+# the generic construction that ``lifting.period_triple`` writes out in
+# closed form
+FLAG_PAIRS = {"S2Lperp": ((1, 1), (1, 2), (2, 2)), "L2": ((0, 0),),
+              "LoLperp": ((0, 1), (0, 2))}
+
+
+def e_product_flag(v):
+    """Reference for ``period_triple``'s spans: each flag component of the
+    line through v as the Subspace spanned by ``lifting._e_product`` of the
+    factor pairs of ``FLAG_PAIRS``, with the line v itself and the basis of
+    ``negative_line_basis``."""
+    vec, (u1, u2) = lifting.negative_line_basis(v)
+    factors = (vec, u1, u2)
+    return {name: Subspace(6, [lifting._e_product(factors[i], factors[j])
+                               for i, j in pairs])
+            for name, pairs in FLAG_PAIRS.items()}
+
+
 def flag_motion(v0, w):
     """The flag along the line curve v0 + t*w in E-coordinates: the spanning
     vectors at time zero of all three components, and for the square of the
@@ -388,13 +407,12 @@ def flag_motion(v0, w):
     cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
     factors = (vec, u1, u2)
     velocities = (tuple(w),) + tuple(tuple(c * x for x in vec) for c in cs)
-    flag_pairs = {name: pairs for name, pairs, _ in lifting._FLAG_PARTS}
     gens = {name: [e_product(factors[i], factors[j]) for i, j in pairs]
-            for name, pairs in flag_pairs.items()}
+            for name, pairs in FLAG_PAIRS.items()}
     moved = {name: [tuple(p + q for p, q in
                           zip(e_product(velocities[i], factors[j]),
                               e_product(factors[i], velocities[j])))
-                    for i, j in flag_pairs[name]]
+                    for i, j in FLAG_PAIRS[name]]
              for name in ("L2", "S2Lperp")}
     return gens, moved
 

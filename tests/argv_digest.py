@@ -5,7 +5,7 @@ result: each line is ``<sha256>  <argv>``, the argv written by
 ``shlex.join``.  The script replays each argv in order through
 ``qktoledo.cli.main`` and prints it again with the sha256 of its (exit
 code, stdout, stderr), or of the exception's type name in place of the
-exit code for an argv that raises.  The 1,073 argv cover every verb and
+exit code for an argv that raises.  The 1,075 argv cover every verb and
 every cap, each in text form and then with ``--json``: the first 120 ops
 of each benchmark workload at seed 3 (copied, so a workload change leaves
 the corpus alone); ``pullback`` of each embedding at ``--n`` 3 and 16, and
@@ -16,8 +16,10 @@ at seeds 0..3 with 15 samples and at seed 4 with 200 and 10,000 (the cap);
 past the bit cap); then, as is, twenty-one argv that reach the parsers'
 own paths, the help of each parser among them; a ``period-triple``
 vector with a space inside a number, in text form and with ``--json``;
-last, three size bounds overstepped by one (``pullback --n`` 1 and 101,
-``lift-check --samples`` 10,001), each in text form and with ``--json``.
+three size bounds overstepped by one (``pullback --n`` 1 and 101,
+``lift-check --samples`` 10,001), each in text form and with ``--json``;
+last, the ``period-triple`` vector ``0,1/2,1`` (v0 = 0 with v1 != 0, a
+zero pattern no named vector has), in text form and with ``--json``.
 
 argparse wraps usage lines at ``$COLUMNS``, so the width is pinned to 80
 columns while digesting.  ``tests/test_cli.py`` diffs the output against

@@ -211,8 +211,29 @@ MUTANTS = {
         "    if False:\n        raise ValueError(f\"the E-map"),
     "lolperp-label-positive": (
         "lifting.py",
-        '("LoLperp", ((0, 1), (0, 2)), "negative")',
-        '("LoLperp", ((0, 1), (0, 2)), "positive")'),
+        '("LoLperp", "negative")',
+        '("LoLperp", "positive")'),
+    # the closed-form flag generators of period_triple
+    "l2-row-drops-conj": (
+        "lifting.py",
+        "SQRT2 * c01.conj()",
+        "SQRT2 * c01"),
+    "s2lperp-row-half-sqrt2": (
+        "lifting.py",
+        "(ONE, ZERO, c00, ZERO, SQRT2 * c0, ZERO)",
+        "(ONE, ZERO, c00, ZERO, HALF_SQRT2 * c0, ZERO)"),
+    "s2lperp-mixed-row-swaps-c0-c1": (
+        "lifting.py",
+        "HALF_SQRT2 * c1, HALF_SQRT2 * c0",
+        "HALF_SQRT2 * c0, HALF_SQRT2 * c1"),
+    "lolperp-row-one-minus": (
+        "lifting.py",
+        "ONE + y0 * c0",
+        "ONE - y0 * c0"),
+    "lolperp-row-drops-conj": (
+        "lifting.py",
+        "HALF_SQRT2 * y1c0.conj()",
+        "HALF_SQRT2 * y1c0"),
 }
 
 

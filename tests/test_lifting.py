@@ -14,13 +14,14 @@ from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       iota_star_bplus, is_negative, make_embedding,
                       negative_line_basis, period_triple, su21_p_matrix,
                       sym_product, sym_to_e_coords,
-                      twistor_nonlift_check, unit_vector)
+                      parse_field_elem, twistor_nonlift_check, unit_vector)
 from qktoledo import lifting
-from qktoledo.cli import _HALVES, main
+from qktoledo.cli import _HALVES, _MAX_VECTOR_BITS, main
 from qktoledo.selftest import ball_tangent, run_selftest
 
-from _helpers import (contains, flag_motion, fold_column, generic_herm_form,
-                      jet_flag_motion,
+import argv_digest
+from _helpers import (contains, e_product_flag, flag_motion, fold_column,
+                      full_field_vector, generic_herm_form, jet_flag_motion,
                       jet_horizontality_check, leibniz_bplus_image,
                       mutually_orthogonal, orthogonality_horizontality_check,
                       perp, rng, rand_big_field_elem, rand_field_elem,
@@ -363,20 +364,39 @@ def _big_negative_vector(r):
     return (v0, v1, v2)
 
 
+def _cap_vector():
+    """The accepted full-field vector at the 1,024-bit cap of the argv
+    digest, parsed."""
+    text = full_field_vector(_MAX_VECTOR_BITS)
+    assert ["period-triple", "--vector", text] in argv_digest.corpus()
+    return tuple(map(parse_field_elem, text.split(",")))
+
+
 def test_period_triple_random_invariants():
     # each label is read off the E-map identity; inertia of the Gram matrix
-    # of the subspace returned with it is the independent oracle
+    # of the subspace returned with it is the independent oracle.  Each
+    # span is written out in closed form; its oracles are the span of the
+    # generic E-products of the factor pairs and the jet flag at rest,
+    # which never calls _e_product
     r = rng(607)
     vectors = [rand_negative_vector(r) for _ in range(50)]
     vectors += [_negative_vector_with_specials(r) for _ in range(30)]
     vectors += [_big_negative_vector(r) for _ in range(6)]
     assert sum(any(x.nb or x.nd for x in v) for v in vectors) >= 50
+    # the zero patterns of (v0, v1) off the chart v2 = 1, and the cap
+    x, v2 = FieldElem(Fraction(1, 3), -1, 0, Fraction(1, 5)), FieldElem(2, 1)
+    vectors += [(ZERO, x, v2), (x, ZERO, v2), (ZERO, ZERO, v2), _cap_vector()]
+    still = (ZERO, ZERO, ZERO)
     for v in vectors:
         triple = period_triple(v)
         assert tuple(s.dim for _, s, _ in triple) == (3, 1, 2)
         assert _labels(triple) == _definiteness(triple) == (
             "positive", "positive", "negative"), v
         assert mutually_orthogonal(triple)
+        spans = {name: s for name, s, _ in triple}
+        assert spans == e_product_flag(v), v
+        assert spans == {name: span for name, (span, _)
+                         in jet_flag_motion(v, still).items()}, v
 
 
 # -- horizontality ----------------------------------------------------------------
