@@ -223,6 +223,10 @@ def period_triple(v) -> tuple:
     (conj c0, conj c1, 1): y.y = v.v/v2^2 and y.u_i = v.u_i/v2, and a
     nonzero rescaling of a generator keeps its span, so each Subspace,
     whose rref basis is unique per span, is that of the products with v.
+    The mixed products are taken times sqrt2, so that every sqrt2 in the
+    rows is one of sqrt2*c0, sqrt2*c1, sqrt2*c0*c1 or its conjugate: six
+    products and three scalings in all.
+
     The definiteness is read off the identity of ``e_map_certificate``
     with h(y, u_i) = 0: the Gram matrix of L2 is h(y,y)^2 > 0, that of
     LoLperp is h(y,y) h(u_i,u_j) / 2, and that of S2Lperp is Sym^2 of the
@@ -238,18 +242,17 @@ def period_triple(v) -> tuple:
         raise ValueError(f"the E-map identity fails: {e_map_failure(failure)}")
     y0, y1 = c0.conj(), c1.conj()
     c00, c11, c01, y1c0 = c0 * c0, c1 * c1, c0 * c1, y1 * c0
+    s0, s1, s01 = SQRT2 * c0, SQRT2 * c1, SQRT2 * c01
     rows = (
-        # E(u1.u1), E(u1.u2), E(u2.u2)
-        ((ONE, ZERO, c00, ZERO, SQRT2 * c0, ZERO),
-         (ZERO, ZERO, c01, HALF_SQRT2, HALF_SQRT2 * c1, HALF_SQRT2 * c0),
-         (ZERO, ONE, c11, ZERO, ZERO, SQRT2 * c1)),
+        # E(u1.u1), sqrt2 E(u1.u2), E(u2.u2)
+        ((ONE, ZERO, c00, ZERO, s0, ZERO),
+         (ZERO, ZERO, s01, ONE, c1, c0),
+         (ZERO, ONE, c11, ZERO, ZERO, s1)),
         # E(y.y)
-        ((c00.conj(), c11.conj(), ONE, SQRT2 * c01.conj(), SQRT2 * y0, SQRT2 * y1),),
-        # E(y.u1), E(y.u2)
-        ((y0, ZERO, c0, HALF_SQRT2 * y1, HALF_SQRT2 * (ONE + y0 * c0),
-          HALF_SQRT2 * y1c0),
-         (ZERO, y1, c1, HALF_SQRT2 * y0, HALF_SQRT2 * y1c0.conj(),
-          HALF_SQRT2 * (ONE + y1 * c1))),
+        ((c00.conj(), c11.conj(), ONE, s01.conj(), s0.conj(), s1.conj()),),
+        # sqrt2 E(y.u1), sqrt2 E(y.u2)
+        ((s0.conj(), ZERO, s0, y1, ONE + y0 * c0, y1c0),
+         (ZERO, s1.conj(), s1, y0, y1c0.conj(), ONE + y1 * c1)),
     )
     return tuple((name, Subspace(6, gens), definiteness)
                  for (name, definiteness), gens in zip(_FLAG_PARTS, rows))

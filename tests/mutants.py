@@ -216,24 +216,24 @@ MUTANTS = {
     # the closed-form flag generators of period_triple
     "l2-row-drops-conj": (
         "lifting.py",
-        "SQRT2 * c01.conj()",
-        "SQRT2 * c01"),
+        "s01.conj(), s0.conj()",
+        "s01, s0.conj()"),
     "s2lperp-row-half-sqrt2": (
         "lifting.py",
-        "(ONE, ZERO, c00, ZERO, SQRT2 * c0, ZERO)",
+        "(ONE, ZERO, c00, ZERO, s0, ZERO)",
         "(ONE, ZERO, c00, ZERO, HALF_SQRT2 * c0, ZERO)"),
     "s2lperp-mixed-row-swaps-c0-c1": (
         "lifting.py",
-        "HALF_SQRT2 * c1, HALF_SQRT2 * c0",
-        "HALF_SQRT2 * c0, HALF_SQRT2 * c1"),
+        "(ZERO, ZERO, s01, ONE, c1, c0)",
+        "(ZERO, ZERO, s01, ONE, c0, c1)"),
     "lolperp-row-one-minus": (
         "lifting.py",
         "ONE + y0 * c0",
         "ONE - y0 * c0"),
     "lolperp-row-drops-conj": (
         "lifting.py",
-        "HALF_SQRT2 * y1c0.conj()",
-        "HALF_SQRT2 * y1c0"),
+        "y0, y1c0.conj(),",
+        "y0, y1c0,"),
 }
 
 
