@@ -43,7 +43,7 @@ _MAX_N = 100
 # coordinates per component over its own common denominator), so the cap
 # prints at most about 3,100 digits, a margin of 1.4 below CPython's
 # 4,300-digit limit on int-to-str conversion.  The slowest cap vector of
-# the argv digest takes about 0.1 s through ``main`` on one core.
+# the argv digest takes about 0.07 s through ``main`` on one core.
 _MAX_VECTOR_BITS = 1024
 
 

@@ -27,11 +27,12 @@ a != 0 lifts to the twistor space; ``_FLAG_OFF`` is empty; and the
 ``e_map_certificate`` identity holds, so every flag sample is horizontal.
 The same identity gives each flag part's Gram matrix in closed form, so
 ``period_triple`` reads its definiteness off it and eliminates no Gram matrix.
-It also writes the six flag generators out in closed form, in the two
-coordinates c0, c1 of the orthocomplement basis (1, 0, c0), (0, 1, c1) and
-the chart y = v/v2 = (conj c0, conj c1, 1) of the line: rescaling a
-generator by a nonzero scalar keeps its span, so the subspaces, their
-canonical rref bases and the Gram-matrix signs are those of the line v.
+It also writes the six flag generators out in closed form, in the
+coordinates of v and the two coordinates c0, c1 of the orthocomplement
+basis (1, 0, c0), (0, 1, c1); the mixed ones are taken times sqrt2, and
+rescaling a generator by a nonzero scalar keeps its span, so the subspaces,
+their canonical rref bases and the Gram-matrix signs are those of the
+E-products.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -217,42 +218,44 @@ def period_triple(v) -> tuple:
     orthocomplement), L2 (square of the line), LoLperp (mixed plane).
 
     The generators are the E-coordinates of the products u1.u1, u1.u2,
-    u2.u2, y.y, y.u1 and y.u2, written out in the two coordinates c0, c1
-    of the orthocomplement basis u1 = (1, 0, c0), u2 = (0, 1, c1) of
-    ``negative_line_basis``.  The line is taken in the chart y = v/v2 =
-    (conj c0, conj c1, 1): y.y = v.v/v2^2 and y.u_i = v.u_i/v2, and a
-    nonzero rescaling of a generator keeps its span, so each Subspace,
-    whose rref basis is unique per span, is that of the products with v.
-    The mixed products are taken times sqrt2, so that every sqrt2 in the
-    rows is one of sqrt2*c0, sqrt2*c1, sqrt2*c0*c1 or its conjugate: six
-    products and three scalings in all.
+    u2.u2, v.v, v.u1 and v.u2, written out in the coordinates of v and the
+    two coordinates c0, c1 of the orthocomplement basis u1 = (1, 0, c0),
+    u2 = (0, 1, c1) of ``negative_line_basis``.  The mixed products are
+    taken times sqrt2, so that every sqrt2 in the rows is one of sqrt2*c0,
+    sqrt2*c1, sqrt2*c0*c1, sqrt2*v0 or sqrt2*v1: fifteen products and five
+    scalings in all.  A nonzero rescaling of a generator keeps its span, so
+    each Subspace, whose rref basis is unique per span, is that of the
+    E-products.  The line is not rescaled to the chart v/v2 = (conj c0,
+    conj c1, 1), which would save nine products: its rows would then carry
+    the inverse of v2, whose coefficients are about four times as long as
+    those of v, and on long input their rref takes longer than the products
+    save.
 
     The definiteness is read off the identity of ``e_map_certificate``
-    with h(y, u_i) = 0: the Gram matrix of L2 is h(y,y)^2 > 0, that of
-    LoLperp is h(y,y) h(u_i,u_j) / 2, and that of S2Lperp is Sym^2 of the
+    with h(v, u_i) = 0: the Gram matrix of L2 is h(v,v)^2 > 0, that of
+    LoLperp is h(v,v) h(u_i,u_j) / 2, and that of S2Lperp is Sym^2 of the
     Gram matrix h(u_i,u_j).  By Sylvester's law the orthocomplement of a
-    negative y in signature (2,1) is positive definite, so S2Lperp and L2
+    negative v in signature (2,1) is positive definite, so S2Lperp and L2
     are positive and LoLperp is negative.  The other premises are checked
     here: a v that is not negative, a basis u_i not orthogonal to v, or a
     failing certificate raises ValueError.
     """
-    _, ((_, _, c0), (_, _, c1)) = _orthocomplement(v)
+    (v0, v1, v2), ((_, _, c0), (_, _, c1)) = _orthocomplement(v)
     failure = e_map_certificate()
     if failure is not None:
         raise ValueError(f"the E-map identity fails: {e_map_failure(failure)}")
-    y0, y1 = c0.conj(), c1.conj()
-    c00, c11, c01, y1c0 = c0 * c0, c1 * c1, c0 * c1, y1 * c0
-    s0, s1, s01 = SQRT2 * c0, SQRT2 * c1, SQRT2 * c01
+    s0, s1, s01 = SQRT2 * c0, SQRT2 * c1, SQRT2 * (c0 * c1)
+    w0, w1 = SQRT2 * v0, SQRT2 * v1
     rows = (
         # E(u1.u1), sqrt2 E(u1.u2), E(u2.u2)
-        ((ONE, ZERO, c00, ZERO, s0, ZERO),
+        ((ONE, ZERO, c0 * c0, ZERO, s0, ZERO),
          (ZERO, ZERO, s01, ONE, c1, c0),
-         (ZERO, ONE, c11, ZERO, ZERO, s1)),
-        # E(y.y)
-        ((c00.conj(), c11.conj(), ONE, s01.conj(), s0.conj(), s1.conj()),),
-        # sqrt2 E(y.u1), sqrt2 E(y.u2)
-        ((s0.conj(), ZERO, s0, y1, ONE + y0 * c0, y1c0),
-         (ZERO, s1.conj(), s1, y0, y1c0.conj(), ONE + y1 * c1)),
+         (ZERO, ONE, c1 * c1, ZERO, ZERO, s1)),
+        # E(v.v)
+        ((v0 * v0, v1 * v1, v2 * v2, w0 * v1, w0 * v2, w1 * v2),),
+        # sqrt2 E(v.u1), sqrt2 E(v.u2)
+        ((w0, ZERO, s0 * v2, v1, v2 + v0 * c0, v1 * c0),
+         (ZERO, w1, s1 * v2, v0, v0 * c1, v2 + v1 * c1)),
     )
     return tuple((name, Subspace(6, gens), definiteness)
                  for (name, definiteness), gens in zip(_FLAG_PARTS, rows))

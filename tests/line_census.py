@@ -2,8 +2,9 @@
 
 The script imports every module of ``src/qktoledo`` under ``sys.settrace``,
 then replays each argv of ``tests/golden/argv_digest.txt`` through
-``qktoledo.cli.main``, as ``tests/argv_digest.py`` does (output captured,
-``$COLUMNS`` pinned to 80), and records each body line the argv runs.
+``qktoledo.cli.main`` with ``tests/argv_digest.py`` (output captured and
+digested, ``$COLUMNS`` pinned to 80), and records each body line the argv
+runs.
 Before each argv it clears what a fresh process would not have: every
 ``functools`` cache of the package and the line memo of
 ``cli._random_negative_line``, so a line that runs once per process counts
@@ -34,20 +35,15 @@ The file name keeps pytest from collecting it.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import importlib.util
 import inspect
-import io
 import os
 import pkgutil
-import shlex
 import sys
 from pathlib import Path
 from unittest import mock
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden" / "argv_digest.txt"
 VERB, SELFTEST = "verb", "selftest"
 
 
@@ -117,11 +113,6 @@ def _module_body(path):
     return body, [(name, first, lines & body) for name, first, lines in functions]
 
 
-def _corpus():
-    return [shlex.split(line.partition("  ")[2])
-            for line in GOLDEN.read_text().splitlines()]
-
-
 def _fresh_process_state(modules) -> None:
     """Clear each functools cache of the package and the CLI's line memo."""
     for module in modules:
@@ -131,18 +122,10 @@ def _fresh_process_state(modules) -> None:
     sys.modules["qktoledo.cli"]._LINES.clear()
 
 
-def _run(main, argv) -> None:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            main(list(argv))
-        except SystemExit:
-            pass
-
-
 def census():
-    """(body, seen): the body lines and functions of each source file, and
-    the (file, line) pairs each argv class ran."""
+    """(body, seen, argv count): the body lines and functions of each source
+    file, the (file, line) pairs each argv class ran, and the number of
+    argv replayed."""
     package = _package_dir()
     files = {str(path) for path in package.glob("*.py")}
     recorder = _Recorder(files)
@@ -157,23 +140,25 @@ def census():
         modules = [importlib.import_module(f"qktoledo.{name}") for name in names]
     finally:
         sys.settrace(None)
-    main = sys.modules["qktoledo.cli"].main
+    # imported only now, since importing it imports qktoledo.cli
+    import argv_digest
+    corpus = argv_digest.corpus()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        for argv in _corpus():
+        for argv in corpus:
             _fresh_process_state(modules)
             recorder.into = seen[SELFTEST if argv[:1] == ["selftest"] else VERB]
             sys.settrace(recorder)
             try:
-                _run(main, argv)
+                argv_digest.digest(argv)
             finally:
                 sys.settrace(None)
-    return {path: _module_body(path) for path in sorted(files)}, seen
+    return {path: _module_body(path) for path in sorted(files)}, seen, len(corpus)
 
 
-def report(body, seen) -> list[str]:
+def report(body, seen, argv_count) -> list[str]:
     """The census table and the function list, as lines of text."""
     widths = (6, 7, 15, 6)
-    lines = [f"line census of {len(_corpus()):,} argv of {GOLDEN.name}; "
+    lines = [f"line census of {argv_count:,} argv of argv_digest.txt; "
              "body lines are the lines of function bodies",
              "",
              f"{'module':16}{'body':>6}{'verb':>7}{'selftest-only':>15}{'none':>6}"]

@@ -214,26 +214,26 @@ MUTANTS = {
         '("LoLperp", "negative")',
         '("LoLperp", "positive")'),
     # the closed-form flag generators of period_triple
-    "l2-row-drops-conj": (
+    "l2-row-drops-sqrt2": (
         "lifting.py",
-        "s01.conj(), s0.conj()",
-        "s01, s0.conj()"),
+        "w0 * v1, w0 * v2",
+        "v0 * v1, w0 * v2"),
     "s2lperp-row-half-sqrt2": (
         "lifting.py",
-        "(ONE, ZERO, c00, ZERO, s0, ZERO)",
-        "(ONE, ZERO, c00, ZERO, HALF_SQRT2 * c0, ZERO)"),
+        "(ONE, ZERO, c0 * c0, ZERO, s0, ZERO)",
+        "(ONE, ZERO, c0 * c0, ZERO, HALF_SQRT2 * c0, ZERO)"),
     "s2lperp-mixed-row-swaps-c0-c1": (
         "lifting.py",
         "(ZERO, ZERO, s01, ONE, c1, c0)",
         "(ZERO, ZERO, s01, ONE, c0, c1)"),
-    "lolperp-row-one-minus": (
+    "lolperp-row-minus": (
         "lifting.py",
-        "ONE + y0 * c0",
-        "ONE - y0 * c0"),
-    "lolperp-row-drops-conj": (
+        "v2 + v0 * c0",
+        "v2 - v0 * c0"),
+    "lolperp-row-conj-c0": (
         "lifting.py",
-        "y0, y1c0.conj(),",
-        "y0, y1c0,"),
+        "v1 * c0),",
+        "v1 * c0.conj()),"),
 }
 
 

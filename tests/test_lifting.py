@@ -383,7 +383,7 @@ def test_period_triple_random_invariants():
     vectors += [_negative_vector_with_specials(r) for _ in range(30)]
     vectors += [_big_negative_vector(r) for _ in range(6)]
     assert sum(any(x.nb or x.nd for x in v) for v in vectors) >= 50
-    # the zero patterns of (v0, v1) off the chart v2 = 1, and the cap
+    # the zero patterns of (v0, v1) with v2 != 1, and the cap vector
     x, v2 = FieldElem(Fraction(1, 3), -1, 0, Fraction(1, 5)), FieldElem(2, 1)
     vectors += [(ZERO, x, v2), (x, ZERO, v2), (ZERO, ZERO, v2), _cap_vector()]
     still = (ZERO, ZERO, ZERO)
