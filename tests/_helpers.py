@@ -375,18 +375,6 @@ FLAG_PAIRS = {"S2Lperp": ((1, 1), (1, 2), (2, 2)), "L2": ((0, 0),),
               "LoLperp": ((0, 1), (0, 2))}
 
 
-def e_product_flag(v):
-    """Reference for ``period_triple``'s spans: each flag component of the
-    line through v as the Subspace spanned by ``lifting._e_product`` of the
-    factor pairs of ``FLAG_PAIRS``, with the line v itself and the basis of
-    ``negative_line_basis``."""
-    vec, (u1, u2) = lifting.negative_line_basis(v)
-    factors = (vec, u1, u2)
-    return {name: Subspace(6, [lifting._e_product(factors[i], factors[j])
-                               for i, j in pairs])
-            for name, pairs in FLAG_PAIRS.items()}
-
-
 def flag_motion(v0, w):
     """The flag along the line curve v0 + t*w in E-coordinates: the spanning
     vectors at time zero of all three components, and for the square of the

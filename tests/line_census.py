@@ -29,7 +29,7 @@ Run it as
 
     PYTHONPATH=src python tests/line_census.py
 
-It uses the standard library alone, takes about half a minute, and exits 0.
+It uses the standard library alone, takes about twenty seconds, and exits 0.
 The file name keeps pytest from collecting it.
 """
 

@@ -20,7 +20,7 @@ from qktoledo.cli import _HALVES, _MAX_VECTOR_BITS, main
 from qktoledo.selftest import ball_tangent, run_selftest
 
 import argv_digest
-from _helpers import (contains, e_product_flag, flag_motion, fold_column,
+from _helpers import (contains, flag_motion, fold_column,
                       full_field_vector, generic_herm_form, jet_flag_motion,
                       jet_horizontality_check, leibniz_bplus_image,
                       mutually_orthogonal, orthogonality_horizontality_check,
@@ -394,7 +394,8 @@ def test_period_triple_random_invariants():
             "positive", "positive", "negative"), v
         assert mutually_orthogonal(triple)
         spans = {name: s for name, s, _ in triple}
-        assert spans == e_product_flag(v), v
+        gens, _ = flag_motion(v, still)
+        assert spans == {name: Subspace(6, g) for name, g in gens.items()}, v
         assert spans == {name: span for name, (span, _)
                          in jet_flag_motion(v, still).items()}, v
 
