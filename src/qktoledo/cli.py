@@ -41,10 +41,12 @@ _MAX_N = 100
 # denominator and numerators.  The largest integer period-triple prints has
 # at most about 3.0 decimal digits per input bit (full-field vectors: four
 # coordinates per component over its own common denominator), so the cap
-# prints at most about 3,100 digits, a margin of 1.4 below CPython's
-# 4,300-digit limit on int-to-str conversion.  The slowest cap vector of
-# the argv digest takes about 0.07 s through ``main`` on one core.
+# prints at most about 3,100 digits, a margin of 1.4 below CPython's default
+# 4,300-digit limit on int-str conversion, which ``main`` sets for every
+# verb.  The slowest cap vector of the argv digest takes about 0.07 s
+# through ``main`` on one core.
 _MAX_VECTOR_BITS = 1024
+_INT_MAX_STR_DIGITS = 4300
 
 
 def _embedding_arg(p) -> None:
@@ -330,12 +332,21 @@ _VERBS = {
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
-    # argparse parses "--opt=--" into an empty list, which no verb expects
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            _usage_error(f"argument --{name.replace('_', '-')}: expected one argument")
-    return _VERBS[args.verb][2](args)
+    # the verb runs under _INT_MAX_STR_DIGITS and the caller's limit comes
+    # back after; an interpreter without the limit has neither function
+    caller = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(_INT_MAX_STR_DIGITS)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        # argparse parses "--opt=--" into an empty list, which no verb expects
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                _usage_error(f"argument --{name.replace('_', '-')}: "
+                             "expected one argument")
+        return _VERBS[args.verb][2](args)
+    finally:
+        set_limit(caller)
 
 
 def run() -> None:

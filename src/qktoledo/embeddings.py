@@ -16,6 +16,8 @@ For the symmetric square, W = Sym^2(C^{2,1}) carries the orthonormal basis
     E4 = sqrt2 e1.e2, E5 = sqrt2 e3.e1, E6 = sqrt2 e3.e2
 
 (u.v = (u@v + v@u)/2) of signature (4,2): E1..E4 positive, E5, E6 negative.
+The E-map is ``sym_to_e_coords(sym_product(u, v))``, and
+``lifting.e_map_certificate`` certifies this E-basis against the ball form.
 ``sym_square_lie`` is the Leibniz-rule differential in this basis, an honest
 Lie algebra homomorphism into su(4,2).  The bounded-domain chart identifies
 the base negative plane through the unnormalized vectors e3.e1, e3.e2, which

@@ -18,21 +18,17 @@ The three flag parts are mutually orthogonal and non-degenerate for the form
 of W, of dimensions 3 + 1 + 2 = 6, so they span W and each fiber part plus
 the mixed plane is exactly the orthocomplement of the other fiber part.
 Horizontality is therefore decided by Hermitian products alone, and the
-identity h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 makes
-each product a sum of terms with a factor h(v0, u_i) in C^{2,1}, zero because
-the ``negative_line_basis`` vectors u_i are orthogonal to v0 (a nonzero one
+identity h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 of the
+E-map ``sym_to_e_coords(sym_product(a, b))`` from ``embeddings`` makes each
+product a sum of terms with a factor h(v0, u_i) in C^{2,1}, zero because the
+``negative_line_basis`` vectors u_i are orthogonal to v0 (a nonzero one
 raises).  So three facts the selftest checks fix both lift-check verdicts
 before any sample is drawn: ``_TWISTOR_OFF`` reads both a1 and a2, so no
 a != 0 lifts to the twistor space; ``_FLAG_OFF`` is empty; and the
 ``e_map_certificate`` identity holds, so every flag sample is horizontal.
 The same identity gives each flag part's Gram matrix in closed form, so
-``period_triple`` reads its definiteness off it and eliminates no Gram matrix.
-It also writes the six flag generators out in closed form, in the
-coordinates of v and the two coordinates c0, c1 of the orthocomplement
-basis (1, 0, c0), (0, 1, c1); the mixed ones are taken times sqrt2, and
-rescaling a generator by a nonzero scalar keeps its span, so the subspaces,
-their canonical rref bases and the Gram-matrix signs are those of the
-E-products.
+``period_triple`` reads its definiteness off it and eliminates no Gram matrix;
+it writes the six flag generators out in closed form too.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -55,7 +51,8 @@ from fractions import Fraction
 
 from .scalars import ZERO, ONE, I, SQRT2, HALF_SQRT2
 from .linalg import Matrix, Subspace, _coerce_row, herm_form, unit_vector
-from .embeddings import BALL_SIG, W_SIG, EmbeddingDiff
+from .embeddings import (BALL_SIG, W_SIG, EmbeddingDiff, sym_product,
+                         sym_to_e_coords)
 
 TWISTOR_H = (0, 0, 0, 0, 1, -1)
 PERIOD_FLAG_H = (1, 1, -3, 1, 0, 0)
@@ -196,18 +193,6 @@ def negative_line_basis(v):
     return vec, ((ONE, ZERO, v0.conj() * inv), (ZERO, ONE, v1.conj() * inv))
 
 
-def _e_product(x, y):
-    """E-coordinates of the symmetric product x.y of two vectors of C^3:
-    x0y0, x1y1, x2y2, (x0y1 + x1y0)/sqrt2, (x2y0 + x0y2)/sqrt2,
-    (x2y1 + x1y2)/sqrt2."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    return (x0 * y0, x1 * y1, x2 * y2,
-            (x0 * y1 + x1 * y0) * HALF_SQRT2,
-            (x2 * y0 + x0 * y2) * HALF_SQRT2,
-            (x2 * y1 + x1 * y2) * HALF_SQRT2)
-
-
 # each flag component: its name and the definiteness of its Gram matrix
 _FLAG_PARTS = (("S2Lperp", "positive"), ("L2", "positive"), ("LoLperp", "negative"))
 
@@ -266,23 +251,23 @@ def period_triple(v) -> tuple:
 @functools.cache
 def e_map_certificate():
     """Check h_W(E(a.b), E(c.d)) = (h(a,c) h(b,d) + h(a,d) h(b,c)) / 2 on
-    the 6 x 6 pairs of basis products, once per process.
+    the 6 x 6 ordered pairs of basis products, once per process.
 
-    E is ``_e_product`` and h the (2,1) form.  Both sides are bilinear in
-    (a, b), conjugate-bilinear in (c, d) and symmetric within each pair, so
-    agreement on the products e_i.e_j (i <= j) proves the identity on all of
-    C^{2,1}.  Returns None, or the first pair that disagrees as 1-based
-    ((i, j), (k, l), got, want).
+    E is ``sym_to_e_coords(sym_product(a, b))``, the E-map of ``embeddings``
+    that defines W's basis, and h the (2,1) form.  Both sides are bilinear
+    in (a, b), conjugate-bilinear in (c, d) and symmetric within each pair,
+    so agreement on the products e_i.e_j (i <= j), each mapped once, proves
+    the identity on all of C^{2,1}.  Returns None, or the first pair that
+    disagrees as 1-based ((i, j), (k, l), got, want).
     """
     basis = [unit_vector(3, k) for k in range(3)]
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    for i, j in pairs:
-        for k, l in pairs:
-            a, b, c, d = basis[i], basis[j], basis[k], basis[l]
-            got = herm_form(_e_product(a, b), _e_product(c, d), W_SIG)
-            want = (herm_form(a, c, BALL_SIG) * herm_form(b, d, BALL_SIG)
-                    + herm_form(a, d, BALL_SIG) * herm_form(b, c, BALL_SIG)
-                    ) * Fraction(1, 2)
+    h = [[herm_form(x, y, BALL_SIG) for y in basis] for x in basis]
+    products = [((i, j), sym_to_e_coords(sym_product(basis[i], basis[j])))
+                for i in range(3) for j in range(i, 3)]
+    for (i, j), p in products:
+        for (k, l), q in products:
+            got = herm_form(p, q, W_SIG)
+            want = (h[i][k] * h[j][l] + h[i][l] * h[j][k]) * Fraction(1, 2)
             if got != want:
                 return (i + 1, j + 1), (k + 1, l + 1), got, want
     return None

@@ -375,6 +375,13 @@ FLAG_PAIRS = {"S2Lperp": ((1, 1), (1, 2), (2, 2)), "L2": ((0, 0),),
               "LoLperp": ((0, 1), (0, 2))}
 
 
+def e_product(x, y):
+    """E-coordinates of the symmetric product x.y by the E-map that
+    ``lifting.e_map_certificate`` certifies, looked up through ``lifting``
+    on every call, so a patched E-map shows here."""
+    return lifting.sym_to_e_coords(lifting.sym_product(x, y))
+
+
 def flag_motion(v0, w):
     """The flag along the line curve v0 + t*w in E-coordinates: the spanning
     vectors at time zero of all three components, and for the square of the
@@ -386,10 +393,9 @@ def flag_motion(v0, w):
     which keeps it orthogonal to the moving line.  A factor pair (x, y)
     spans E(x.y) at time zero, and by the product rule its derivative is
     E(x'.y) + E(x.y').  The mixed plane's own motion is the base motion of
-    the flag, so its derivatives are not needed.  E is looked up as
-    ``lifting._e_product`` on every call, so a patched E-map shows here.
+    the flag, so its derivatives are not needed.  E is ``e_product``, so
+    a patched E-map shows here.
     """
-    e_product = lifting._e_product
     vec, (u1, u2) = lifting.negative_line_basis(v0)
     hvv = herm_form(vec, vec, BALL_SIG)
     cs = [-(herm_form(u, w, BALL_SIG) / hvv) for u in (u1, u2)]
@@ -450,8 +456,8 @@ def rref_horizontality_check(v0, w):
 
 def jet_horizontality_check(v0, w):
     """Reference for ``horizontality_check``: span membership on the jet
-    flag motion of ``jet_flag_motion``, which builds E-coordinates from
-    tensors and never calls ``lifting._e_product``."""
+    flag motion of ``jet_flag_motion``, which differentiates by the
+    Leibniz rule of jets, not by the product rule on exact vectors."""
     motion = jet_flag_motion(v0, w)
     return _moves_inside({name: list(span.basis) for name, (span, _) in motion.items()},
                          {name: derivs for name, (_, derivs) in motion.items()})

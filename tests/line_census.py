@@ -3,8 +3,9 @@
 The script imports every module of ``src/qktoledo`` under ``sys.settrace``,
 then replays each argv of ``tests/golden/argv_digest.txt`` through
 ``qktoledo.cli.main`` with ``tests/argv_digest.py`` (output captured and
-digested, ``$COLUMNS`` pinned to 80), and records each body line the argv
-runs.
+digested, ``$COLUMNS`` pinned to 80), and the first argv once more through
+``qktoledo.cli.run``, the console entry point that calls ``main``, and
+records each body line the argv runs.
 Before each argv it clears what a fresh process would not have: every
 ``functools`` cache of the package and the line memo of
 ``cli._random_negative_line``, so a line that runs once per process counts
@@ -35,9 +36,11 @@ The file name keeps pytest from collecting it.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 import pkgutil
 import sys
@@ -122,6 +125,18 @@ def _fresh_process_state(modules) -> None:
     sys.modules["qktoledo.cli"]._LINES.clear()
 
 
+def _run_entry_point(argv) -> None:
+    """Run argv through ``cli.run`` as its process would, with ``sys.argv``
+    set, the output discarded and the ``SystemExit`` that ends it caught."""
+    with mock.patch.object(sys, "argv", ["qktoledo", *argv]), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            sys.modules["qktoledo.cli"].run()
+        except SystemExit:
+            pass
+
+
 def census():
     """(body, seen, argv count): the body lines and functions of each source
     file, the (file, line) pairs each argv class ran, and the number of
@@ -143,13 +158,17 @@ def census():
     # imported only now, since importing it imports qktoledo.cli
     import argv_digest
     corpus = argv_digest.corpus()
+    # each argv is digested through main; the first is also run through
+    # cli.run, the entry point of every process, which main's callers skip
+    replays = [(argv, argv_digest.digest) for argv in corpus]
+    replays.append((corpus[0], _run_entry_point))
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        for argv in corpus:
+        for argv, replay in replays:
             _fresh_process_state(modules)
             recorder.into = seen[SELFTEST if argv[:1] == ["selftest"] else VERB]
             sys.settrace(recorder)
             try:
-                argv_digest.digest(argv)
+                replay(argv)
             finally:
                 sys.settrace(None)
     return {path: _module_body(path) for path in sorted(files)}, seen, len(corpus)

@@ -209,6 +209,20 @@ MUTANTS = {
         "lifting.py",
         "    if failure is not None:\n        raise ValueError(f\"the E-map",
         "    if False:\n        raise ValueError(f\"the E-map"),
+    # the E-map that defines W's basis, and the identity certified on it
+    "e-map-e4-drops-sqrt2": (
+        "embeddings.py",
+        "SQRT2 * grid[0][1]",
+        "grid[0][1]"),
+    "certificate-drops-half": (
+        "lifting.py",
+        "h[i][l] * h[j][k]) * Fraction(1, 2)",
+        "h[i][l] * h[j][k])"),
+    # main leaves the int digit limit at the default it runs the verb under
+    "int-digit-limit-not-restored": (
+        "cli.py",
+        "        set_limit(caller)\n",
+        "        pass\n"),
     "lolperp-label-positive": (
         "lifting.py",
         '("LoLperp", "negative")',

@@ -486,9 +486,11 @@ def test_period_triple_positive_vector_fails(capsys):
     assert "negative" in err
 
 
-def _fresh_python(*args):
-    """Run ``python *args`` in a new interpreter with ``src`` on its path."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _fresh_python(*args, **environ):
+    """Run ``python *args`` in a new interpreter with ``src`` on its path
+    and the environment variables environ set, one given as None unset."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **environ)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=60)
 
@@ -509,6 +511,46 @@ def test_cli_import_loads_neither_dataclasses_nor_selftest():
     added = set(proc.stdout.split())
     assert {"qktoledo.cli", "qktoledo.lifting"} <= added
     assert not added & {"dataclasses", "inspect", "qktoledo.selftest"}
+
+
+def test_verbs_run_under_the_default_int_digit_limit():
+    # main runs each verb under CPython's default 4,300-digit limit on
+    # int-to-str and str-to-int conversion, which the vector cap is computed
+    # against, so a lower or no limit set in the environment changes no
+    # output: the cap vector prints, and the nines product is read and
+    # refused at the cap
+    argvs = [["period-triple", "--vector", full_field_vector(_MAX_VECTOR_BITS),
+              "--json"],
+             ["period-triple", "--vector", f"0,0,{_NINES}*{_NINES}"]]
+    assert all(argv in argv_digest.corpus() for argv in argvs)
+
+    def outputs(digits):
+        procs = [_fresh_python("-m", "qktoledo.cli", *argv,
+                               PYTHONINTMAXSTRDIGITS=digits) for argv in argvs]
+        return [(proc.returncode, proc.stdout, proc.stderr) for proc in procs]
+
+    want = outputs(None)
+    assert [code for code, _, _ in want] == [0, 2]
+    assert want[0][2] == "" and "exceeds 1024 bits" in want[1][2]
+    assert outputs("640") == want
+    assert outputs("0") == want
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int digit limit in this interpreter")
+def test_main_restores_the_callers_int_digit_limit(capsys):
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "period-triple", "--vector",
+                                 full_field_vector(_MAX_VECTOR_BITS))
+        assert (code, err) == (0, "") and "negative" in out
+        assert sys.get_int_max_str_digits() == 640
+        with pytest.raises(SystemExit):
+            main(["period-triple", "--vector", f"0,0,{_NINES}*{_NINES}"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(caller)
 
 
 def test_selftest_verb_in_a_fresh_process():

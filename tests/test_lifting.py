@@ -20,7 +20,7 @@ from qktoledo.cli import _HALVES, _MAX_VECTOR_BITS, main
 from qktoledo.selftest import ball_tangent, run_selftest
 
 import argv_digest
-from _helpers import (contains, flag_motion, fold_column,
+from _helpers import (contains, e_product, flag_motion, fold_column,
                       full_field_vector, generic_herm_form, jet_flag_motion,
                       jet_horizontality_check, leibniz_bplus_image,
                       mutually_orthogonal, orthogonality_horizontality_check,
@@ -377,7 +377,7 @@ def test_period_triple_random_invariants():
     # of the subspace returned with it is the independent oracle.  Each
     # span is written out in closed form; its oracles are the span of the
     # generic E-products of the factor pairs and the jet flag at rest,
-    # which never calls _e_product
+    # whose products are jet tensors
     r = rng(607)
     vectors = [rand_negative_vector(r) for _ in range(50)]
     vectors += [_negative_vector_with_specials(r) for _ in range(30)]
@@ -453,7 +453,7 @@ def test_e_map_identity_on_random_quadruples():
     assert lifting.e_map_certificate() is None
     for _ in range(300):
         a, b, c, d = (tuple(rand_field_elem(r) for _ in range(3)) for _ in range(4))
-        got = herm_form(lifting._e_product(a, b), lifting._e_product(c, d), W_SIG)
+        got = herm_form(e_product(a, b), e_product(c, d), W_SIG)
         assert got == (_h(a, c) * _h(b, d) + _h(a, d) * _h(b, c)) * Fraction(1, 2)
 
 
@@ -461,13 +461,13 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
     # dropping the 1/sqrt2 on E4 is a linear change of coordinates, which
     # span membership cannot see; it breaks the E-map identity, so the
     # certificate, the selftest and every u3u1u2 lift-check fail
-    exact = lifting._e_product
+    exact = lifting.sym_to_e_coords
 
-    def unscaled_e4(x, y):
-        coords = exact(x, y)
+    def unscaled_e4(grid):
+        coords = exact(grid)
         return coords[:3] + (coords[3] * SQRT2,) + coords[4:]
 
-    monkeypatch.setattr(lifting, "_e_product", unscaled_e4)
+    monkeypatch.setattr(lifting, "sym_to_e_coords", unscaled_e4)
     lifting.e_map_certificate.cache_clear()
     try:
         # E(e1.e2) = E4 now has square norm 1 instead of 1/2
@@ -500,6 +500,26 @@ def test_orthogonality_check_catches_a_rescaled_coordinate(monkeypatch, capsys):
             w = rand_orthogonal_direction(r, v0)
             assert rref_horizontality_check(v0, w)
             assert not horizontality_check(v0, w)
+    finally:
+        lifting.e_map_certificate.cache_clear()
+
+
+def test_e_map_certificate_maps_each_basis_product_once(monkeypatch):
+    # six basis products e_i.e_j (i <= j), each through the E-map once; the
+    # 36 ordered pairs reuse them
+    calls = []
+    exact = lifting.sym_to_e_coords
+
+    def counted(grid):
+        calls.append(grid)
+        return exact(grid)
+
+    monkeypatch.setattr(lifting, "sym_to_e_coords", counted)
+    lifting.e_map_certificate.cache_clear()
+    try:
+        assert lifting.e_map_certificate() is None
+        assert len(calls) == 6
+        assert lifting.e_map_certificate() is None and len(calls) == 6
     finally:
         lifting.e_map_certificate.cache_clear()
 
