@@ -27,8 +27,8 @@ before any sample is drawn: ``_TWISTOR_OFF`` reads both a1 and a2, so no
 a != 0 lifts to the twistor space; ``_FLAG_OFF`` is empty; and the
 ``e_map_certificate`` identity holds, so every flag sample is horizontal.
 The same identity gives each flag part's Gram matrix in closed form, so
-``period_triple`` reads its definiteness off it and eliminates no Gram matrix;
-it writes the six flag generators out in closed form too.
+``period_triple`` reads its definiteness off it; it writes each part's reduced
+row echelon basis out in closed form too, so it eliminates nothing.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -37,11 +37,12 @@ means the image is in the pattern.  Both pattern checks read
 ``_IOTA_SUPPORT``, the six nonzero entries of the image, and evaluate only
 the entries outside the grading mask: three for the twistor grading, none
 for the flag grading.  ``iota_star_bplus`` builds the dense matrix from the
-same table.  ``period_triple`` returns the flag as (name, Subspace,
-definiteness) triples named S2Lperp, L2 and LoLperp.  ``classify`` is the
-one linearity classification of a differential: it evaluates the map on the
-real basis once and returns every component verdict, the two column
-verdicts and the twistor-lift condition.
+same table.  ``period_triple`` returns the flag as (name, rows,
+definiteness) triples named S2Lperp, L2 and LoLperp, the rows a part's rref
+basis as a tuple of 6-tuples.  ``classify`` is the one linearity
+classification of a differential: it evaluates the map on the real basis
+once and returns every component verdict, the two column verdicts and the
+twistor-lift condition.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import functools
 from fractions import Fraction
 
 from .scalars import ZERO, ONE, I, SQRT2, HALF_SQRT2
-from .linalg import Matrix, Subspace, _coerce_row, herm_form, unit_vector
+from .linalg import Matrix, _coerce_row, herm_form, unit_vector
 from .embeddings import (BALL_SIG, W_SIG, EmbeddingDiff, sym_product,
                          sym_to_e_coords)
 
@@ -198,23 +199,29 @@ _FLAG_PARTS = (("S2Lperp", "positive"), ("L2", "positive"), ("LoLperp", "negativ
 
 
 def period_triple(v) -> tuple:
-    """The flag of the negative line through v: (name, Subspace,
-    definiteness) triples in W, in the order S2Lperp (Sym^2 of the
-    orthocomplement), L2 (square of the line), LoLperp (mixed plane).
+    """The flag of the negative line through v: (name, rows, definiteness)
+    triples in W, in the order S2Lperp (Sym^2 of the orthocomplement), L2
+    (square of the line), LoLperp (mixed plane); rows is the part's reduced
+    row echelon basis, a tuple of 6-tuples.
 
-    The generators are the E-coordinates of the products u1.u1, u1.u2,
-    u2.u2, v.v, v.u1 and v.u2, written out in the coordinates of v and the
-    two coordinates c0, c1 of the orthocomplement basis u1 = (1, 0, c0),
-    u2 = (0, 1, c1) of ``negative_line_basis``.  The mixed products are
-    taken times sqrt2, so that every sqrt2 in the rows is one of sqrt2*c0,
-    sqrt2*c1, sqrt2*c0*c1, sqrt2*v0 or sqrt2*v1: fifteen products and five
-    scalings in all.  A nonzero rescaling of a generator keeps its span, so
-    each Subspace, whose rref basis is unique per span, is that of the
-    E-products.  The line is not rescaled to the chart v/v2 = (conj c0,
-    conj c1, 1), which would save nine products: its rows would then carry
-    the inverse of v2, whose coefficients are about four times as long as
-    those of v, and on long input their rref takes longer than the products
-    save.
+    Each part is spanned by the E-coordinates of its products: u1.u1,
+    u1.u2, u2.u2; v.v; v.u1, v.u2, with u1 = (1, 0, c0), u2 = (0, 1, c1)
+    the orthocomplement basis of ``negative_line_basis``.  A reduced row
+    echelon basis is unique per span, so the rows are written out as the
+    rref of those products, and nothing is eliminated here.
+
+    When v0 v1 != 0 every inverse comes from i0 = 1/v0 and i1 = 1/v1, since
+    1/c0 = conj(v2 i0) and 1/c1 = conj(v2 i1).  With h = 1/sqrt2, t = v1 i0,
+    u = v2 i0, s = v0 i1 and w = v2 i1, so that c0/c1 = conj(s) and c1/c0 =
+    conj(t): L2 is E(v.v)/v0^2 = (1, t^2, u^2, sqrt2 t, sqrt2 u, sqrt2 t u);
+    LoLperp is E(v.u1)/v0 and E(v.u2)/v1, pivots E1 and E2; S2Lperp is
+    E(u1.u1) and E(u2.u2), pivots E1 and E2, with their E3 entries cleared
+    by E(u1.u2)/(c0 c1) = (0, 0, 1, p, c1 p, c0 p), p = h conj(u w).  That
+    clearing is the one elimination the generic case needs.  When v0 = 0 or
+    v1 = 0, so that c0 = 0 or c1 = 0, no product of a part has a nonzero
+    entry in the leading column of another, so each part's rref is its
+    products, each scaled by the inverse of its leading entry, in pivot
+    order.
 
     The definiteness is read off the identity of ``e_map_certificate``
     with h(v, u_i) = 0: the Gram matrix of L2 is h(v,v)^2 > 0, that of
@@ -229,9 +236,38 @@ def period_triple(v) -> tuple:
     failure = e_map_certificate()
     if failure is not None:
         raise ValueError(f"the E-map identity fails: {e_map_failure(failure)}")
+    if v0 and v1:
+        rows = _generic_flag(v0, v1, v2, c0, c1)
+    else:
+        rows = _special_flag(v0, v1, v2, c0, c1)
+    return tuple((name, part, definiteness)
+                 for (name, definiteness), part in zip(_FLAG_PARTS, rows))
+
+
+def _generic_flag(v0, v1, v2, c0, c1) -> tuple:
+    """The three rref bases of ``period_triple`` when v0 v1 != 0."""
+    i0, i1 = v0.inverse(), v1.inverse()
+    t, u, s, w = v1 * i0, v2 * i0, v0 * i1, v2 * i1
+    q01, q10 = s.conj(), t.conj()
+    h = HALF_SQRT2
+    hc0, hc1, ht, hs = h * c0, h * c1, h * t, h * s
+    p = h * (u * w).conj()
+    st = SQRT2 * t
+    return (
+        ((ONE, ZERO, ZERO, -(h * q01), hc0, -(hc0 * q01)),
+         (ZERO, ONE, ZERO, -(h * q10), -(hc1 * q10), hc1),
+         (ZERO, ZERO, ONE, p, c1 * p, c0 * p)),
+        ((ONE, t * t, u * u, st, SQRT2 * u, st * u),),
+        ((ONE, ZERO, c0 * u, ht, h * (u + c0), ht * c0),
+         (ZERO, ONE, c1 * w, hs, hs * c1, h * (w + c1))),
+    )
+
+
+def _special_flag(v0, v1, v2, c0, c1) -> tuple:
+    """The three rref bases of ``period_triple`` when v0 = 0 or v1 = 0."""
     s0, s1, s01 = SQRT2 * c0, SQRT2 * c1, SQRT2 * (c0 * c1)
     w0, w1 = SQRT2 * v0, SQRT2 * v1
-    rows = (
+    products = (
         # E(u1.u1), sqrt2 E(u1.u2), E(u2.u2)
         ((ONE, ZERO, c0 * c0, ZERO, s0, ZERO),
          (ZERO, ZERO, s01, ONE, c1, c0),
@@ -242,8 +278,19 @@ def period_triple(v) -> tuple:
         ((w0, ZERO, s0 * v2, v1, v2 + v0 * c0, v1 * c0),
          (ZERO, w1, s1 * v2, v0, v0 * c1, v2 + v1 * c1)),
     )
-    return tuple((name, Subspace(6, gens), definiteness)
-                 for (name, definiteness), gens in zip(_FLAG_PARTS, rows))
+    return tuple(map(_scaled_in_pivot_order, products))
+
+
+def _scaled_in_pivot_order(gens) -> tuple:
+    """Each generator times the inverse of its leading entry, ordered by
+    the column of that entry: the rref when no generator has a nonzero
+    entry in another's leading column."""
+    rows = []
+    for gen in gens:
+        k = next(k for k, x in enumerate(gen) if x)
+        inv = gen[k].inverse()
+        rows.append((k, tuple(x * inv for x in gen)))
+    return tuple(row for _, row in sorted(rows, key=lambda kr: kr[0]))
 
 
 # -- horizontality along first-order curves ------------------------------------

@@ -369,8 +369,8 @@ def leibniz_bplus_image(a):
 
 
 # the factor pairs spanning each flag component, indexing (line, u1, u2):
-# the generic construction that ``lifting.period_triple`` writes out in
-# closed form
+# the generic construction whose rref bases ``lifting.period_triple`` writes
+# out in closed form
 FLAG_PAIRS = {"S2Lperp": ((1, 1), (1, 2), (2, 2)), "L2": ((0, 0),),
               "LoLperp": ((0, 1), (0, 2))}
 
@@ -474,9 +474,9 @@ def orthogonality_horizontality_check(v0, w):
 
 
 def mutually_orthogonal(parts):
-    """True iff the (name, subspace, definiteness) parts are pairwise
-    orthogonal in W."""
-    spaces = [s for _, s, _ in parts]
+    """True iff the (name, rows, definiteness) parts of ``period_triple``
+    are pairwise orthogonal in W."""
+    spaces = [rows for _, rows, _ in parts]
     return not any(herm_form(u, v, W_SIG)
                    for i, a in enumerate(spaces) for b in spaces[i + 1:]
-                   for u in a.basis for v in b.basis)
+                   for u in a for v in b)

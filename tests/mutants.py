@@ -12,9 +12,10 @@ pytest's first error line when pytest exits with a code other than 0 or 1
 (a collection or usage error shows no test catching the mutant, so it is
 not a kill), or ``timed out`` when pytest is still running after
 ``TIMEOUT`` seconds; a timed out copy is stopped with everything it
-started.  At most two copies run at once.  A
-mutant whose old text is missing, or occurs more than once, stops the run
-before anything is copied, and so does a control copy with no replacement
+started.  At most two copies run at once.  SIGTERM or SIGINT stops the
+running copies the same way, removes their directories and exits with 128
+plus the signal number.  A mutant whose old text is missing, or occurs more
+than once, stops the run before anything is copied, and so does a control copy with no replacement
 that fails its tests or times out, so neither a mutant that no longer
 applies nor a broken copy can pass as killed.
 
@@ -36,6 +37,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -43,6 +45,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src", "qktoledo")
 WORKERS = 2
 TIMEOUT = 300      # seconds per copy; the whole suite takes about 20
+
+# the pytest process of every running copy, and whether a signal has asked
+# the run to stop; a copy starts and registers its process under the lock
+_LOCK = threading.Lock()
+_RUNNING = set()
+_STOPPING = threading.Event()
 
 # name: (file under src/qktoledo, old text, new text)
 MUTANTS = {
@@ -227,27 +235,50 @@ MUTANTS = {
         "lifting.py",
         '("LoLperp", "negative")',
         '("LoLperp", "positive")'),
-    # the closed-form flag generators of period_triple
+    # the closed-form rref bases of period_triple
     "l2-row-drops-sqrt2": (
         "lifting.py",
-        "w0 * v1, w0 * v2",
-        "v0 * v1, w0 * v2"),
+        "SQRT2 * u, st * u",
+        "u, st * u"),
     "s2lperp-row-half-sqrt2": (
         "lifting.py",
-        "(ONE, ZERO, c0 * c0, ZERO, s0, ZERO)",
-        "(ONE, ZERO, c0 * c0, ZERO, HALF_SQRT2 * c0, ZERO)"),
+        "(ONE, ZERO, ZERO, -(h * q01), hc0,",
+        "(ONE, ZERO, ZERO, -(h * q01), SQRT2 * c0,"),
     "s2lperp-mixed-row-swaps-c0-c1": (
         "lifting.py",
-        "(ZERO, ZERO, s01, ONE, c1, c0)",
-        "(ZERO, ZERO, s01, ONE, c0, c1)"),
+        "(ZERO, ZERO, ONE, p, c1 * p, c0 * p)",
+        "(ZERO, ZERO, ONE, p, c0 * p, c1 * p)"),
     "lolperp-row-minus": (
         "lifting.py",
-        "v2 + v0 * c0",
-        "v2 - v0 * c0"),
+        "h * (u + c0)",
+        "h * (u - c0)"),
     "lolperp-row-conj-c0": (
         "lifting.py",
-        "v1 * c0),",
-        "v1 * c0.conj()),"),
+        "ht * c0)",
+        "ht * c0.conj())"),
+    "lolperp-row-drops-h": (
+        "lifting.py",
+        "h * (w + c1)",
+        "(w + c1)"),
+    "s2lperp-rows-out-of-pivot-order": (
+        "lifting.py",
+        "        ((ONE, ZERO, ZERO, -(h * q01), hc0, -(hc0 * q01)),\n"
+        "         (ZERO, ONE, ZERO, -(h * q10), -(hc1 * q10), hc1),\n",
+        "        ((ZERO, ONE, ZERO, -(h * q10), -(hc1 * q10), hc1),\n"
+        "         (ONE, ZERO, ZERO, -(h * q01), hc0, -(hc0 * q01)),\n"),
+    # the first S2Lperp row left as E(u1.u1), its E3 column not cleared
+    "s2lperp-row-keeps-e3": (
+        "lifting.py",
+        "(ONE, ZERO, ZERO, -(h * q01), hc0, -(hc0 * q01))",
+        "(ONE, ZERO, c0 * c0, ZERO, SQRT2 * c0, ZERO)"),
+    "generic-flag-or": (
+        "lifting.py",
+        "if v0 and v1:",
+        "if v0 or v1:"),
+    "special-flag-skips-pivot-order": (
+        "lifting.py",
+        "sorted(rows, key=lambda kr: kr[0])",
+        "rows"),
 }
 
 
@@ -275,8 +306,9 @@ def _test_files(copy) -> list[str]:
 def run_mutant(name) -> tuple[str, str]:
     """(verdict, detail) with the mutant applied: ("killed", first failing
     test), ("survived", "") if every test passes, ("broken", pytest's first
-    error line) or ("timed out", ...); the name None runs the control copy,
-    with no replacement."""
+    error line), ("timed out", ...) or ("stopped", "") once a signal has
+    asked the run to stop; the name None runs the control copy, with no
+    replacement."""
     with tempfile.TemporaryDirectory(prefix="qktoledo-mutant-") as tmp:
         copy = Path(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -285,18 +317,30 @@ def run_mutant(name) -> tuple[str, str]:
             path, old, new = MUTANTS[name]
             target = copy / PACKAGE / path
             target.write_text(target.read_text().replace(old, new))
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        # a session of its own, so a timeout stops the processes tests start
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *_test_files(copy)], cwd=copy, env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, start_new_session=True)
+        # the copy's own temporary files go under its directory too, so
+        # they go with it even when its tests are killed
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
+                   TMPDIR=tmp)
+        with _LOCK:
+            if _STOPPING.is_set():
+                return "stopped", ""
+            # a session of its own, so a timeout or a signal stops the
+            # processes tests start
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider", *_test_files(copy)], cwd=copy, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True)
+            _RUNNING.add(proc)
         try:
             stdout, stderr = proc.communicate(timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
             return "timed out", f"after {TIMEOUT} s"
+        finally:
+            with _LOCK:
+                _RUNNING.discard(proc)
     # pytest exits 1 when a test failed; any other nonzero code (a usage or
     # collection error) would not show that a test caught the mutant
     if proc.returncode not in (0, 1):
@@ -311,21 +355,42 @@ def run_mutant(name) -> tuple[str, str]:
                           "pytest exited 1")
 
 
+def _on_signal(signum, frame):
+    """Kill the process group of every running copy, so that each worker's
+    temporary directory is removed as its copy ends, and let no other copy
+    start; then exit through the pool's shutdown, which waits for that."""
+    with _LOCK:
+        _STOPPING.set()
+        for proc in _RUNNING:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    print(f"stopped by signal {signum}", file=sys.stderr)
+    sys.exit(128 + signum)
+
+
 def main() -> int:
     for name in MUTANTS:
         _check_applies(name)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _on_signal)
     verdicts = []
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        runs = pool.map(run_mutant, [None, *MUTANTS])
-        control, detail = next(runs)
-        if control != "survived":
+        try:
+            runs = pool.map(run_mutant, [None, *MUTANTS])
+            control, detail = next(runs)
+            if control != "survived":
+                _stop(f"control: the unmutated copy did not pass ({control}): "
+                      f"{detail}")
+            for name, (verdict, detail) in zip(MUTANTS, runs):
+                verdicts.append(verdict)
+                print(f"{verdict:9}  {name}  ({MUTANTS[name][0]})  "
+                      f"{detail}".rstrip(), flush=True)
+        except SystemExit:
+            # a failing control or a signal: start no other copy
             pool.shutdown(cancel_futures=True)
-            _stop(f"control: the unmutated copy did not pass ({control}): "
-                  f"{detail}")
-        for name, (verdict, detail) in zip(MUTANTS, runs):
-            verdicts.append(verdict)
-            print(f"{verdict:9}  {name}  ({MUTANTS[name][0]})  {detail}".rstrip(),
-                  flush=True)
+            raise
     killed = verdicts.count("killed")
     print(f"{killed} killed, {verdicts.count('survived')} survived, "
           f"{verdicts.count('broken')} broken, "

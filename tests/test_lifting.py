@@ -15,7 +15,7 @@ from qktoledo import (BALL_SIG, W_SIG, EmbeddingDiff, FieldElem,
                       negative_line_basis, period_triple, su21_p_matrix,
                       sym_product, sym_to_e_coords,
                       parse_field_elem, twistor_nonlift_check, unit_vector)
-from qktoledo import lifting
+from qktoledo import lifting, linalg
 from qktoledo.cli import _HALVES, _MAX_VECTOR_BITS, main
 from qktoledo.selftest import ball_tangent, run_selftest
 
@@ -260,9 +260,14 @@ def test_conjugate_linearity_matches_real_block_criterion():
 
 # -- flags of negative lines -----------------------------------------------------
 
+def _spans(triple):
+    """Each part's rows as a Subspace: the rref oracle of its span."""
+    return tuple(Subspace(6, rows) for _, rows, _ in triple)
+
+
 def _definiteness(triple):
     """The definiteness of each part by inertia, the labels' oracle."""
-    return tuple(s.definiteness(W_SIG) for _, s, _ in triple)
+    return tuple(s.definiteness(W_SIG) for s in _spans(triple))
 
 
 def _labels(triple):
@@ -273,19 +278,20 @@ def test_period_triple_base_point():
     # the subspaces and their definiteness are a selftest registry check
     triple = period_triple(unit_vector(3, 2))
     assert tuple(name for name, _, _ in triple) == ("S2Lperp", "L2", "LoLperp")
-    assert tuple(s.dim for _, s, _ in triple) == (3, 1, 2)
+    assert tuple(s.dim for s in _spans(triple)) == (3, 1, 2)
     assert mutually_orthogonal(triple)
 
 
 def test_period_triple_shifted_line():
     v = (FieldElem(Fraction(1, 2)), ZERO, ONE)
     triple = period_triple(v)
-    assert tuple(s.dim for _, s, _ in triple) == (3, 1, 2)
+    spans = _spans(triple)
+    assert tuple(s.dim for s in spans) == (3, 1, 2)
     assert _definiteness(triple) == _labels(triple) == (
         "positive", "positive", "negative")
     assert mutually_orthogonal(triple)
     coords = sym_to_e_coords(sym_product(v, v))
-    assert contains(triple[1][1], coords)
+    assert contains(spans[1], coords)
 
 
 def _negative_vector_with_specials(r):
@@ -374,10 +380,11 @@ def _cap_vector():
 
 def test_period_triple_random_invariants():
     # each label is read off the E-map identity; inertia of the Gram matrix
-    # of the subspace returned with it is the independent oracle.  Each
-    # span is written out in closed form; its oracles are the span of the
-    # generic E-products of the factor pairs and the jet flag at rest,
-    # whose products are jet tensors
+    # of the rows returned with it is the independent oracle.  Each rref
+    # basis is written out in closed form; its oracles are rref itself (the
+    # rows reduce to themselves), the span of the generic E-products of
+    # the factor pairs and the jet flag at rest, whose products are jet
+    # tensors
     r = rng(607)
     vectors = [rand_negative_vector(r) for _ in range(50)]
     vectors += [_negative_vector_with_specials(r) for _ in range(30)]
@@ -389,15 +396,43 @@ def test_period_triple_random_invariants():
     still = (ZERO, ZERO, ZERO)
     for v in vectors:
         triple = period_triple(v)
-        assert tuple(s.dim for _, s, _ in triple) == (3, 1, 2)
+        spans = {name: Subspace(6, rows) for name, rows, _ in triple}
+        assert all(spans[name].basis == rows for name, rows, _ in triple), v
+        assert tuple(s.dim for s in spans.values()) == (3, 1, 2)
         assert _labels(triple) == _definiteness(triple) == (
             "positive", "positive", "negative"), v
         assert mutually_orthogonal(triple)
-        spans = {name: s for name, s, _ in triple}
         gens, _ = flag_motion(v, still)
         assert spans == {name: Subspace(6, g) for name, g in gens.items()}, v
         assert spans == {name: span for name, (span, _)
                          in jet_flag_motion(v, still).items()}, v
+
+
+def test_period_triple_verb_eliminates_nothing(monkeypatch, capsys):
+    # the rows are written out as rref bases, so no verb but selftest
+    # needs the elimination: with it raising, a generic vector and the
+    # three zero patterns of (v0, v1) print the same bytes
+    x, v2 = str(FieldElem(Fraction(1, 3), -1, 0, Fraction(1, 5))), "2 + i"
+    argvs = [["period-triple", "--vector", ",".join(v), *fmt]
+             for v in ((x, x, v2), ("0", x, v2), (x, "0", v2), ("0", "0", v2))
+             for fmt in ((), ("--json",))]
+
+    def outputs():
+        got = []
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            got.append(capsys.readouterr())
+        return got
+
+    want = outputs()
+
+    def no_rref(*args):
+        raise AssertionError("linalg._rref called")
+
+    monkeypatch.setattr(linalg, "_rref", no_rref)
+    with pytest.raises(AssertionError):
+        Subspace(6, [unit_vector(6, 0)])
+    assert outputs() == want
 
 
 # -- horizontality ----------------------------------------------------------------

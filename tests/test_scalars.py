@@ -345,7 +345,8 @@ def test_values_copy_and_pickle():
               Quat(I, SQRT2), JetScalar(1, HALF_SQRT2), Matrix.diagonal((1, 1)),
               TangentVec([[ONE, I]]), Subspace(3, [(ONE, I, ZERO), (ONE, ONE, ONE)]),
               pullback_constant(make_embedding("rho")),
-              composition_invariant(2, 3, 7), period_triple((0, 0, 1))]
+              composition_invariant(2, 3, 7), period_triple((0, 0, 1)),
+              Subspace(6, period_triple((0, 0, 1))[0][1])]
     for value in values:
         # rendered first, so a copy starts from a value that holds its text
         text = repr(value)
