@@ -24,12 +24,7 @@ from .lifting import (_orthocomplement, classify, holomorphy_check_u3u1u2,
                       horizontality_along, is_negative, period_triple,
                       twistor_nonlift_check)
 
-_CLI_EMBEDDINGS = {
-    "rho": "rho",
-    "totally-real": "totally_real",
-    "phi": "phi",
-    "sym-square": "sym_square",
-}
+_CLI_EMBEDDINGS = ("phi", "rho", "sym-square", "totally-real")
 
 # Upper bounds on the two size arguments.  Run time grows linearly with
 # --samples (each sample is written as it is decided, so memory does not
@@ -50,7 +45,7 @@ _INT_MAX_STR_DIGITS = 4300
 
 
 def _embedding_arg(p) -> None:
-    p.add_argument("--embedding", required=True, choices=sorted(_CLI_EMBEDDINGS))
+    p.add_argument("--embedding", required=True, choices=_CLI_EMBEDDINGS)
 
 
 def _pullback_args(p) -> None:
@@ -127,8 +122,7 @@ def _cmd_pullback(args) -> int:
         _usage_error(f"--n must be at most {_MAX_N}")
     if args.embedding == "sym-square" and args.n != 2:
         _usage_error("sym-square is defined for --n 2 only")
-    name = _CLI_EMBEDDINGS[args.embedding]
-    embedding = make_embedding(name, args.n)
+    embedding = make_embedding(args.embedding.replace("-", "_"), args.n)
     report = pullback_constant(embedding)
     if args.json:
         _emit_json({"embedding": report.embedding,
@@ -247,7 +241,7 @@ def _cmd_lift_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     components, (first, second), condition = classify(
-        make_embedding(_CLI_EMBEDDINGS[args.embedding]))
+        make_embedding(args.embedding.replace("-", "_")))
     if args.json:
         _emit_json({"embedding": args.embedding,
                     "components": [{"column": col, "row": row, "verdict": verdict}

@@ -27,8 +27,9 @@ before any sample is drawn: ``_TWISTOR_OFF`` reads both a1 and a2, so no
 a != 0 lifts to the twistor space; ``_FLAG_OFF`` is empty; and the
 ``e_map_certificate`` identity holds, so every flag sample is horizontal.
 The same identity gives each flag part's Gram matrix in closed form, so
-``period_triple`` reads its definiteness off it; it writes each part's reduced
-row echelon basis out in closed form too, so it eliminates nothing.
+``period_triple`` reads its definiteness off it.  It eliminates nothing: each
+part's reduced row echelon basis is a closed form when v0 v1 != 0, and the
+certified E-map's products of the part, scaled, when v0 = 0 or v1 = 0.
 
 The checks return plain values.  ``twistor_nonlift_check`` returns the
 entries that leave the twistor pattern as 1-based (row, col, value) triples
@@ -194,8 +195,11 @@ def negative_line_basis(v):
     return vec, ((ONE, ZERO, v0.conj() * inv), (ZERO, ONE, v1.conj() * inv))
 
 
-# each flag component: its name and the definiteness of its Gram matrix
-_FLAG_PARTS = (("S2Lperp", "positive"), ("L2", "positive"), ("LoLperp", "negative"))
+# each flag part: its name, its factor pairs as indices into (v, u1, u2),
+# and the definiteness of its Gram matrix
+_FLAG_PARTS = (("S2Lperp", ((1, 1), (1, 2), (2, 2)), "positive"),
+               ("L2", ((0, 0),), "positive"),
+               ("LoLperp", ((0, 1), (0, 2)), "negative"))
 
 
 def period_triple(v) -> tuple:
@@ -219,9 +223,9 @@ def period_triple(v) -> tuple:
     by E(u1.u2)/(c0 c1) = (0, 0, 1, p, c1 p, c0 p), p = h conj(u w).  That
     clearing is the one elimination the generic case needs.  When v0 = 0 or
     v1 = 0, so that c0 = 0 or c1 = 0, no product of a part has a nonzero
-    entry in the leading column of another, so each part's rref is its
-    products, each scaled by the inverse of its leading entry, in pivot
-    order.
+    entry in the leading column of another, so each part's rref is the
+    certified E-map of f[i].f[j], f = (v, u1, u2), over its pairs in
+    ``_FLAG_PARTS``, scaled by leading entries' inverses, in pivot order.
 
     The definiteness is read off the identity of ``e_map_certificate``
     with h(v, u_i) = 0: the Gram matrix of L2 is h(v,v)^2 > 0, that of
@@ -232,16 +236,20 @@ def period_triple(v) -> tuple:
     here: a v that is not negative, a basis u_i not orthogonal to v, or a
     failing certificate raises ValueError.
     """
-    (v0, v1, v2), ((_, _, c0), (_, _, c1)) = _orthocomplement(v)
+    vec, basis = _orthocomplement(v)
     failure = e_map_certificate()
     if failure is not None:
         raise ValueError(f"the E-map identity fails: {e_map_failure(failure)}")
+    (v0, v1, v2), ((_, _, c0), (_, _, c1)) = vec, basis
     if v0 and v1:
         rows = _generic_flag(v0, v1, v2, c0, c1)
     else:
-        rows = _special_flag(v0, v1, v2, c0, c1)
+        f = (vec, *basis)
+        rows = (_scaled_in_pivot_order(
+                    [sym_to_e_coords(sym_product(f[i], f[j])) for i, j in pairs])
+                for _, pairs, _ in _FLAG_PARTS)
     return tuple((name, part, definiteness)
-                 for (name, definiteness), part in zip(_FLAG_PARTS, rows))
+                 for (name, _, definiteness), part in zip(_FLAG_PARTS, rows))
 
 
 def _generic_flag(v0, v1, v2, c0, c1) -> tuple:
@@ -261,24 +269,6 @@ def _generic_flag(v0, v1, v2, c0, c1) -> tuple:
         ((ONE, ZERO, c0 * u, ht, h * (u + c0), ht * c0),
          (ZERO, ONE, c1 * w, hs, hs * c1, h * (w + c1))),
     )
-
-
-def _special_flag(v0, v1, v2, c0, c1) -> tuple:
-    """The three rref bases of ``period_triple`` when v0 = 0 or v1 = 0."""
-    s0, s1, s01 = SQRT2 * c0, SQRT2 * c1, SQRT2 * (c0 * c1)
-    w0, w1 = SQRT2 * v0, SQRT2 * v1
-    products = (
-        # E(u1.u1), sqrt2 E(u1.u2), E(u2.u2)
-        ((ONE, ZERO, c0 * c0, ZERO, s0, ZERO),
-         (ZERO, ZERO, s01, ONE, c1, c0),
-         (ZERO, ONE, c1 * c1, ZERO, ZERO, s1)),
-        # E(v.v)
-        ((v0 * v0, v1 * v1, v2 * v2, w0 * v1, w0 * v2, w1 * v2),),
-        # sqrt2 E(v.u1), sqrt2 E(v.u2)
-        ((w0, ZERO, s0 * v2, v1, v2 + v0 * c0, v1 * c0),
-         (ZERO, w1, s1 * v2, v0, v0 * c1, v2 + v1 * c1)),
-    )
-    return tuple(map(_scaled_in_pivot_order, products))
 
 
 def _scaled_in_pivot_order(gens) -> tuple:

@@ -159,9 +159,12 @@ def unit_vector(n, k, s=ONE):
     return _coerce_row(s if i == k else ZERO for i in range(n))
 
 
+_SIGNS = frozenset((1, -1))
+
+
 def herm_form(u, v, sig):
     """h(u, v) = sum_k s_k u_k conj(v_k) for the sign tuple sig = (s_1, ...):
-    linear in u, conjugate-linear in v.
+    linear in u, conjugate-linear in v; each s_k must be 1 or -1.
 
     An integer kernel on FieldElem rows (int and Fraction entries are
     coerced): each term x conj(y) is read off the coordinates of x and y,
@@ -171,6 +174,8 @@ def herm_form(u, v, sig):
     u, v = _coerce_row(u), _coerce_row(v)
     if len(u) != len(sig) or len(v) != len(sig):
         raise ValueError("vector length does not match the signature")
+    if not _SIGNS.issuperset(sig):
+        raise ValueError("signature entries must be 1 or -1")
     na = nb = nc = nd = 0
     den = 1
     for s, x, y in zip(sig, u, v):

@@ -233,8 +233,17 @@ MUTANTS = {
         "        pass\n"),
     "lolperp-label-positive": (
         "lifting.py",
-        '("LoLperp", "negative")',
-        '("LoLperp", "positive")'),
+        '((0, 1), (0, 2)), "negative")',
+        '((0, 1), (0, 2)), "positive")'),
+    # the factor pairs of the zero-pattern rows
+    "s2lperp-pair-typo": (
+        "lifting.py",
+        '("S2Lperp", ((1, 1), (1, 2), (2, 2))',
+        '("S2Lperp", ((1, 1), (1, 1), (2, 2))'),
+    "lolperp-pair-typo": (
+        "lifting.py",
+        '("LoLperp", ((0, 1), (0, 2))',
+        '("LoLperp", ((0, 1), (0, 1))'),
     # the closed-form rref bases of period_triple
     "l2-row-drops-sqrt2": (
         "lifting.py",

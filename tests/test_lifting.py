@@ -390,9 +390,13 @@ def test_period_triple_random_invariants():
     vectors += [_negative_vector_with_specials(r) for _ in range(30)]
     vectors += [_big_negative_vector(r) for _ in range(6)]
     assert sum(any(x.nb or x.nd for x in v) for v in vectors) >= 50
-    # the zero patterns of (v0, v1) with v2 != 1, and the cap vector
+    # the zero patterns of (v0, v1) with v2 != 1, and the cap vector with
+    # its zero patterns, each negative since dropping v0 or v1 only lowers
+    # h(v, v)
     x, v2 = FieldElem(Fraction(1, 3), -1, 0, Fraction(1, 5)), FieldElem(2, 1)
-    vectors += [(ZERO, x, v2), (x, ZERO, v2), (ZERO, ZERO, v2), _cap_vector()]
+    c0, c1, c2 = _cap_vector()
+    vectors += [(ZERO, x, v2), (x, ZERO, v2), (ZERO, ZERO, v2), (c0, c1, c2),
+                (ZERO, c1, c2), (c0, ZERO, c2), (ZERO, ZERO, c2)]
     still = (ZERO, ZERO, ZERO)
     for v in vectors:
         triple = period_triple(v)

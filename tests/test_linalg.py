@@ -116,6 +116,12 @@ def test_herm_form_coerces_rows_and_rejects_bad_ones():
         herm_form(unit_vector(3, 0), unit_vector(3, 0), W_SIG)
     with pytest.raises(ValueError, match="does not match the signature"):
         herm_form(unit_vector(6, 0), unit_vector(3, 0), W_SIG)
+    # sig is a sign tuple: a 0 is not a degenerate entry, a 2 is not a +1
+    for sig in ((1, 0, -1), (2, 2, -3)):
+        with pytest.raises(ValueError, match="must be 1 or -1"):
+            herm_form((1, 1, 1), (1, 1, 1), sig)
+    with pytest.raises(ValueError, match="must be 1 or -1"):
+        Subspace(3, [unit_vector(3, 1)]).inertia((1, 0, -1))
 
 
 def test_perp_examples():
